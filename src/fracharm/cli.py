@@ -74,11 +74,17 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
     _reject_unknown(data, _TOP_KEYS, "config root")
     overrides = overrides or {}
 
+    def pick(override: str, section: dict, key: str, default):
+        # an override replaces the config value unless it is None, so falsy
+        # overrides such as --seed 0 are kept
+        value = overrides.get(override)
+        return section.get(key, default) if value is None else value
+
     grid = dict(data.get("grid", {}))
     _reject_unknown(grid, _GRID_KEYS, "grid")
-    n = int(overrides.get("grid_n") or grid.get("n", 1))
-    N = int(overrides.get("grid_N") or grid.get("N", 256))
-    L = float(overrides.get("period") or grid.get("L", 1.0))
+    n = int(pick("grid_n", grid, "n", 1))
+    N = int(pick("grid_N", grid, "N", 256))
+    L = float(pick("period", grid, "L", 1.0))
     try:
         spec = GridSpec(n=n, N=N, L=L)
     except ValueError as exc:
@@ -86,9 +92,9 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
 
     tl = dict(data.get("t_levels", {}))
     _reject_unknown(tl, _TLEVEL_KEYS, "t_levels")
-    t_min = overrides.get("t_min", tl.get("t_min"))
-    t_max = overrides.get("t_max", tl.get("t_max"))
-    M = int(overrides.get("t_levels_M") or tl.get("M", 32))
+    t_min = pick("t_min", tl, "t_min", None)
+    t_max = pick("t_max", tl, "t_max", None)
+    M = int(pick("t_levels_M", tl, "M", 32))
 
     ests = data.get("estimates", [])
     if not isinstance(ests, list):
@@ -106,17 +112,26 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"estimates[{i}]: {exc}") from exc
+    try:
+        tolerance_scale = float(pick("tolerance_scale", data,
+                                     "tolerance_scale", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"tolerance_scale: {exc}") from exc
+    if not (math.isfinite(tolerance_scale) and tolerance_scale >= 0):
+        raise ConfigError(
+            f"tolerance_scale must be finite and >= 0, got {tolerance_scale}")
+    out = str(pick("out", data, "out", "reports"))
+    if not out:
+        raise ConfigError("out must be a non-empty path")
     return RunConfig(
         grid=spec,
         t_min=None if t_min is None else float(t_min),
         t_max=None if t_max is None else float(t_max),
         M=M,
         estimates=tuple(descriptors),
-        seed=int(overrides.get("seed") or data.get("seed", 1000)),
-        out=str(overrides.get("out") or data.get("out", "reports")),
-        tolerance_scale=float(
-            overrides.get("tolerance_scale") or data.get("tolerance_scale", 1.0)
-        ),
+        seed=int(pick("seed", data, "seed", 1000)),
+        out=out,
+        tolerance_scale=tolerance_scale,
     )
 
 
@@ -358,11 +373,17 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_run(args.config, overrides)
     if args.command == "ops-check":
         return cmd_ops_check(args.grid_N)
-    spec = GridSpec(
-        n=args.grid_n or 1, N=args.grid_N or 256, L=args.period or 1.0
-    )
+    try:
+        spec = GridSpec(
+            n=1 if args.grid_n is None else args.grid_n,
+            N=256 if args.grid_N is None else args.grid_N,
+            L=1.0 if args.period is None else args.period,
+        )
+    except ValueError as exc:
+        print(f"config error: grid: {exc}", file=sys.stderr)
+        return 2
     return cmd_symbol_cache(args.s, spec, args.t_min, args.t_max,
-                            args.t_levels_M or 32)
+                            32 if args.t_levels_M is None else args.t_levels_M)
 
 
 if __name__ == "__main__":

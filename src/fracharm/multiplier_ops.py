@@ -71,15 +71,15 @@ def l2_norm(f: GridFunction) -> float:
 
 
 def apply_symbol(f: GridFunction, m: SymbolDescriptor) -> GridFunction:
-    """Apply a Fourier multiplier; returns the real part and asserts the
-    imaginary residual is below 1e-10 * ||f||_2."""
+    """Apply a Fourier multiplier; returns the real part and raises
+    ArithmeticError unless the imaginary residual is below 1e-10 * ||f||_2."""
     arr = _multiplier_array(f.spec, m)
     S = fft_forward(f)
     out = np.fft.ifftn(arr * S.coeffs * S.coeffs.size)
     resid = float(np.sqrt(np.sum(out.imag**2) * f.spec.cell_volume))
     bound = 1e-10 * max(l2_norm(f), 1e-300) * max(float(np.max(np.abs(arr))), 1.0)
     if resid > bound:
-        raise AssertionError(
+        raise ArithmeticError(
             f"imaginary residual {resid:.3e} exceeds bound {bound:.3e} "
             f"for symbol {m.name!r}"
         )

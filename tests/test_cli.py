@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from fracharm import cli
 from fracharm.cli import ConfigError, main, parse_config
 
 
@@ -37,6 +38,46 @@ def test_parse_config_defaults_and_overrides():
     assert cfg.grid.N == 128
     assert cfg.out == "elsewhere"
     assert cfg.estimates[0].params["p"] == 3.0
+
+
+def test_falsy_overrides_are_kept(tmp_path, monkeypatch):
+    cfg = parse_config({"seed": 5, "tolerance_scale": 2.0, "estimates": []},
+                       overrides={"seed": 0, "tolerance_scale": 0.0})
+    assert cfg.seed == 0
+    assert cfg.tolerance_scale == 0.0
+    with pytest.raises(ConfigError, match="out"):
+        parse_config({"estimates": []}, overrides={"out": ""})
+    seeds = []
+    real_family = cli.standard_family
+
+    def recording_family(arity, spec, n_members, seed):
+        seeds.append(seed)
+        return real_family(arity, spec, n_members, seed)
+
+    monkeypatch.setattr(cli, "standard_family", recording_family)
+    path = _write_config(tmp_path / "cfg.json", seed=5,
+                         out=str(tmp_path / "reports"))
+    assert main(["run", path, "--seed", "0"]) == 0
+    assert seeds == [0]
+
+
+def test_invalid_tolerance_scale_is_a_config_error(tmp_path, capsys):
+    for scale in (-1.0, float("nan"), float("inf"), "abc"):
+        with pytest.raises(ConfigError, match="tolerance_scale"):
+            parse_config({"estimates": [], "tolerance_scale": scale})
+    path = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "reports"))
+    for arg in ("-1", "nan", "inf"):
+        assert main(["run", path, "--tolerance-scale", arg]) == 2
+        assert "tolerance_scale" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+
+def test_symbol_cache_zero_grid_value_is_not_replaced(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.setenv("FRACHARM_CACHE_DIR", str(tmp_path))
+    assert main(["symbol-cache", "0.5", "--grid-n", "0"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_run_writes_reports_and_exits_zero(tmp_path):

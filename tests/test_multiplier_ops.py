@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracharm import multiplier_ops
 from fracharm import (GridFunction, GridSpec, SymbolDescriptor,
                       TestFunctionDescriptor, apply_symbol, frac_laplacian,
                       l2_norm, make_function, mean_projected, riesz_potential,
@@ -113,6 +114,21 @@ def test_apply_symbol_custom_multiplier():
     doubled = apply_symbol(f, SymbolDescriptor(
         lambda xi: np.full_like(xi, 2.0), at_zero=2.0, name="double"))
     assert np.max(np.abs(doubled.values - 2 * f.values)) <= 1e-12
+
+
+def test_apply_symbol_imaginary_residual_is_arithmetic_error(monkeypatch):
+    spec = GridSpec(n=1, N=64, L=1.0)
+    f = _bandlimited(spec)
+    times_i = SymbolDescriptor(lambda xi: np.full_like(xi, 1j, dtype=complex),
+                               at_zero=1j, name="times_i")
+    # the multiplier check rejects the non-Hermitian symbol up front ...
+    with pytest.raises(ValueError, match="Hermitian"):
+        apply_symbol(f, times_i)
+    # ... and the residual guard behind it reports a numerical error
+    monkeypatch.setattr(multiplier_ops, "_multiplier_array",
+                        lambda spec, m: np.full(spec.shape, 1j))
+    with pytest.raises(ArithmeticError, match="imaginary residual"):
+        apply_symbol(f, times_i)
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,7 +6,9 @@ from fracharm import (GridFunction, GridSpec, LorentzExponents, TLevels,
                       carleson_sup, extend_field, holder_seminorm, l2_norm,
                       lorentz_norm, lp_norm, make_function, make_tlevels,
                       maximal_function, slobodeckij_seminorm, space_functional,
-                      square_function, tent_pairing_bound_check)
+                      square_function, standard_family,
+                      tent_pairing_bound_check)
+from fracharm.norms import _bmo_direct
 
 
 def _bump(spec, radius, center=None, dilate=1.0):
@@ -131,6 +133,26 @@ def test_bmo_brute_force_oracle():
             members = v[dist <= r * (1 + 1e-12)]
             best = max(best, float(np.mean(np.abs(members - members.mean()))))
     assert bmo_seminorm(f, tents) == pytest.approx(best, rel=1e-10)
+
+
+@pytest.mark.parametrize("n,N", [(1, 1024), (2, 64)])
+def test_bmo_pruned_equals_direct(n, N):
+    spec = GridSpec(n=n, N=N, L=1.0)
+    members = [make_function(desc, spec)
+               for (desc,) in standard_family(1, spec)]
+    families = [TentFamily.standard(spec),
+                TentFamily.standard(spec, center_stride=2),
+                TentFamily(spec, radii=(spec.h, 3 * spec.h, 0.21))]
+    for f in members:
+        for tents in families:
+            assert bmo_seminorm(f, tents) == pytest.approx(
+                _bmo_direct(f, tents), rel=1e-13, abs=0.0)
+    # f^2 exceeds the float range; the bound must still hold
+    huge = GridFunction(spec, 1e160 * members[0].values)
+    assert bmo_seminorm(huge) == pytest.approx(_bmo_direct(huge), rel=1e-13)
+    zero = GridFunction(spec, np.zeros(spec.shape))
+    assert bmo_seminorm(zero) == 0.0
+    assert _bmo_direct(zero) == 0.0
 
 
 def test_bmo_monotone_under_family_enrichment():
