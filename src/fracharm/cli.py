@@ -1,6 +1,6 @@
 """
-Command-line entry point: config-driven estimate runs, an operator identity
-check, and symbol-table precomputation.
+Command-line entry point: config-driven estimate runs and an operator
+identity check.
 
 Subcommands
 -----------
@@ -9,16 +9,16 @@ run <config.json>   Verify the configured estimates; write one JSON report
                     (t, value) diagnostic profiles into the output directory.
 ops-check           Run the spectral-identity and oracle-equivalence suites
                     without a config and print a pass/fail table.
-symbol-cache <s>    Precompute and cache the Poisson symbol table for s.
 
 Exit codes: 0 pass, 1 validation failure, 2 config error, 3 numerical error.
+Every config error, including a parameter set that does not fit the grid
+dimension, is detected by parse_config before any estimate runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import glob
 import json
 import math
 import os
@@ -27,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutators import CATALOG, EstimateDescriptor, standard_family, verify_estimate
-from .extension import (boundary_limit_check, cache_dir, cache_path,
-                        decay_profile, extend_field, get_symbol, load_symbol,
-                        make_tlevels, _max_frequency)
-from .grid import GridFunction, GridSpec, TestFunctionDescriptor, make_function
+from .commutators import EstimateDescriptor, standard_family, verify_estimate
+from .extension import (TLevels, boundary_limit_check, decay_profile,
+                        extend_field, make_tlevels)
+from .grid import (GridSpec, TestFunctionDescriptor, make_function,
+                   spectral_gradient)
 from .multiplier_ops import (frac_laplacian, l2_norm, mean_projected,
                              riesz_potential, riesz_transform)
 from .singular_ops import QuadratureConfig, frac_laplacian_quadrature
@@ -52,9 +52,7 @@ class RunConfig:
     """Validated run configuration; unknown keys are rejected."""
 
     grid: GridSpec
-    t_min: float | None
-    t_max: float | None
-    M: int
+    levels: TLevels
     estimates: tuple[EstimateDescriptor, ...]
     seed: int = 1000
     out: str = "reports"
@@ -65,6 +63,24 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _section(data: dict, key: str) -> dict:
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object")
+    return value
+
+
+def _convert(kind, value, where: str):
+    """kind(value), with a failed conversion reported as a ConfigError; None
+    passes through."""
+    if value is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
@@ -80,21 +96,25 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
         value = overrides.get(override)
         return section.get(key, default) if value is None else value
 
-    grid = dict(data.get("grid", {}))
+    grid = _section(data, "grid")
     _reject_unknown(grid, _GRID_KEYS, "grid")
-    n = int(pick("grid_n", grid, "n", 1))
-    N = int(pick("grid_N", grid, "N", 256))
-    L = float(pick("period", grid, "L", 1.0))
+    n = _convert(int, pick("grid_n", grid, "n", 1), "grid.n")
+    N = _convert(int, pick("grid_N", grid, "N", 256), "grid.N")
+    L = _convert(float, pick("period", grid, "L", 1.0), "grid.L")
     try:
         spec = GridSpec(n=n, N=N, L=L)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
-    tl = dict(data.get("t_levels", {}))
+    tl = _section(data, "t_levels")
     _reject_unknown(tl, _TLEVEL_KEYS, "t_levels")
-    t_min = pick("t_min", tl, "t_min", None)
-    t_max = pick("t_max", tl, "t_max", None)
-    M = int(pick("t_levels_M", tl, "M", 32))
+    t_min = _convert(float, pick("t_min", tl, "t_min", None), "t_levels.t_min")
+    t_max = _convert(float, pick("t_max", tl, "t_max", None), "t_levels.t_max")
+    M = _convert(int, pick("t_levels_M", tl, "M", 32), "t_levels.M")
+    try:
+        levels = make_tlevels(spec, t_min, t_max, M)
+    except ValueError as exc:
+        raise ConfigError(f"t_levels: {exc}") from exc
 
     ests = data.get("estimates", [])
     if not isinstance(ests, list):
@@ -107,41 +127,40 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
         if "id" not in e:
             raise ConfigError(f"estimates[{i}] is missing 'id'")
         try:
-            descriptors.append(
-                EstimateDescriptor(id=e["id"], params=dict(e.get("params", {})))
-            )
-        except ValueError as exc:
+            d = EstimateDescriptor(id=e["id"], params=dict(e.get("params", {})))
+            d.check_grid(spec)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"estimates[{i}]: {exc}") from exc
-    try:
-        tolerance_scale = float(pick("tolerance_scale", data,
-                                     "tolerance_scale", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"tolerance_scale: {exc}") from exc
+        descriptors.append(d)
+    tolerance_scale = _convert(
+        float, pick("tolerance_scale", data, "tolerance_scale", 1.0),
+        "tolerance_scale")
     if not (math.isfinite(tolerance_scale) and tolerance_scale >= 0):
         raise ConfigError(
             f"tolerance_scale must be finite and >= 0, got {tolerance_scale}")
+    seed = _convert(int, pick("seed", data, "seed", 1000), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     out = str(pick("out", data, "out", "reports"))
     if not out:
         raise ConfigError("out must be a non-empty path")
     return RunConfig(
         grid=spec,
-        t_min=None if t_min is None else float(t_min),
-        t_max=None if t_max is None else float(t_max),
-        M=M,
+        levels=levels,
         estimates=tuple(descriptors),
-        seed=int(pick("seed", data, "seed", 1000)),
+        seed=seed,
         out=out,
         tolerance_scale=tolerance_scale,
     )
 
 
 def _report_dict(report, cfg: RunConfig) -> dict:
-    levels = make_tlevels(cfg.grid, cfg.t_min, cfg.t_max, cfg.M)
+    ts = cfg.levels.ts
     return {
         "estimate_id": report.estimate_id,
         "grid": {"n": cfg.grid.n, "N": cfg.grid.N, "L": cfg.grid.L},
-        "t_truncation": {"t_min": float(levels.ts[0]),
-                         "t_max": float(levels.ts[-1]), "M": levels.M},
+        "t_truncation": {"t_min": float(ts[0]), "t_max": float(ts[-1]),
+                         "M": len(ts)},
         "fitted_constant": report.fitted_constant,
         "validation_max_ratio": report.validation_max_ratio,
         "max_ratio": report.max_ratio,
@@ -157,23 +176,21 @@ def _report_dict(report, cfg: RunConfig) -> dict:
 def _write_profiles(cfg: RunConfig, out: str) -> None:
     """Decay and boundary-trace diagnostics for a reference gaussian."""
     spec = cfg.grid
-    levels = make_tlevels(spec, cfg.t_min, cfg.t_max, cfg.M)
     desc = TestFunctionDescriptor(
         kind="gaussian", center=(spec.L / 2,) * spec.n, width=spec.L / 16
     )
     f = make_function(desc, spec)
-    F = extend_field(f, 0.5, levels)
-    prof = decay_profile(F, k=0)
+    prof = decay_profile(extend_field(f, 0.5, cfg.levels), k=0)
     with open(os.path.join(out, "decay_profile.txt"), "w") as fh:
         fh.write("# t sup_x |F(x,t)|\n")
-        for t, v in zip(prof["t"], prof["sup"]):
-            fh.write(f"{t!r} {v!r}\n")
+        fh.writelines(f"{float(t)!r} {float(v)!r}\n"
+                      for t, v in zip(prof["t"], prof["sup"]))
     small_ts = np.geomspace(spec.h / 2, 4 * spec.h, 8)
     trace = boundary_limit_check(f, 0.5, small_ts)
     with open(os.path.join(out, "boundary_trace.txt"), "w") as fh:
         fh.write(f"# extrapolated c = {trace.c!r}\n# t c_t\n")
-        for t, c in zip(trace.small_ts, trace.c_ts):
-            fh.write(f"{t!r} {c!r}\n")
+        fh.writelines(f"{float(t)!r} {float(c)!r}\n"
+                      for t, c in zip(trace.small_ts, trace.c_ts))
 
 
 def cmd_run(config_path: str, overrides: dict) -> int:
@@ -266,7 +283,6 @@ def _identity_checks(N: int) -> list[tuple[str, float, float]]:
         riesz_transform(w, 2), 2)
     checks.append(("riesz_sum_of_squares", l2_norm(rr + w) / l2_norm(w), 1e-10))
 
-    from .grid import spectral_gradient
     d1 = spectral_gradient(w)
     d12 = spectral_gradient(d1[0])[1]
     lap = frac_laplacian(w, 2.0)
@@ -277,15 +293,6 @@ def _identity_checks(N: int) -> list[tuple[str, float, float]]:
 
 
 def cmd_ops_check(N: int) -> int:
-    # A corrupt cached symbol table is a numerical-integrity failure; scan
-    # before anything regenerates it silently.
-    for path in sorted(glob.glob(os.path.join(cache_dir(), "*.txt"))):
-        try:
-            load_symbol(path)
-        except (ValueError, KeyError, IndexError, OSError) as exc:
-            print(f"numerical error: corrupt symbol cache {path}: {exc}",
-                  file=sys.stderr)
-            return 3
     try:
         checks = _identity_checks(N)
         spec = GridSpec(n=1, N=N, L=1.0)
@@ -312,37 +319,6 @@ def cmd_ops_check(N: int) -> int:
     return 0 if ok else 1
 
 
-def cmd_symbol_cache(s: float, spec: GridSpec, t_min: float | None,
-                     t_max: float | None, M: int) -> int:
-    try:
-        levels = make_tlevels(spec, t_min, t_max, M)
-        r_min = 0.9 * float(levels.ts[0]) / spec.L
-        r_max = 1.1 * float(levels.ts[-1]) * _max_frequency(spec)
-        sym = get_symbol(s, r_min, r_max)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
-    print(f"cached {len(sym.r)} points for s={s} at "
-          f"{cache_path(s, sym.r_min, sym.r_max, sym.tolerance)}")
-    return 0
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-n", type=int, default=None, dest="grid_n")
-    p.add_argument("--grid-N", type=int, default=None, dest="grid_N")
-    p.add_argument("--period", type=float, default=None)
-    p.add_argument("--t-min", type=float, default=None, dest="t_min")
-    p.add_argument("--t-max", type=float, default=None, dest="t_max")
-    p.add_argument("--t-levels", type=int, default=None, dest="t_levels_M")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--tolerance-scale", type=float, default=None,
-                   dest="tolerance_scale")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="fracharm",
@@ -353,14 +329,19 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="run a JSON config of estimates")
     p_run.add_argument("config")
-    _add_common_flags(p_run)
+    p_run.add_argument("--grid-n", type=int, default=None, dest="grid_n")
+    p_run.add_argument("--grid-N", type=int, default=None, dest="grid_N")
+    p_run.add_argument("--period", type=float, default=None)
+    p_run.add_argument("--t-min", type=float, default=None, dest="t_min")
+    p_run.add_argument("--t-max", type=float, default=None, dest="t_max")
+    p_run.add_argument("--t-levels", type=int, default=None, dest="t_levels_M")
+    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--out", type=str, default=None)
+    p_run.add_argument("--tolerance-scale", type=float, default=None,
+                       dest="tolerance_scale")
 
     p_ops = sub.add_parser("ops-check", help="operator identity suite")
     p_ops.add_argument("--grid-N", type=int, default=512, dest="grid_N")
-
-    p_sym = sub.add_parser("symbol-cache", help="precompute a symbol table")
-    p_sym.add_argument("s", type=float)
-    _add_common_flags(p_sym)
 
     args = parser.parse_args(argv)
     if args.command == "run":
@@ -371,19 +352,7 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, k) is not None
         }
         return cmd_run(args.config, overrides)
-    if args.command == "ops-check":
-        return cmd_ops_check(args.grid_N)
-    try:
-        spec = GridSpec(
-            n=1 if args.grid_n is None else args.grid_n,
-            N=256 if args.grid_N is None else args.grid_N,
-            L=1.0 if args.period is None else args.period,
-        )
-    except ValueError as exc:
-        print(f"config error: grid: {exc}", file=sys.stderr)
-        return 2
-    return cmd_symbol_cache(args.s, spec, args.t_min, args.t_max,
-                            32 if args.t_levels_M is None else args.t_levels_M)
+    return cmd_ops_check(args.grid_N)
 
 
 if __name__ == "__main__":

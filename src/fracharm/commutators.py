@@ -155,19 +155,9 @@ def hardy_duality_check(phi: GridFunction, f: GridFunction, g: GridFunction,
                         s: float = 0.5, p: float = 2.0, q: float = 2.0) -> float:
     """Ratio |int (-Delta)^{s/2} H_s(phi,f) . g| over
     ||fL^s phi||_(p,q) ||fL^s f||_(p',q') [g]_BMO, conjugate exponents."""
-    if not (0 < s <= 1):
-        raise ValueError(f"order s must lie in (0, 1], got {s}")
-    if not (1 < p < _INF and 1 < q < _INF):
-        raise ValueError("exponents p, q must lie in (1, inf)")
-    spec = phi.spec
-    H = leibniz_defect(phi, f, s)
-    lhs = abs(float(
-        np.sum(frac_laplacian(H, s).values * g.values) * spec.cell_volume
-    ))
-    pc, qc = p / (p - 1), q / (q - 1)
-    rhs = (lorentz_norm(frac_laplacian(phi, s), LorentzExponents(p, q))
-           * lorentz_norm(frac_laplacian(f, s), LorentzExponents(pc, qc))
-           * bmo_seminorm(g))
+    prm = {"s": s, "p": p, "q": q}
+    _validate_hardy_duality(prm)
+    lhs, rhs = _eval_hardy_duality(phi.spec, (phi, f, g), prm, {})
     if rhs == 0.0:
         return 0.0 if lhs <= 1e-10 else _INF
     return lhs / rhs
@@ -215,10 +205,17 @@ def _validate_chanillo(p: dict) -> None:
         raise ValueError("chanillo requires s in (0, 1)")
     if not (1 < p["p"] < _INF):
         raise ValueError("chanillo requires p in (1, inf)")
-    # admissibility is dimension-dependent; checked against the grid at
-    # evaluation time via 1/q = 1/p - s/n
+    # admissibility is dimension-dependent; _check_chanillo_grid checks
+    # 1/q = 1/p - s/n against the grid
     if not (p["q"] > 1):
         raise ValueError("chanillo requires q > 1")
+
+
+def _check_chanillo_grid(p: dict, n: int) -> None:
+    if not _close(1 / p["q"], 1 / p["p"] - p["s"] / n):
+        raise ValueError(
+            f"chanillo requires 1/q = 1/p - s/n; got p={p['p']}, q={p['q']}, "
+            f"s={p['s']}, n={n}")
 
 
 def _validate_leibniz_lorentz(p: dict) -> None:
@@ -250,10 +247,6 @@ def _validate_double_comm(p: dict) -> None:
     for k in ("p1", "p2", "q1", "q2"):
         if not (1 < p[k] < _INF):
             raise ValueError(f"double-comm-1d requires {k} in (1, inf)")
-
-
-def _validate_jacobian_bmo(p: dict) -> None:
-    del p
 
 
 def _validate_jacobian_sobolev(p: dict) -> None:
@@ -312,10 +305,7 @@ def _eval_fl_comm(spec, funcs, prm, meta):
 def _eval_chanillo(spec, funcs, prm, meta):
     phi, u = funcs
     s, p, q = prm["s"], prm["p"], prm["q"]
-    if not _close(1 / q, 1 / p - s / spec.n):
-        raise ValueError(
-            f"chanillo requires 1/q = 1/p - s/n; got p={p}, q={q}, "
-            f"s={s}, n={spec.n}")
+    _check_chanillo_grid(prm, spec.n)
     # The truncated whole-space kernel realizes the potential on data with
     # nonzero mean, so the commutator stays dilation-covariant for localized
     # inputs; the spectral route would need a mean projection whose constant
@@ -423,6 +413,7 @@ CATALOG = {
         "defaults": {"s": 0.5, "p": 4.0 / 3.0, "q": 4.0},
         "validate": _validate_chanillo,
         "evaluate": _eval_chanillo,
+        "check_grid": _check_chanillo_grid,
     },
     "leibniz-lorentz": {
         "arity": 2,
@@ -443,12 +434,13 @@ CATALOG = {
                      "p2": 2.0, "q2": 2.0},
         "validate": _validate_double_comm,
         "evaluate": _eval_double_comm,
+        "dims": (1,),
     },
     "jacobian-bmo": {
         "arity": 3,
         "defaults": {},
-        "validate": _validate_jacobian_bmo,
         "evaluate": _eval_jacobian_bmo,
+        "dims": (2,),
     },
     "jacobian-sobolev": {
         "arity": 3,
@@ -456,6 +448,7 @@ CATALOG = {
                      "p0": 3.0, "p1": 3.0, "p2": 3.0},
         "validate": _validate_jacobian_sobolev,
         "evaluate": _eval_jacobian_sobolev,
+        "dims": (2,),
     },
     "hardy-duality": {
         "arity": 3,
@@ -483,12 +476,22 @@ class EstimateDescriptor:
             raise ValueError(
                 f"unknown parameters for {self.id}: {sorted(unknown)}")
         merged = {**entry["defaults"], **self.params}
-        entry["validate"](merged)
+        if "validate" in entry:
+            entry["validate"](merged)
         object.__setattr__(self, "params", merged)
 
     @property
     def arity(self) -> int:
         return CATALOG[self.id]["arity"]
+
+    def check_grid(self, spec: GridSpec) -> None:
+        """Raise ValueError if the estimate does not fit the grid dimension."""
+        entry = CATALOG[self.id]
+        if spec.n not in entry.get("dims", (1, 2)):
+            raise ValueError(f"{self.id} requires n in {entry['dims']}, "
+                             f"got n = {spec.n}")
+        if "check_grid" in entry:
+            entry["check_grid"](self.params, spec.n)
 
 
 @dataclass(frozen=True)
@@ -609,6 +612,7 @@ def verify_estimate(d: EstimateDescriptor, family, spec: GridSpec,
     """
     if len(family) < 8:
         raise ValueError(f"family must have at least 8 samples, got {len(family)}")
+    d.check_grid(spec)
     meta: dict = {"grid": {"n": spec.n, "N": spec.N, "L": spec.L},
                   "slack": slack, "zero_rhs_tol": zero_rhs_tol,
                   "zero_lhs_tol": zero_lhs_tol}

@@ -5,30 +5,29 @@ The extension F(x,t) of f is computed spectrally: F(.,t) applies the radial
 symbol m_s(t|xi|) where
 
     m_s(r) = (1/Gamma(s/2)) * int_0^inf lambda^{s/2} e^{-lambda - (pi r)^2/lambda}
-             dlambda/lambda,
+             dlambda/lambda
+           = 2 (pi r)^{s/2} K_{s/2}(2 pi r) / Gamma(s/2),
 
 normalized so m_s(0) = 1; for s = 1 this reduces to e^{-2 pi r}.  The
-t-derivative field uses a companion table for m_s'(r) obtained by
-differentiating under the integral sign.  Both tables are tabulated on a
-log-spaced r-grid and evaluated through monotone-cubic (PCHIP) interpolation
-of log m_s and log(-m_s') against r, which reproduces the s = 1 case exactly.
+t-derivative field uses m_s'(r) = -4 pi (pi r)^{s/2} K_{1-s/2}(2 pi r) /
+Gamma(s/2) (Caffarelli-Silvestre, Comm. PDE 2007).  PoissonSymbol evaluates
+the Bessel forms in log space; the lambda-integral form is kept as the
+quadrature oracle symbol_value / symbol_derivative_value.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.special import gamma
+from scipy.special import gamma, gammaln, kve
 
 from .grid import GridFunction, GridSpec, fft_forward
 from .multiplier_ops import frac_laplacian, l2_norm
 
-_LOG_FLOOR = -690.0  # symbol values below e^-690 are stored as hard zero
+_LOG_FLOOR = -690.0  # symbol values below e^-690 are returned as hard zero
 
 
 def _lambda_integral(a: float, b: float, rtol: float = 1e-12) -> float:
@@ -72,173 +71,56 @@ def symbol_derivative_value(s: float, r: float, rtol: float = 1e-12) -> float:
     return -2 * math.pi**2 * r * _lambda_integral(s / 2 - 1, b, rtol) / gamma(s / 2)
 
 
-def default_r_grid(r_min: float, r_max: float,
-                   points_per_decade: int = 64) -> np.ndarray:
-    """Log-spaced evaluation grid for the symbol tables."""
-    if not (0 < r_min < r_max):
-        raise ValueError("need 0 < r_min < r_max")
-    decades = math.log10(r_max / r_min)
-    npts = max(int(math.ceil(decades * points_per_decade)) + 1, 16)
-    return np.geomspace(r_min, r_max, npts)
-
-
 @dataclass(frozen=True)
 class PoissonSymbol:
-    """Tabulated radial symbol m_s(r) and its derivative table."""
+    """Closed-form radial symbol m_s(r) and its derivative m_s'(r).
+
+    Values whose logarithm lies below _LOG_FLOOR are returned as exact 0
+    without being exponentiated, so large radii give 0 with no floating-point
+    underflow and no subnormals."""
 
     s: float
-    r: np.ndarray
-    m: np.ndarray
-    dm: np.ndarray
-    tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.r, dtype=float)
-        m = np.asarray(self.m, dtype=float)
-        dm = np.asarray(self.dm, dtype=float)
         if not (0 < self.s < 2):
             raise ValueError(f"order s must lie in (0, 2), got {self.s}")
-        if np.any(r <= 0) or np.any(np.diff(r) <= 0):
-            raise ValueError("r grid must be positive and strictly increasing")
-        # strictly decreasing, with ties allowed only in the underflowed-to-
-        # zero region of the table
-        if np.any(np.diff(m[m > 0]) >= 0):
-            raise ValueError("m_s table must be strictly decreasing")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "dm", dm)
-        m_live = m > 0
-        d_live = dm < 0
-        object.__setattr__(self, "_rm_live_max", float(r[m_live][-1]))
-        object.__setattr__(self, "_rd_live_max", float(r[d_live][-1]))
-        object.__setattr__(
-            self, "_logm", PchipInterpolator(r[m_live], np.log(m[m_live]))
-        )
-        object.__setattr__(
-            self, "_logd", PchipInterpolator(r[d_live], np.log(-dm[d_live]))
-        )
 
-    @property
-    def r_min(self) -> float:
-        return float(self.r[0])
-
-    @property
-    def r_max(self) -> float:
-        return float(self.r[-1])
-
-    def _check_range(self, r: np.ndarray) -> None:
-        rmax = float(np.max(r)) if r.size else 0.0
-        rpos = r[r > 0]
-        rmin = float(np.min(rpos)) if rpos.size else self.r_min
-        if rmax > self.r_max * (1 + 1e-12) or rmin < self.r_min * (1 - 1e-12):
-            raise ValueError(
-                f"radius range [{rmin:.3e}, {rmax:.3e}] outside symbol table "
-                f"range [{self.r_min:.3e}, {self.r_max:.3e}]"
-            )
+    def _eval(self, r: np.ndarray, nu: float, c: float,
+              at_zero: float) -> np.ndarray:
+        """c (pi r)^{s/2} K_nu(2 pi r) / Gamma(s/2) for r > 0, at_zero at 0."""
+        r = np.asarray(r, dtype=float)
+        out = np.full(r.shape, at_zero)
+        x = 2 * np.pi * r[r > 0]
+        # in log space, with K_nu(x) = kve(nu, x) e^{-x}
+        logv = (self.s / 2 * np.log(x / 2) + np.log(kve(nu, x)) - x
+                - gammaln(self.s / 2))
+        vals = np.zeros(x.shape)
+        keep = logv >= _LOG_FLOOR
+        vals[keep] = c * np.exp(logv[keep])
+        out[r > 0] = vals
+        return out
 
     def eval_m(self, r: np.ndarray) -> np.ndarray:
-        """m_s at arbitrary radii; r = 0 gives exactly 1."""
-        r = np.asarray(r, dtype=float)
-        self._check_range(r)
-        out = np.zeros(r.shape)
-        zero = r == 0.0
-        live = (~zero) & (r <= self._rm_live_max)
-        out[zero] = 1.0
-        out[live] = np.exp(self._logm(r[live]))
-        return out
+        """m_s at arbitrary radii r >= 0; r = 0 gives exactly 1."""
+        return self._eval(r, self.s / 2, 2.0, 1.0)
 
     def eval_dm(self, r: np.ndarray) -> np.ndarray:
-        """m_s' at arbitrary radii; r = 0 gives 0."""
-        r = np.asarray(r, dtype=float)
-        self._check_range(r)
-        out = np.zeros(r.shape)
-        live = (r > 0) & (r <= self._rd_live_max)
-        out[live] = -np.exp(self._logd(r[live]))
-        return out
+        """m_s' at arbitrary radii r >= 0; r = 0 gives 0 by convention (it
+        only ever multiplies |xi| = 0)."""
+        return self._eval(r, 1 - self.s / 2, -4 * math.pi, 0.0)
 
 
 def s_poisson_symbol(s: float, r_grid: np.ndarray,
                      tolerance: float = 1e-8) -> PoissonSymbol:
-    """Tabulate the Poisson symbol and its derivative on r_grid (r > 0)."""
-    if not (0 < s < 2):
-        raise ValueError(f"order s must lie in (0, 2), got {s}")
-    r_grid = np.asarray(r_grid, dtype=float)
-    rtol = min(tolerance * 1e-2, 1e-12)
-    m = np.array([symbol_value(s, r, rtol) for r in r_grid])
-    dm = np.array([symbol_derivative_value(s, r, rtol) for r in r_grid])
-    floor = math.exp(_LOG_FLOOR)
-    m = np.where(m < floor, 0.0, m)
-    dm = np.where(-dm < floor, 0.0, dm)
-    return PoissonSymbol(s=s, r=r_grid, m=m, dm=dm, tolerance=tolerance)
-
-
-# ---------------------------------------------------------------------------
-# Disk cache
-
-
-def cache_dir() -> str:
-    return os.environ.get(
-        "FRACHARM_CACHE_DIR",
-        os.path.join(os.path.expanduser("~"), ".cache", "fracharm"),
-    )
-
-
-def cache_path(s: float, r_min: float, r_max: float, tolerance: float) -> str:
-    name = f"poisson_symbol_s{s:.6g}_rmin{r_min:.6g}_rmax{r_max:.6g}_tol{tolerance:.1e}.txt"
-    return os.path.join(cache_dir(), name)
-
-
-def save_symbol(sym: PoissonSymbol, path: str) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(
-            f"fracharm-poisson-symbol v1 s={float(sym.s)!r} "
-            f"tolerance={float(sym.tolerance)!r} points={len(sym.r)}\n"
-        )
-        for r, m, dm in zip(sym.r, sym.m, sym.dm):
-            fh.write(f"{float(r)!r} {float(m)!r} {float(dm)!r}\n")
-
-
-def load_symbol(path: str) -> PoissonSymbol:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if not header or header[0] != "fracharm-poisson-symbol":
-            raise ValueError(f"not a symbol table: {path}")
-        meta = dict(tok.split("=", 1) for tok in header[2:])
-        rows = [tuple(float(x) for x in line.split()) for line in fh if line.strip()]
-    if len(rows) != int(meta["points"]):
-        raise ValueError(f"corrupt symbol table {path}: row count mismatch")
-    arr = np.array(rows)
-    return PoissonSymbol(
-        s=float(meta["s"]), r=arr[:, 0], m=arr[:, 1], dm=arr[:, 2],
-        tolerance=float(meta["tolerance"]),
-    )
-
-
-_SYMBOL_MEMO: dict[tuple, PoissonSymbol] = {}
+    """The Poisson symbol of order s.  The closed form holds at every radius
+    to rounding, so r_grid and tolerance select nothing."""
+    return PoissonSymbol(s)
 
 
 def get_symbol(s: float, r_min: float, r_max: float,
-               tolerance: float = 1e-8, use_disk: bool = True) -> PoissonSymbol:
-    """Memoized (and optionally disk-cached) symbol table covering
-    [r_min, r_max]."""
-    key = (round(s, 12), float(f"{r_min:.6g}"), float(f"{r_max:.6g}"), tolerance)
-    path = cache_path(s, key[1], key[2], tolerance)
-    sym = _SYMBOL_MEMO.get(key)
-    if sym is None and use_disk and os.path.exists(path):
-        try:
-            sym = load_symbol(path)
-        except (ValueError, KeyError, IndexError):
-            sym = None
-    if sym is None:
-        sym = s_poisson_symbol(s, default_r_grid(key[1], key[2]), tolerance)
-    if use_disk and not os.path.exists(path):
-        try:
-            save_symbol(sym, path)
-        except OSError:
-            pass
-    _SYMBOL_MEMO[key] = sym
-    return sym
+               tolerance: float = 1e-8) -> PoissonSymbol:
+    """The Poisson symbol of order s; the range and tolerance select nothing."""
+    return PoissonSymbol(s)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +160,10 @@ def make_tlevels(spec: GridSpec, t_min: float | None = None,
     """Standard log-spaced levels respecting t_1 >= h/8, t_M <= 4L, M >= 16."""
     t_min = spec.h / 8 if t_min is None else t_min
     t_max = 4 * spec.L if t_max is None else t_max
-    if t_min < spec.h / 8 * (1 - 1e-12):
+    # written so that a NaN bound fails too
+    if not t_min >= spec.h / 8 * (1 - 1e-12):
         raise ValueError(f"t_min {t_min} below h/8 = {spec.h / 8}")
-    if t_max > 4 * spec.L * (1 + 1e-12):
+    if not t_max <= 4 * spec.L * (1 + 1e-12):
         raise ValueError(f"t_max {t_max} above 4L = {4 * spec.L}")
     if M < 16:
         raise ValueError(f"need M >= 16 levels, got {M}")
@@ -311,43 +194,38 @@ class ExtensionField:
                 raise ValueError("derivative field shape mismatch")
 
 
-def _max_frequency(spec: GridSpec) -> float:
-    return math.sqrt(spec.n) * (spec.N / 2) / spec.L
-
-
 def symbol_for(spec: GridSpec, s: float, ts: np.ndarray,
                tolerance: float = 1e-8) -> PoissonSymbol:
-    """Symbol table covering every radius t*|xi| the grid and levels need."""
-    ts = np.asarray(ts, dtype=float)
-    r_min = 0.9 * float(np.min(ts)) / spec.L
-    r_max = 1.1 * float(np.max(ts)) * _max_frequency(spec)
-    return get_symbol(s, r_min, r_max, tolerance)
+    """The Poisson symbol for the radii t*|xi| of a grid and its levels;
+    spec, ts and tolerance select nothing."""
+    return PoissonSymbol(s)
 
 
 def extend_field(f: GridFunction, s: float, levels: TLevels,
                  with_derivatives: tuple[str, ...] = ("t", "x"),
                  symbol: PoissonSymbol | None = None) -> ExtensionField:
     """Compute F(.,t) = m_s(t|xi|) f^(xi) on every level, plus requested
-    derivative fields (t from the differentiated-symbol table, x spectrally)."""
+    derivative fields (t from the differentiated symbol, x spectrally)."""
     spec = f.spec
     sym = symbol if symbol is not None else symbol_for(spec, s, levels.ts)
     S = fft_forward(f)
     coeffs = S.coeffs * S.coeffs.size
-    mag = spec.frequency_magnitude()
+    # the symbols are evaluated once per distinct |xi| and gathered back
+    radii, inv = np.unique(spec.frequency_magnitude(), return_inverse=True)
+    inv = inv.reshape(spec.shape)
     nyq = spec.nyquist_mask()
     xis = spec.frequencies()
     M = levels.M
     F = np.empty((M, *spec.shape))
     dF_dt = np.empty((M, *spec.shape)) if "t" in with_derivatives else None
-    dF_dx = (
-        tuple(np.empty((M, *spec.shape)) for _ in range(spec.n))
-        if "x" in with_derivatives else None
-    )
+    dF_dx = (tuple(np.empty((M, *spec.shape)) for _ in range(spec.n))
+             if "x" in with_derivatives else None)
     for i, t in enumerate(levels.ts):
-        m_arr = sym.eval_m(t * mag)
+        m_arr = sym.eval_m(t * radii)[inv]
         F[i] = np.fft.ifftn(m_arr * coeffs).real
         if dF_dt is not None:
-            dF_dt[i] = np.fft.ifftn(mag * sym.eval_dm(t * mag) * coeffs).real
+            dm_arr = (radii * sym.eval_dm(t * radii))[inv]
+            dF_dt[i] = np.fft.ifftn(dm_arr * coeffs).real
         if dF_dx is not None:
             for j in range(spec.n):
                 mult = np.where(nyq, 0.0, 2j * np.pi * xis[j] * m_arr)
@@ -370,7 +248,8 @@ class BoundaryTraceResult:
 def boundary_limit_check(f: GridFunction, s: float,
                          small_ts: np.ndarray) -> BoundaryTraceResult:
     """Least-squares constants c_t between -t^{1-s} dF/dt and (-Delta)^{s/2} f,
-    extrapolated to t = 0 with the basis {1, t^{2-s}, t^2}."""
+    extrapolated to t = 0 with the basis {1, t^{2-s}, t^2}; small_ts ascend
+    and number at least 3."""
     spec = f.spec
     small_ts = np.asarray(small_ts, dtype=float)
     if np.any(small_ts < spec.h / 4 * (1 - 1e-12)) or np.any(
@@ -378,24 +257,16 @@ def boundary_limit_check(f: GridFunction, s: float,
     ):
         raise ValueError("small_ts must lie within [h/4, 8h]")
     w = frac_laplacian(f, s)
-    wn = l2_norm(w)
-    if wn <= 1e-14 * max(l2_norm(f), 1e-300):
+    if l2_norm(w) <= 1e-14 * max(l2_norm(f), 1e-300):
         raise ValueError("degenerate input: (-Delta)^{s/2} f vanishes")
-    sym = symbol_for(spec, s, small_ts)
-    S = fft_forward(f)
-    coeffs = S.coeffs * S.coeffs.size
-    mag = spec.frequency_magnitude()
+    w, ww = w.values, np.sum(w.values**2)
+    dF_dt = extend_field(f, s, TLevels(small_ts), with_derivatives=("t",)).dF_dt
     c_ts, residuals = [], []
-    for t in small_ts:
-        g = -(t ** (1 - s)) * np.fft.ifftn(
-            mag * sym.eval_dm(t * mag) * coeffs
-        ).real
-        ct = float(np.sum(g * w.values) / np.sum(w.values**2))
-        resid = float(
-            np.sqrt(np.sum((g - ct * w.values) ** 2)) / np.sqrt(np.sum(w.values**2))
-        )
+    for t, dF in zip(small_ts, dF_dt):
+        g = -(t ** (1 - s)) * dF
+        ct = float(np.sum(g * w) / ww)
         c_ts.append(ct)
-        residuals.append(resid)
+        residuals.append(float(np.sqrt(np.sum((g - ct * w) ** 2)) / np.sqrt(ww)))
     c_ts = np.array(c_ts)
     basis = np.stack(
         [np.ones_like(small_ts), small_ts ** (2 - s), small_ts**2], axis=1
@@ -415,9 +286,7 @@ def s_harmonicity_residual(F: ExtensionField) -> list[tuple[float, float]]:
     stencil across levels, and Lap_x F is spectral."""
     if F.dF_dt is None:
         raise ValueError("extension field must carry the t-derivative")
-    ts = F.levels.ts
-    if len(ts) < 3:
-        raise ValueError("need at least 3 t-levels")
+    ts = F.levels.ts  # a TLevels holds at least 3 levels
     s = F.s
     spec = F.spec
     mag2 = (2 * np.pi * spec.frequency_magnitude()) ** 2

@@ -44,8 +44,8 @@ class GridSpec:
             raise ValueError(f"dimension n must be 1 or 2, got {self.n}")
         if not _is_power_of_two(self.N) or self.N < 8:
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
-        if not (self.L > 0):
-            raise ValueError(f"period L must be positive, got {self.L}")
+        if not (0 < self.L < np.inf):
+            raise ValueError(f"period L must be positive and finite, got {self.L}")
 
     @property
     def h(self) -> float:
@@ -120,15 +120,21 @@ class GridFunction:
             raise ValueError("GridFunction values must all be finite")
         object.__setattr__(self, "values", v)
 
+    def _other_values(self, other: "GridFunction") -> np.ndarray:
+        if other.spec != self.spec:
+            raise ValueError(
+                f"grid mismatch: {self.spec} combined with {other.spec}")
+        return other.values
+
     def __add__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(self.spec, self.values + other.values)
+        return GridFunction(self.spec, self.values + self._other_values(other))
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(self.spec, self.values - other.values)
+        return GridFunction(self.spec, self.values - self._other_values(other))
 
     def __mul__(self, other):
         if isinstance(other, GridFunction):
-            return GridFunction(self.spec, self.values * other.values)
+            return GridFunction(self.spec, self.values * self._other_values(other))
         return GridFunction(self.spec, self.values * float(other))
 
     __rmul__ = __mul__

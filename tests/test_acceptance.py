@@ -168,9 +168,11 @@ def test_criterion_6_norm_functional_consistency():
 
 ESTIMATE_GRIDS = {
     "crw-bmo": GridSpec(n=1, N=1024, L=1.0),
+    "crw-lorentz": GridSpec(n=1, N=1024, L=1.0),
     "fl-comm-lorentz": GridSpec(n=1, N=1024, L=1.0),
     "chanillo": GridSpec(n=1, N=1024, L=1.0),
     "leibniz-lorentz": GridSpec(n=1, N=1024, L=1.0),
+    "leibniz-bmo": GridSpec(n=1, N=1024, L=1.0),
     "double-comm-1d": GridSpec(n=1, N=1024, L=1.0),
     "jacobian-bmo": GridSpec(n=2, N=128, L=1.0),
     "hardy-duality": GridSpec(n=1, N=1024, L=1.0),

@@ -1,6 +1,6 @@
 import json
-import os
 
+import numpy as np
 import pytest
 
 from fracharm import cli
@@ -72,12 +72,69 @@ def test_invalid_tolerance_scale_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "reports").exists()
 
 
-def test_symbol_cache_zero_grid_value_is_not_replaced(tmp_path, monkeypatch,
-                                                      capsys):
-    monkeypatch.setenv("FRACHARM_CACHE_DIR", str(tmp_path))
-    assert main(["symbol-cache", "0.5", "--grid-n", "0"]) == 2
+def _assert_config_error(path, tmp_path, capsys, *flags):
+    reports = tmp_path / "reports"
+    assert main(["run", str(path), "--out", str(reports), *flags]) == 2
     assert "config error" in capsys.readouterr().err
-    assert os.listdir(tmp_path) == []
+    assert not reports.exists()
+
+
+def test_non_numeric_config_values_exit_two(tmp_path, capsys):
+    for section, key in (("grid", "N"), ("t_levels", "M")):
+        path = tmp_path / f"{section}.json"
+        _write_config(path)
+        data = json.loads(path.read_text())
+        data[section][key] = "abc"
+        path.write_text(json.dumps(data))
+        _assert_config_error(path, tmp_path, capsys)
+    with pytest.raises(ConfigError, match="grid.N"):
+        parse_config({"grid": {"N": "abc"}, "estimates": []})
+    with pytest.raises(ConfigError, match="t_levels.t_min"):
+        parse_config({"t_levels": {"t_min": "abc"}, "estimates": []})
+    with pytest.raises(ConfigError, match="grid must be a JSON object"):
+        parse_config({"grid": 3, "estimates": []})
+    # test functions draw from numpy generators, which reject negative seeds
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config({"estimates": []}, overrides={"seed": -1})
+
+
+def test_too_few_t_levels_exit_two(tmp_path, capsys):
+    path = _write_config(tmp_path / "cfg.json", t_levels={"M": 8})
+    _assert_config_error(path, tmp_path, capsys)
+    with pytest.raises(ConfigError, match="M >= 16"):
+        parse_config({"estimates": []}, overrides={"t_levels_M": 15})
+
+
+def test_estimate_outside_its_dimension_exits_two(tmp_path, capsys):
+    # the default chanillo exponents satisfy 1/q = 1/p - s/n only for n = 1
+    path = _write_config(tmp_path / "cfg.json",
+                         grid={"n": 2, "N": 32, "L": 1.0},
+                         estimates=[{"id": "crw-bmo"}, {"id": "chanillo"}])
+    _assert_config_error(path, tmp_path, capsys)
+    with pytest.raises(ConfigError, match="1/q = 1/p - s/n"):
+        parse_config({"grid": {"n": 2, "N": 32},
+                      "estimates": [{"id": "chanillo"}]})
+    with pytest.raises(ConfigError, match="requires n in"):
+        parse_config({"estimates": [{"id": "jacobian-bmo"}]})
+
+
+def test_run_zero_grid_value_is_not_replaced(tmp_path, capsys):
+    path = _write_config(tmp_path / "cfg.json")
+    _assert_config_error(path, tmp_path, capsys, "--grid-n", "0")
+
+
+def test_profile_files_hold_plain_floats(tmp_path):
+    cfg = parse_config({"grid": {"n": 1, "N": 64}, "t_levels": {"M": 16},
+                        "estimates": []})
+    cli._write_profiles(cfg, str(tmp_path))
+    for name in ("decay_profile.txt", "boundary_trace.txt"):
+        rows = [line.split() for line in
+                (tmp_path / name).read_text().splitlines()
+                if not line.startswith("#")]
+        assert len(rows) >= 8
+        for row in rows:
+            assert len(row) == 2
+            assert all(np.isfinite(float(tok)) for tok in row)
 
 
 def test_run_writes_reports_and_exits_zero(tmp_path):
@@ -136,23 +193,3 @@ def test_ops_check_passes(capsys):
     assert "FAIL" not in out
     assert "oracle_equivalence_s=0.3" in out
     assert "hilbert_involution" in out
-
-
-def test_ops_check_corrupt_cache_exits_three(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FRACHARM_CACHE_DIR", str(tmp_path))
-    (tmp_path / "poisson_symbol_bogus.txt").write_text("garbage contents\n")
-    rc = main(["ops-check", "--grid-N", "64"])
-    assert rc == 3
-    assert "corrupt symbol cache" in capsys.readouterr().err
-
-
-def test_symbol_cache_subcommand(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FRACHARM_CACHE_DIR", str(tmp_path))
-    rc = main(["symbol-cache", "0.5", "--grid-N", "64"])
-    assert rc == 0
-    assert "cached" in capsys.readouterr().out
-    cached = [p for p in os.listdir(tmp_path) if p.endswith(".txt")]
-    assert len(cached) == 1
-    # the cached table is read back on the next request
-    rc2 = main(["symbol-cache", "0.5", "--grid-N", "64"])
-    assert rc2 == 0

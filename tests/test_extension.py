@@ -1,15 +1,16 @@
-import os
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import gamma, kv
 
-from fracharm import (GridFunction, GridSpec, TLevels, TestFunctionDescriptor,
-                      boundary_limit_check, decay_profile, extend_field,
-                      frac_laplacian, get_symbol, make_function, make_tlevels,
+from fracharm import (GridFunction, GridSpec, PoissonSymbol, TLevels,
+                      TestFunctionDescriptor, boundary_limit_check,
+                      decay_profile, extend_field, frac_laplacian, get_symbol,
+                      make_function, make_tlevels,
                       s_harmonicity_residual, s_poisson_symbol,
-                      spectral_gradient, symbol_value)
-from fracharm.extension import load_symbol, save_symbol
+                      spectral_gradient, symbol_derivative_value, symbol_value)
+from fracharm.extension import symbol_for
 
 
 def _bessel_oracle(s, r):
@@ -48,31 +49,78 @@ def test_symbol_is_monotone_decreasing():
     assert np.all(sym.eval_dm(np.geomspace(1e-2, 1.0, 20)) < 0)
 
 
-def test_symbol_rejects_out_of_range_query():
-    sym = s_poisson_symbol(0.5, np.geomspace(1e-2, 1.0, 100))
+@pytest.mark.parametrize("s", [0.01, 0.3, 0.5, 1.0, 1.5, 1.99])
+def test_closed_form_symbol_matches_quadrature(s):
+    sym = s_poisson_symbol(s, np.geomspace(1e-2, 1.0, 10))
+    rs = np.geomspace(1e-4, 400.0, 48)
+    for approx, oracle in ((sym.eval_m(rs), symbol_value),
+                           (sym.eval_dm(rs), symbol_derivative_value)):
+        exact = np.array([oracle(s, r) for r in rs])
+        # below about e^-690 both forms return hard zero, at slightly
+        # different radii
+        live = np.abs(exact) > 1e-290
+        assert np.count_nonzero(live) >= 30
+        assert np.max(np.abs(approx[live] / exact[live] - 1.0)) <= 1e-12
+        assert np.all(np.abs(approx[~live]) <= 1e-290)
+
+
+@pytest.mark.parametrize("s", [0.01, 0.5, 1.0, 1.99])
+def test_closed_form_symbol_shape(s):
+    sym = get_symbol(s, 1e-3, 1.0)
+    rs = np.geomspace(1e-4, 100.0, 400)
+    m, dm = sym.eval_m(rs), sym.eval_dm(rs)
+    assert np.all(np.diff(m[m > 0]) < 0)
+    assert np.all(m[dm < 0] > 0)
+    assert np.all(dm[rs < 50] < 0)
+    assert sym.eval_m(np.array([0.0]))[0] == 1.0
+    assert sym.eval_dm(np.array([0.0]))[0] == 0.0
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        far = np.array([400.0, 1e6])
+        assert np.all(sym.eval_m(far) == 0.0)
+        assert np.all(sym.eval_dm(far) == 0.0)
+
+
+def test_symbol_arguments_select_nothing():
+    spec = GridSpec(n=2, N=32, L=1.0)
+    rs = np.geomspace(1e-3, 20.0, 50)
+    ref = s_poisson_symbol(0.7, rs)
+    for sym in (get_symbol(0.7, 5.0, 6.0, tolerance=1e-2),
+                symbol_for(spec, 0.7, np.array([0.5, 1.0]))):
+        assert np.array_equal(sym.eval_m(rs), ref.eval_m(rs))
+        assert np.array_equal(sym.eval_dm(rs), ref.eval_dm(rs))
     with pytest.raises(ValueError):
-        sym.eval_m(np.array([5.0]))
+        s_poisson_symbol(2.0, rs)
 
 
-def test_symbol_cache_roundtrip_and_corruption(tmp_path):
-    sym = s_poisson_symbol(0.7, np.geomspace(1e-2, 2.0, 150))
-    path = os.path.join(tmp_path, "sym.txt")
-    save_symbol(sym, path)
-    back = load_symbol(path)
-    assert back.s == sym.s
-    rs = np.geomspace(2e-2, 1.5, 20)
-    assert np.max(np.abs(back.eval_m(rs) - sym.eval_m(rs))) <= 1e-14
-    bad = os.path.join(tmp_path, "bad.txt")
-    with open(bad, "w") as fh:
-        fh.write("this is not numbers\n")
-    with pytest.raises(ValueError, match="not a symbol table"):
-        load_symbol(bad)
+def test_extension_symbol_evaluated_per_distinct_radius(monkeypatch):
+    spec = GridSpec(n=2, N=32, L=1.0)
+    f = make_function(TestFunctionDescriptor(
+        kind="random-bandlimited", seed=3, max_k=5), spec)
+    lv = TLevels(np.geomspace(0.01, 0.5, 4))
+    sizes = []
+    real_eval_m = PoissonSymbol.eval_m
 
+    def counting_eval_m(self, r):
+        sizes.append(np.size(r))
+        return real_eval_m(self, r)
 
-def test_get_symbol_memoizes():
-    a = get_symbol(0.55, 1e-2, 3.0)
-    b = get_symbol(0.55, 1e-2, 3.0)
-    assert a is b
+    monkeypatch.setattr(PoissonSymbol, "eval_m", counting_eval_m)
+    F = extend_field(f, 0.6, lv)
+    radii = np.unique(spec.frequency_magnitude())
+    assert sizes == [radii.size] * lv.M
+    assert radii.size < spec.N ** 2 // 4
+    # gathering from the distinct radii equals evaluating at every point
+    monkeypatch.undo()
+    sym = s_poisson_symbol(0.6, radii)
+    mag = spec.frequency_magnitude()
+    inv = np.searchsorted(radii, mag)
+    coeffs = np.fft.fftn(f.values)
+    for i, t in enumerate(lv.ts):
+        m_arr = sym.eval_m(t * mag)
+        assert np.array_equal(sym.eval_m(t * radii)[inv], m_arr)
+        direct = np.fft.ifftn(m_arr * coeffs).real
+        assert np.max(np.abs(F.F[i] - direct)) <= 1e-14 * np.max(np.abs(direct))
 
 
 def test_tlevels_validation():

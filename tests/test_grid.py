@@ -20,7 +20,8 @@ def test_spec_geometry(n, N, L):
 
 
 @pytest.mark.parametrize("n,N,L", [(3, 64, 1.0), (1, 100, 1.0), (1, 4, 1.0),
-                                   (1, 64, 0.0), (1, 64, -2.0)])
+                                   (1, 64, 0.0), (1, 64, -2.0),
+                                   (1, 64, float("inf")), (1, 64, float("nan"))])
 def test_spec_rejects_bad_parameters(n, N, L):
     with pytest.raises(ValueError):
         GridSpec(n=n, N=N, L=L)
@@ -32,6 +33,17 @@ def test_grid_function_shape_check():
         GridFunction(spec, np.zeros(17))
     g = GridFunction(spec, np.zeros(256))
     assert g.values.shape == (16, 16)
+
+
+def test_grid_function_arithmetic_rejects_mismatched_grids():
+    a = GridFunction(GridSpec(n=1, N=16, L=1.0), np.ones(16))
+    b = GridFunction(GridSpec(n=1, N=16, L=2.0), np.ones(16))
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b * a):
+        with pytest.raises(ValueError, match="grid mismatch"):
+            op()
+    same = GridFunction(GridSpec(n=1, N=16, L=1.0), np.full(16, 2.0))
+    assert np.array_equal((a + same).values, np.full(16, 3.0))
+    assert np.array_equal((2.0 * a).values, np.full(16, 2.0))
 
 
 @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
