@@ -16,7 +16,7 @@ from .extension import (BoundaryTraceResult, ExtensionField, PoissonSymbol,
                         symbol_derivative_value, symbol_value)
 from .grid import (GridFunction, GridSpec, Spectrum, TestFunctionDescriptor,
                    fft_forward, fft_inverse, hermitian_asymmetry,
-                   make_function, spectral_gradient)
+                   make_function, spectral_apply, spectral_gradient)
 from .multiplier_ops import (SymbolDescriptor, apply_symbol, frac_laplacian,
                              l2_norm, mean_projected, riesz_potential,
                              riesz_transform)

@@ -72,6 +72,15 @@ def _section(data: dict, key: str) -> dict:
     return value
 
 
+def _integer(value) -> int:
+    """int(value) for an integral value; booleans and fractions are refused
+    rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _convert(kind, value, where: str):
     """kind(value), with a failed conversion reported as a ConfigError; None
     passes through."""
@@ -98,8 +107,8 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
 
     grid = _section(data, "grid")
     _reject_unknown(grid, _GRID_KEYS, "grid")
-    n = _convert(int, pick("grid_n", grid, "n", 1), "grid.n")
-    N = _convert(int, pick("grid_N", grid, "N", 256), "grid.N")
+    n = _convert(_integer, pick("grid_n", grid, "n", 1), "grid.n")
+    N = _convert(_integer, pick("grid_N", grid, "N", 256), "grid.N")
     L = _convert(float, pick("period", grid, "L", 1.0), "grid.L")
     try:
         spec = GridSpec(n=n, N=N, L=L)
@@ -110,7 +119,7 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
     _reject_unknown(tl, _TLEVEL_KEYS, "t_levels")
     t_min = _convert(float, pick("t_min", tl, "t_min", None), "t_levels.t_min")
     t_max = _convert(float, pick("t_max", tl, "t_max", None), "t_levels.t_max")
-    M = _convert(int, pick("t_levels_M", tl, "M", 32), "t_levels.M")
+    M = _convert(_integer, pick("t_levels_M", tl, "M", 32), "t_levels.M")
     try:
         levels = make_tlevels(spec, t_min, t_max, M)
     except ValueError as exc:
@@ -138,7 +147,7 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
     if not (math.isfinite(tolerance_scale) and tolerance_scale >= 0):
         raise ConfigError(
             f"tolerance_scale must be finite and >= 0, got {tolerance_scale}")
-    seed = _convert(int, pick("seed", data, "seed", 1000), "seed")
+    seed = _convert(_integer, pick("seed", data, "seed", 1000), "seed")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     out = str(pick("out", data, "out", "reports"))

@@ -555,24 +555,22 @@ def standard_family(arity: int, spec: GridSpec, n_members: int = 20,
 
 def _dilated_about(t: TestFunctionDescriptor, lam: float,
                    spec: GridSpec) -> TestFunctionDescriptor:
-    """Dilate a descriptor about the period midpoint as common anchor.
+    """Dilate a descriptor by lam as part of a joint dilation of a sample.
 
     Dilating each member about its own reference point would leave the
     inter-function separations unchanged and break the configuration's
-    scaling; remapping centers and translations by c -> a + (c - a)/lambda
-    with a the midpoint makes the sample a genuine joint dilation.
+    scaling.  Centred members (gaussian, bump) are therefore remapped about
+    the period midpoint a, c -> a + (c - a)/lambda, with the translation, a
+    displacement, scaled by 1/lambda.  Centre-less members (sine,
+    band-limited) are dilated about the origin; on the torus that differs
+    from a dilation about the midpoint only by a translation, a symmetry of
+    every catalogue estimate.
     """
-    a = spec.L / 2
-    kw: dict = {"dilate": t.dilate * lam}
+    kw: dict = {"dilate": t.dilate * lam,
+                "translate": tuple(x / lam for x in t.translate)}
     if t.center is not None:
-        # the reference point is center + translate; translate is a
-        # displacement and scales like a length
+        a = spec.L / 2
         kw["center"] = tuple((a + (c - a) / lam) % spec.L for c in t.center)
-        if t.translate is not None:
-            kw["translate"] = tuple(x / lam for x in t.translate)
-    else:
-        tau = t.translate if t.translate is not None else (0.0,) * spec.n
-        kw["translate"] = tuple((a + (x - a) / lam) % spec.L for x in tau)
     return replace(t, **kw)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma, gammaln, kve
 
-from .grid import GridFunction, GridSpec, fft_forward
+from .grid import GridFunction, GridSpec, spectral_apply
 from .multiplier_ops import frac_laplacian, l2_norm
 
 _LOG_FLOOR = -690.0  # symbol values below e^-690 are returned as hard zero
@@ -208,8 +208,6 @@ def extend_field(f: GridFunction, s: float, levels: TLevels,
     derivative fields (t from the differentiated symbol, x spectrally)."""
     spec = f.spec
     sym = symbol if symbol is not None else symbol_for(spec, s, levels.ts)
-    S = fft_forward(f)
-    coeffs = S.coeffs * S.coeffs.size
     # the symbols are evaluated once per distinct |xi| and gathered back
     radii, inv = np.unique(spec.frequency_magnitude(), return_inverse=True)
     inv = inv.reshape(spec.shape)
@@ -221,15 +219,18 @@ def extend_field(f: GridFunction, s: float, levels: TLevels,
     dF_dx = (tuple(np.empty((M, *spec.shape)) for _ in range(spec.n))
              if "x" in with_derivatives else None)
     for i, t in enumerate(levels.ts):
+        # one stack [m, |xi| m', 2 pi i xi_j m] of the requested fields
         m_arr = sym.eval_m(t * radii)[inv]
-        F[i] = np.fft.ifftn(m_arr * coeffs).real
+        mults = [m_arr]
         if dF_dt is not None:
-            dm_arr = (radii * sym.eval_dm(t * radii))[inv]
-            dF_dt[i] = np.fft.ifftn(dm_arr * coeffs).real
+            mults.append((radii * sym.eval_dm(t * radii))[inv])
         if dF_dx is not None:
-            for j in range(spec.n):
-                mult = np.where(nyq, 0.0, 2j * np.pi * xis[j] * m_arr)
-                dF_dx[j][i] = np.fft.ifftn(mult * coeffs).real
+            mults += [np.where(nyq, 0.0, 2j * np.pi * xi * m_arr) for xi in xis]
+        F[i], *rest = spectral_apply(spec, f.values, np.stack(mults))
+        if dF_dt is not None:
+            dF_dt[i] = rest.pop(0)
+        for j, g in enumerate(rest):
+            dF_dx[j][i] = g
     return ExtensionField(
         spec=spec, s=s, levels=levels, F=F, dF_dt=dF_dt, dF_dx=dF_dx, boundary=f
     )
@@ -300,7 +301,7 @@ def s_harmonicity_residual(F: ExtensionField) -> list[tuple[float, float]]:
             + (h2 - h1) / (h1 * h2) * F.dF_dt[i]
             + h1 / (h2 * (h1 + h2)) * F.dF_dt[i + 1]
         )
-        lap = -np.fft.ifftn(mag2 * np.fft.fftn(F.F[i])).real
+        lap = -spectral_apply(spec, F.F[i], mag2)
         resid = t ** (1 - s) * (Ftt + lap) + (1 - s) * t ** (-s) * F.dF_dt[i]
         grad2 = F.dF_dt[i] ** 2
         if F.dF_dx is not None:

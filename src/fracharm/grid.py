@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft
 
 
 def _is_power_of_two(m: int) -> bool:
@@ -190,17 +191,26 @@ def fft_inverse(S: Spectrum) -> GridFunction:
     return GridFunction(S.spec, values.real)
 
 
+def spectral_apply(spec: GridSpec, values: np.ndarray,
+                   mult: np.ndarray) -> np.ndarray:
+    """Real samples of the multiplier mult applied to real values.
+
+    mult is given on the full lattice of spec.frequencies() and must be
+    Hermitian-compatible, m(-xi) = conj(m(xi)): only its real-FFT half
+    mult[..., :N//2+1] is used.  Leading axes of values and mult broadcast,
+    so one forward transform serves a stack of multipliers."""
+    axes = tuple(range(-spec.n, 0))
+    half = mult[..., : spec.N // 2 + 1]
+    return scipy.fft.irfftn(scipy.fft.rfftn(values, axes=axes) * half,
+                            s=spec.shape, axes=axes)
+
+
 def spectral_gradient(f: GridFunction) -> list[GridFunction]:
-    """Gradient components via multipliers 2*pi*i*xi_j; Nyquist row zeroed."""
-    S = fft_forward(f)
-    nyq = f.spec.nyquist_mask()
-    out = []
-    for xi in f.spec.frequencies():
-        m = 2j * np.pi * xi
-        m = np.where(nyq, 0.0, m)
-        g = np.fft.ifftn(m * S.coeffs * S.coeffs.size)
-        out.append(GridFunction(f.spec, g.real))
-    return out
+    """Gradient components via multipliers 2*pi*i*xi_j; Nyquist rows zeroed."""
+    spec = f.spec
+    mults = np.where(spec.nyquist_mask(),
+                     0.0, 2j * np.pi * np.stack(spec.frequencies()))
+    return [GridFunction(spec, g) for g in spectral_apply(spec, f.values, mults)]
 
 
 @dataclass(frozen=True)
@@ -284,7 +294,7 @@ def _bandlimited_values(desc: TestFunctionDescriptor, spec: GridSpec) -> np.ndar
         neg = tuple((-i) % spec.N for i in idx_f)
         coeffs[pos] += c
         coeffs[neg] += np.conj(c)
-    values = np.fft.ifftn(coeffs * coeffs.size).real
+    values = fft_inverse(Spectrum(spec, coeffs)).values
     peak = np.max(np.abs(values))
     if peak > 0:
         values = values / peak

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, fft_forward
+from .grid import GridFunction, GridSpec, hermitian_asymmetry, spectral_apply
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,14 @@ def _multiplier_array(spec: GridSpec, m: SymbolDescriptor) -> np.ndarray:
         raise ValueError(
             f"symbol {m.name!r} is not finite at lattice index {tuple(bad)}"
         )
-    # Hermitian compatibility: m(-xi) must equal conj(m(xi)).  Nyquist rows
-    # are their own negatives, so the multiplier must be real there; the
-    # imaginary part is dropped (this zeroes odd symbols at k = -N/2).
+    # Hermitian compatibility: m(-xi) must equal conj(m(xi)), or
+    # spectral_apply, which reads half the lattice, would silently symmetrise
+    # the symbol.  Nyquist rows are their own negatives, so the multiplier
+    # must be real there; the imaginary part is dropped (this zeroes odd
+    # symbols at k = -N/2).
     nyq = spec.nyquist_mask()
     arr[nyq] = arr[nyq].real
-    flipped = arr
-    for ax in range(arr.ndim):
-        flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
-    mismatch = np.max(np.abs(arr - np.conj(flipped)))
+    mismatch = hermitian_asymmetry(arr)
     scale = max(float(np.max(np.abs(arr))), 1e-300)
     if mismatch > 1e-10 * scale:
         raise ValueError(
@@ -71,19 +70,10 @@ def l2_norm(f: GridFunction) -> float:
 
 
 def apply_symbol(f: GridFunction, m: SymbolDescriptor) -> GridFunction:
-    """Apply a Fourier multiplier; returns the real part and raises
-    ArithmeticError unless the imaginary residual is below 1e-10 * ||f||_2."""
+    """Apply a Fourier multiplier; a symbol that is not Hermitian-compatible
+    is rejected with ValueError, since its output would not be real."""
     arr = _multiplier_array(f.spec, m)
-    S = fft_forward(f)
-    out = np.fft.ifftn(arr * S.coeffs * S.coeffs.size)
-    resid = float(np.sqrt(np.sum(out.imag**2) * f.spec.cell_volume))
-    bound = 1e-10 * max(l2_norm(f), 1e-300) * max(float(np.max(np.abs(arr))), 1.0)
-    if resid > bound:
-        raise ArithmeticError(
-            f"imaginary residual {resid:.3e} exceeds bound {bound:.3e} "
-            f"for symbol {m.name!r}"
-        )
-    return GridFunction(f.spec, out.real)
+    return GridFunction(f.spec, spectral_apply(f.spec, f.values, arr))
 
 
 def riesz_transform(f: GridFunction, j: int) -> GridFunction:

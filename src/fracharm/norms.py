@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extension import ExtensionField, TLevels, extend_field
-from .grid import GridFunction, GridSpec, spectral_gradient
+from .grid import GridFunction, GridSpec, spectral_apply, spectral_gradient
 from .multiplier_ops import frac_laplacian
 from .singular_ops import _offsets
 
@@ -78,27 +78,20 @@ class TentFamily:
 # Ball machinery (shared by BMO, maximal function, cones, and tents)
 
 
-def _distance_array(spec: GridSpec) -> np.ndarray:
-    """Minimum-image distance of every cell from the origin cell."""
-    d1 = np.arange(spec.N)
-    d1 = np.where(d1 >= spec.N // 2, d1 - spec.N, d1) * spec.h
-    if spec.n == 1:
-        return np.abs(d1)
-    DX, DY = np.meshgrid(d1, d1, indexing="ij")
-    return np.sqrt(DX**2 + DY**2)
-
-
 def _ball_kernel(spec: GridSpec, r: float, strict: bool = False
                  ) -> tuple[np.ndarray, int]:
     """Indicator of the ball of radius r around the origin and its cell count."""
-    dist = _distance_array(spec)
+    dist = _offsets(spec)[1].reshape(spec.shape)
     mask = dist < r if strict else dist <= r * (1 + 1e-12)
     return mask.astype(float), int(np.count_nonzero(mask))
 
 
-def _ball_sum(values_fft: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Circular convolution sum over the ball at each center (kernel is even)."""
-    return np.fft.ifftn(values_fft * np.fft.fftn(kernel)).real
+def _ball_sum(spec: GridSpec, values: np.ndarray,
+              kernel: np.ndarray) -> np.ndarray:
+    """Circular convolution sum over the ball at each center; kernel is an
+    even indicator on the grid, or a stack of them."""
+    axes = tuple(range(-spec.n, 0))
+    return spectral_apply(spec, values, np.fft.fftn(kernel, axes=axes))
 
 
 def _decimate(arr: np.ndarray, stride: int) -> np.ndarray:
@@ -192,14 +185,12 @@ def bmo_seminorm(f: GridFunction, tents: TentFamily | None = None) -> float:
     offsets, dist = _offsets(spec)
     inside = np.stack([dist <= r * (1 + 1e-12) for r in tents.radii])
     cnt = inside.sum(axis=1)
-    axes = tuple(range(1, spec.n + 1))
-    kernels_fft = np.fft.fftn(
-        inside.reshape((-1,) + spec.shape).astype(float), axes=axes)
+    kernels = inside.reshape((-1,) + spec.shape).astype(float)
     centers_only = (slice(None),) + (slice(None, None, tents.center_stride),
                                      ) * spec.n
 
     def ball_means(values: np.ndarray) -> np.ndarray:
-        sums = np.fft.ifftn(np.fft.fftn(values) * kernels_fft, axes=axes).real
+        sums = _ball_sum(spec, values, kernels)
         return sums[centers_only].reshape(len(cnt), -1) / cnt[:, None]
 
     mean = ball_means(v)
@@ -235,13 +226,12 @@ def _bmo_direct(f: GridFunction, tents: TentFamily | None = None) -> float:
     spec = f.spec
     tents = tents if tents is not None else TentFamily.standard(spec)
     v = f.values
-    v_fft = np.fft.fftn(v)
     offsets, dist = _offsets(spec)
     axes = tuple(range(spec.n))
     best = 0.0
     for r in tents.radii:
         kernel, cnt = _ball_kernel(spec, r)
-        mean = _ball_sum(v_fft, kernel) / cnt
+        mean = _ball_sum(spec, v, kernel) / cnt
         osc = np.zeros_like(v)
         for off, d in zip(offsets, dist):
             if d > r * (1 + 1e-12):
@@ -282,11 +272,10 @@ def maximal_function(f: GridFunction,
     spec = f.spec
     tents = tents if tents is not None else TentFamily.standard(spec)
     a = np.abs(f.values)
-    a_fft = np.fft.fftn(a)
     out = a.copy()
     for r in tents.radii:
         kernel, cnt = _ball_kernel(spec, r)
-        np.maximum(out, _ball_sum(a_fft, kernel) / cnt, out=out)
+        np.maximum(out, _ball_sum(spec, a, kernel) / cnt, out=out)
     return GridFunction(spec, out)
 
 
@@ -404,7 +393,7 @@ def square_function(F: ExtensionField, mode: str = "regular",
         s2 = np.zeros(spec.shape)
         for i, t in enumerate(ts):
             kernel, _ = _ball_kernel(spec, t, strict=True)
-            cone = _ball_sum(np.fft.fftn(G[i] ** 2), kernel)
+            cone = _ball_sum(spec, G[i] ** 2, kernel)
             s2 += wlog[i] * t ** (2 * weight - spec.n) * cone * spec.cell_volume
     return GridFunction(spec, np.sqrt(np.maximum(s2, 0.0)))
 
@@ -419,7 +408,7 @@ def carleson_sup(F: ExtensionField, weight: float = 1.0,
     G = _field_stack(F, selector)
     ts = F.levels.ts
     wlog = F.levels.log_trapezoid_weights()
-    g2_fft = [np.fft.fftn(G[i] ** 2) for i in range(F.levels.M)]
+    g2 = G**2
     best = 0.0
     for r in tents.radii:
         _, cnt = _ball_kernel(spec, r)
@@ -429,7 +418,7 @@ def carleson_sup(F: ExtensionField, weight: float = 1.0,
             if t >= r:
                 continue
             kernel, _ = _ball_kernel(spec, r - t, strict=True)
-            acc += wlog[i] * t ** (1 + weight) * _ball_sum(g2_fft[i], kernel)
+            acc += wlog[i] * t ** (1 + weight) * _ball_sum(spec, g2[i], kernel)
         acc *= spec.cell_volume / measure
         top = float(np.max(_decimate(acc, tents.center_stride)))
         best = max(best, math.sqrt(max(top, 0.0)))

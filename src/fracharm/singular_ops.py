@@ -35,7 +35,6 @@ class QuadratureConfig:
 
     treat_as_compact: bool = True
     singular_rule: str = "second-difference-regular"
-    tail_estimate_report: float = 0.0
 
     def __post_init__(self) -> None:
         if self.singular_rule not in SINGULAR_RULES:

@@ -80,13 +80,24 @@ def _assert_config_error(path, tmp_path, capsys, *flags):
 
 
 def test_non_numeric_config_values_exit_two(tmp_path, capsys):
-    for section, key in (("grid", "N"), ("t_levels", "M")):
-        path = tmp_path / f"{section}.json"
+    # a fractional or boolean count is refused, not truncated
+    for section, key, value in (("grid", "N", "abc"), ("t_levels", "M", "abc"),
+                                ("grid", "N", 64.9), ("grid", "n", True),
+                                ("t_levels", "M", 16.5), (None, "seed", 64.9),
+                                (None, "seed", True)):
+        path = tmp_path / f"{section}-{key}.json"
         _write_config(path)
         data = json.loads(path.read_text())
-        data[section][key] = "abc"
+        (data[section] if section else data)[key] = value
         path.write_text(json.dumps(data))
         _assert_config_error(path, tmp_path, capsys)
+    for key in ("seed", "grid_N", "t_levels_M"):
+        with pytest.raises(ConfigError, match="expected an integer"):
+            parse_config({"estimates": []}, overrides={key: 64.5})
+    # integral floats stay accepted
+    cfg = parse_config({"grid": {"N": 64.0}, "t_levels": {"M": 16.0},
+                        "seed": 7.0, "estimates": []})
+    assert (cfg.grid.N, cfg.levels.M, cfg.seed) == (64, 16, 7)
     with pytest.raises(ConfigError, match="grid.N"):
         parse_config({"grid": {"N": "abc"}, "estimates": []})
     with pytest.raises(ConfigError, match="t_levels.t_min"):

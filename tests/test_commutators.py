@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from fracharm import (CATALOG, EstimateDescriptor, GridFunction, GridSpec,
                       leibniz_defect, make_function, make_tlevels,
                       mean_projected, riesz_potential_commutator,
                       standard_family, verify_estimate)
+from fracharm.commutators import _dilated_about
 
 
 def _bandlimited(spec, seed, max_k=6):
@@ -217,3 +220,34 @@ def test_catalog_entries_are_well_formed():
         assert entry["arity"] in (2, 3)
         d = EstimateDescriptor(id=eid)
         assert d.params.keys() == entry["defaults"].keys()
+
+
+def test_dilation_remaps_centres_about_midpoint_and_the_rest_about_origin():
+    spec = GridSpec(n=1, N=256, L=2.0)
+    lam = 2.0
+    bump = TestFunctionDescriptor(kind="gaussian", center=(0.5,), width=0.1,
+                                  translate=(0.2,))
+    d = _dilated_about(bump, lam, spec)
+    # the reference point center + translate moves to a + (c + tau - a)/lam
+    assert d.center[0] == pytest.approx(1.0 + (0.5 - 1.0) / lam)
+    assert d.translate == pytest.approx((0.2 / lam,))
+    assert d.dilate == lam
+    assert _dilated_about(replace(bump, translate=()), lam, spec).translate == ()
+    # centre-less members become x -> f(lam x), a dilation about the origin
+    x = spec.coords()[0]
+    for member in (TestFunctionDescriptor(kind="sine", kvec=(3,)),
+                   TestFunctionDescriptor(kind="sine", kvec=(3,),
+                                          translate=(0.3,)),
+                   TestFunctionDescriptor(kind="random-bandlimited", seed=4,
+                                          max_k=5)):
+        got = make_function(_dilated_about(member, lam, spec), spec).values
+        if member.kind == "sine":
+            tau = member.translate[0] if member.translate else 0.0
+            want = np.sin(2 * np.pi * 3 * (lam * x - tau) / spec.L)
+        else:
+            # every second sample of the undilated member, tiled twice and
+            # scaled to unit peak as every band-limited member is
+            want = np.tile(make_function(member, spec).values[::2], 2)
+            want /= np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12
+

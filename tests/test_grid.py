@@ -1,11 +1,15 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracharm
 from fracharm import (GridFunction, GridSpec, TestFunctionDescriptor,
                       fft_forward, fft_inverse, hermitian_asymmetry,
-                      make_function, spectral_gradient)
+                      make_function, spectral_apply, spectral_gradient)
 
 
 @pytest.mark.parametrize("n,N,L", [(1, 64, 1.0), (1, 256, 2.5), (2, 32, 1.0)])
@@ -79,6 +83,60 @@ def test_fft_inverse_rejects_non_hermitian():
     from fracharm.grid import Spectrum
     with pytest.raises(ValueError, match="Hermitian"):
         fft_inverse(Spectrum(spec, coeffs))
+
+
+@pytest.mark.parametrize("n,N", [(1, 1024), (2, 64)])
+def test_spectral_apply_matches_complex_fft(n, N):
+    spec = GridSpec(n=n, N=N, L=1.0)
+    v = np.random.default_rng(7).standard_normal(spec.shape)
+    xis = spec.frequencies()
+    mag = spec.frequency_magnitude()
+    nyq = spec.nyquist_mask()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        riesz = np.where(nyq | (mag == 0), 0.0, -1j * xis[0] / mag)
+    even = (2 * np.pi * mag) ** 0.7
+    grad = np.where(nyq, 0.0, 2j * np.pi * xis[-1] * np.exp(-0.01 * mag))
+
+    def check(got, mult, values=v):
+        want = np.fft.ifftn(mult * np.fft.fftn(values)).real
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    # single multipliers, the odd ones zeroed on the Nyquist rows
+    for mult in (even, riesz, grad):
+        check(spectral_apply(spec, v, mult), mult)
+    # one transform of v serves a stack of multipliers
+    stack = np.stack([even, riesz, grad])
+    got = spectral_apply(spec, v, stack)
+    assert got.shape == (3, *spec.shape)
+    for g, mult in zip(got, stack):
+        check(g, mult)
+    # and one multiplier serves a stack of values
+    vs = np.stack([v, v**2])
+    for g, values in zip(spectral_apply(spec, vs, riesz), vs):
+        check(g, riesz, values)
+
+
+def test_inverse_transforms_only_in_spectral_path():
+    # every multiplier goes through grid.spectral_apply; fft_inverse is the
+    # inverse of the Spectrum API.  Any mention of an inverse transform
+    # counts: a call, an alias or an import.
+    inverse = {"ifft", "ifft2", "ifftn", "irfft", "irfft2", "irfftn"}
+    sites = set()
+    for path in sorted(Path(fracharm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            names |= {a.name for a in getattr(node, "names", ())
+                      if isinstance(a, ast.alias)}
+            if not names & inverse:
+                continue
+            owners = [f for f in funcs
+                      if f.lineno <= node.lineno <= f.end_lineno]
+            owner = max(owners, key=lambda f: f.lineno, default=None)
+            sites.add((path.stem, owner.name if owner else "<module>"))
+    assert sites == {("grid", "spectral_apply"), ("grid", "fft_inverse")}
 
 
 @pytest.mark.parametrize("k", [1, 3, 7])

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracharm import multiplier_ops
 from fracharm import (GridFunction, GridSpec, SymbolDescriptor,
                       TestFunctionDescriptor, apply_symbol, frac_laplacian,
                       l2_norm, make_function, mean_projected, riesz_potential,
@@ -116,18 +115,12 @@ def test_apply_symbol_custom_multiplier():
     assert np.max(np.abs(doubled.values - 2 * f.values)) <= 1e-12
 
 
-def test_apply_symbol_imaginary_residual_is_arithmetic_error(monkeypatch):
+def test_apply_symbol_rejects_non_hermitian_symbol():
     spec = GridSpec(n=1, N=64, L=1.0)
     f = _bandlimited(spec)
     times_i = SymbolDescriptor(lambda xi: np.full_like(xi, 1j, dtype=complex),
                                at_zero=1j, name="times_i")
-    # the multiplier check rejects the non-Hermitian symbol up front ...
     with pytest.raises(ValueError, match="Hermitian"):
-        apply_symbol(f, times_i)
-    # ... and the residual guard behind it reports a numerical error
-    monkeypatch.setattr(multiplier_ops, "_multiplier_array",
-                        lambda spec, m: np.full(spec.shape, 1j))
-    with pytest.raises(ArithmeticError, match="imaginary residual"):
         apply_symbol(f, times_i)
 
 
