@@ -221,7 +221,11 @@ def cmd_run(config_path: str, overrides: dict) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    os.makedirs(cfg.out, exist_ok=True)
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot create output directory: {exc}", file=sys.stderr)
+        return 2
     all_pass = True
     rows = []
     for d in cfg.estimates:
@@ -303,8 +307,12 @@ def _identity_checks(N: int) -> list[tuple[str, float, float]]:
 
 def cmd_ops_check(N: int) -> int:
     try:
-        checks = _identity_checks(N)
         spec = GridSpec(n=1, N=N, L=1.0)
+    except ValueError as exc:
+        print(f"config error: --grid-N: {exc}", file=sys.stderr)
+        return 2
+    try:
+        checks = _identity_checks(N)
         f = make_function(TestFunctionDescriptor(
             kind="gaussian", center=(spec.L / 2,), width=spec.L / 20), spec)
         tol = ORACLE_TOLERANCE_SCHEDULE.get(N, 2e-2)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma, gammaln, kve
 
 from .grid import GridFunction, GridSpec, spectral_apply
@@ -35,6 +34,7 @@ def _lambda_integral(a: float, b: float, rtol: float = 1e-12) -> float:
 
     Integrated in v = log(lambda) with the peak magnitude factored out so the
     quadrature stays well-scaled for all b."""
+    from scipy.integrate import quad  # deferred: ~0.2 s of import time
     if b <= 0:
         raise ValueError("b must be positive")
     e0 = a * 0.5 * math.log(b) - 2.0 * math.sqrt(b)

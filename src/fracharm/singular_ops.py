@@ -1,9 +1,11 @@
 """
 Direct quadrature realizations of the singular-integral operator definitions.
 
-These serve as oracles independent of the FFT multiplier path: the fractional
+These serve as oracles independent of the multiplier symbols: the fractional
 Laplacian in second-difference form, the 1-D Hilbert transform as a principal
-value, and the Riesz potential as convolution with C_{n,s}|y|^{s-n}.
+value, and the Riesz potential as convolution with C_{n,s}|y|^{s-n}.  Their
+real-space weights depend only on the lattice offset, so each is applied as
+one circular convolution through grid.spectral_apply.
 
 Two kernel treatments are supported.  With treat_as_compact=True the input is
 modeled as compactly supported on R^n inside one period: the kernel is
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma, zeta
 
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, spectral_apply
 
 SINGULAR_RULES = ("exclude", "second-difference-regular", "analytic-cell-average")
 
@@ -66,6 +68,14 @@ def _offsets(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     pairs = np.stack([DX.ravel(), DY.ravel()], axis=1)
     dist = np.sqrt((pairs[:, 0] * h) ** 2 + (pairs[:, 1] * h) ** 2)
     return pairs, dist
+
+
+def _circulant_apply(spec: GridSpec, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_y w(y) v(x - y) for weights w in _offsets order, as the multiplier
+    fftn(w) through spectral_apply.  Summed in longdouble: these kernels are
+    large against the result, which in float64 loses up to 3e-13 of sup."""
+    wl = np.asarray(w, np.longdouble).reshape(spec.shape)
+    return spectral_apply(spec, np.longdouble(v), np.fft.fftn(wl)).astype(float)
 
 
 def _singular_cell_kernel_integral(n: int, power: float, h: float) -> float:
@@ -153,7 +163,6 @@ def frac_laplacian_quadrature(
     C = frac_laplacian_constant(n, s)
     offsets, dist = _offsets(spec)
     v = f.values
-    acc = np.zeros_like(v)
 
     if cfg.treat_as_compact:
         keep = dist < spec.L / 2 * (1 - 1e-12)
@@ -162,26 +171,20 @@ def frac_laplacian_quadrature(
     else:
         weights = _periodized_weights(spec, offsets, dist, -(n + s), images=16)
 
-    for off, d, w in zip(offsets, dist, weights):
-        if d == 0.0 or w == 0.0:
-            # the second difference vanishes identically at y = 0
-            continue
-        shift = tuple(int(o) for o in off)
-        plus = np.roll(v, shift=[-x for x in shift], axis=tuple(range(n)))
-        minus = np.roll(v, shift=list(shift), axis=tuple(range(n)))
-        acc += (plus + minus - 2 * v) * w
-    result = -0.5 * C * acc * spec.cell_volume
+    # sum_{y != 0} w(y) (v(x+y) + v(x-y) - 2 v(x)) is the circulant with the
+    # plus/minus pair w(y) + w(-y) off the origin and -2 sum_y w(y) at it
+    w = np.where(dist > 0, weights, 0.0).astype(np.longdouble).reshape(spec.shape)
+    kernel = w + w[np.ix_(*[(-np.arange(spec.N)) % spec.N] * n)]
+    kernel[(0,) * n] = -2 * w.sum()
+    result = -0.5 * C * _circulant_apply(spec, v, kernel) * spec.cell_volume
 
     if cfg.treat_as_compact:
         # Exact remainder of the compact-support model: beyond the covered
         # region f vanishes, so the second difference reduces to -2 f(x) and
         # the kernel integrates in closed form over |y| > R_eff, with R_eff
         # the equal-measure radius of the covered cells.
-        cnt = int(np.count_nonzero(dist < spec.L / 2 * (1 - 1e-12)))
-        if n == 1:
-            R_eff = cnt * h / 2
-        else:
-            R_eff = math.sqrt(cnt * h**2 / np.pi)
+        cnt = int(np.count_nonzero(keep))
+        R_eff = cnt * h / 2 if n == 1 else math.sqrt(cnt * h**2 / np.pi)
         result = result + C * v * _surface(n) * R_eff ** (-s) / s
 
     if cfg.singular_rule == "second-difference-regular":
@@ -189,11 +192,8 @@ def frac_laplacian_quadrature(
         # integrand |y|^{2-n-s}; approximate f'' by the nearest-neighbor
         # second difference per axis and integrate the kernel exactly.
         cell = _singular_cell_kernel_integral(n, 2 - n - s, h)
-        second_diff = np.zeros_like(v)
-        for ax in range(n):
-            second_diff += (
-                np.roll(v, -1, axis=ax) + np.roll(v, 1, axis=ax) - 2 * v
-            ) / h**2
+        second_diff = sum((np.roll(v, -1, axis=ax) + np.roll(v, 1, axis=ax)
+                           - 2 * v) / h**2 for ax in range(n))
         # The angular average of y^T H y over |y| = r is (tr H) r^2 / n.
         result += -0.5 * C * (second_diff / n) * cell
     # "exclude": skip the singular cell entirely (nothing to add).
@@ -212,13 +212,12 @@ def hilbert_pv_quadrature(f: GridFunction) -> GridFunction:
     if spec.n != 1:
         raise ValueError("hilbert_pv_quadrature supports n = 1 only")
     N, h, L = spec.N, spec.h, spec.L
-    v = f.values
-    acc = np.zeros_like(v)
-    for m in range(1, N // 2):
-        w = math.cos(math.pi * m / N) / math.sin(math.pi * m / N) / L
-        acc += (np.roll(v, m) - np.roll(v, -m)) * w
-    # m = N/2 carries weight cot(pi/2) = 0 and is omitted.
-    return GridFunction(spec, acc * h)
+    # odd kernel K(m) = -K(N - m); m = 0 and m = N/2 (cot(pi/2) = 0) carry 0
+    K = np.zeros(N)
+    K[1:N // 2] = [math.cos(math.pi * m / N) / math.sin(math.pi * m / N) / L
+                   for m in range(1, N // 2)]
+    K[N // 2 + 1:] = -K[N // 2 - 1:0:-1]
+    return GridFunction(spec, _circulant_apply(spec, f.values, K) * h)
 
 
 def riesz_potential_quadrature(
@@ -240,8 +239,6 @@ def riesz_potential_quadrature(
     n, h = spec.n, spec.h
     C = riesz_potential_constant(n, s)
     offsets, dist = _offsets(spec)
-    v = f.values
-    acc = np.zeros_like(v)
 
     if cfg.treat_as_compact:
         keep = dist < spec.L / 2 * (1 - 1e-12)
@@ -254,12 +251,7 @@ def riesz_potential_quadrature(
         images = 512 if n == 1 else 12
         weights = _periodized_weights(spec, offsets, dist, s - n, images)
 
-    for off, d, w in zip(offsets, dist, weights):
-        if w == 0.0:
-            continue
-        shift = tuple(int(o) for o in off)
-        acc += np.roll(v, shift=list(shift), axis=tuple(range(n))) * w
-    result = C * acc * spec.cell_volume
+    result = C * _circulant_apply(spec, f.values, weights) * spec.cell_volume
     if cfg.singular_rule == "analytic-cell-average":
-        result += C * v * _singular_cell_kernel_integral(n, s - n, h)
+        result += C * f.values * _singular_cell_kernel_integral(n, s - n, h)
     return GridFunction(spec, result)

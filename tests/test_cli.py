@@ -204,3 +204,44 @@ def test_ops_check_passes(capsys):
     assert "FAIL" not in out
     assert "oracle_equivalence_s=0.3" in out
     assert "hilbert_involution" in out
+
+
+def test_ops_check_bad_grid_exits_two(capsys):
+    for arg in ("0", "3", "100", "-4"):
+        assert main(["ops-check", "--grid-N", arg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: --grid-N")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
+def test_run_out_is_an_existing_file_exits_two(tmp_path, capsys, monkeypatch):
+    def no_estimate_runs(*args, **kwargs):
+        raise AssertionError("an estimate ran before the output check")
+
+    monkeypatch.setattr(cli, "verify_estimate", no_estimate_runs)
+    target = tmp_path / "taken"
+    target.write_text("keep")
+    path = _write_config(tmp_path / "cfg.json", out=str(target))
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory")
+    assert "Traceback" not in err
+    assert target.read_text() == "keep"
+
+
+def test_import_does_not_load_scipy_integrate():
+    # scipy.integrate serves only the lambda-quadrature symbol oracle, and
+    # loading it would add about 0.2 s to every command
+    import os
+    import subprocess
+    import sys
+
+    import fracharm
+    src = os.path.dirname(os.path.dirname(fracharm.__file__))
+    code = "import sys, fracharm.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracharm import singular_ops
 from fracharm import (GridFunction, GridSpec, QuadratureConfig,
                       TestFunctionDescriptor, frac_laplacian,
                       frac_laplacian_constant, frac_laplacian_quadrature,
@@ -10,8 +11,12 @@ from fracharm import (GridFunction, GridSpec, QuadratureConfig,
                       make_function, mean_projected, riesz_potential,
                       riesz_potential_constant, riesz_potential_quadrature,
                       riesz_transform)
+from fracharm.singular_ops import _offsets, _periodized_weights
 
 PERIODIZED = QuadratureConfig(treat_as_compact=False)
+LONGDOUBLE_IS_EXTENDED = np.finfo(np.longdouble).eps < 1e-18
+needs_extended = pytest.mark.skipif(
+    not LONGDOUBLE_IS_EXTENDED, reason="needs an extended-precision longdouble")
 
 
 def _gaussian(spec, width_frac=20.0):
@@ -178,3 +183,136 @@ def test_periodized_weights_match_direct_image_sum():
         d = np.abs(y + k)
         direct = np.sum(np.where(d > 0, d, np.inf) ** power) + tail
         assert w[idx] == pytest.approx(direct, rel=1e-8)
+
+
+def _circulant_direct(spec, v, w):
+    """Roll-loop oracle for sum_y w(y) v(x - y), with w in _offsets order,
+    summed in the dtype of v and w."""
+    offsets, _ = _offsets(spec)
+    acc = np.zeros(spec.shape, np.result_type(v, w))
+    for off, wy in zip(offsets, np.ravel(w)):
+        if wy != 0:
+            acc += np.roll(v, list(off), axis=tuple(range(spec.n))) * wy
+    return acc
+
+
+def _by_roll_loop(monkeypatch, dtype, quadrature, *args):
+    """quadrature(*args) with its circulant summed by the roll loop in dtype."""
+    with monkeypatch.context() as m:
+        m.setattr(singular_ops, "_circulant_apply", lambda spec, v, w:
+                  _circulant_direct(spec, np.asarray(v, dtype),
+                                    np.asarray(w, dtype)))
+        return quadrature(*args).values
+
+
+def _oracle_inputs(spec):
+    noise = np.random.default_rng(5).standard_normal(spec.shape)
+    return [_gaussian(spec), GridFunction(spec, noise - noise.mean())]
+
+
+@needs_extended
+@pytest.mark.parametrize("n,N", [(1, 64), (1, 1024), (2, 16), (2, 64)])
+def test_quadratures_match_roll_loop(n, N, monkeypatch):
+    spec = GridSpec(n=n, N=N, L=1.0)
+    # each case runs up to three times; compute its image sums once
+    memo = {}
+
+    def memo_weights(spec, offsets, dist, power, images):
+        if (power, images) not in memo:
+            memo[power, images] = _periodized_weights(spec, offsets, dist,
+                                                      power, images)
+        return memo[power, images]
+
+    monkeypatch.setattr(singular_ops, "_periodized_weights", memo_weights)
+    cases = []
+    for f in _oracle_inputs(spec):
+        for compact in (True, False):
+            for s in (0.3, 0.7, 1.5):
+                cases.append((frac_laplacian_quadrature, f, s,
+                              QuadratureConfig(treat_as_compact=compact)))
+                if s < n:
+                    cases.append((riesz_potential_quadrature, f, s, QuadratureConfig(
+                        treat_as_compact=compact,
+                        singular_rule="analytic-cell-average")))
+        if n == 1:
+            cases.append((hilbert_pv_quadrature, f))
+    for quadrature, *args in cases:
+        fast = quadrature(*args).values
+        exact = _by_roll_loop(monkeypatch, np.longdouble, quadrature, *args)
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(fast - exact)) <= 1e-13 * scale, (quadrature, args[1:])
+        # The float64 loop is held to the same bound where its own rounding
+        # allows.  Not for the periodized Riesz potential: its image sum has a
+        # large constant part (w ~ 225 +- 4 in 1-D at s = 0.7), which costs
+        # that loop up to 1.2e-12 of sup on mean-zero data.  Not for the
+        # second-difference kernel either, which carries -2 sum w at the
+        # origin; its float64 loop is the pairwise one, tested below.
+        periodized_riesz = (quadrature is riesz_potential_quadrature
+                            and not args[2].treat_as_compact)
+        if quadrature is not frac_laplacian_quadrature and not periodized_riesz:
+            loop = _by_roll_loop(monkeypatch, np.float64, quadrature, *args)
+            assert np.max(np.abs(fast - loop)) <= 1e-13 * scale, (quadrature, args[1:])
+
+
+def _second_difference_loop(spec, v, w):
+    """sum_{y != 0} w(y) (v(x+y) + v(x-y) - 2 v(x)), one pair of rolls per
+    offset, summed in the dtype of v and w."""
+    offsets, dist = _offsets(spec)
+    axes = tuple(range(spec.n))
+    acc = np.zeros(spec.shape, np.result_type(v, w))
+    for off, d, wy in zip(offsets, dist, w):
+        if d > 0:
+            shift = [int(o) for o in off]
+            plus = np.roll(v, [-o for o in shift], axis=axes)
+            acc += (plus + np.roll(v, shift, axis=axes) - 2 * v) * wy
+    return acc
+
+
+@needs_extended
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+def test_frac_laplacian_matches_longdouble_second_difference(n, N):
+    # The periodized weights are not even in y, so this checks the folding of
+    # the plus/minus pair into one kernel, not just the circulant apply.  The
+    # float64 loop (the form the quadrature had before the FFT) is held to the
+    # same bound.
+    spec = GridSpec(n=n, N=N, L=1.0)
+    offsets, dist = _offsets(spec)
+    cfg = QuadratureConfig(treat_as_compact=False, singular_rule="exclude")
+    for f in _oracle_inputs(spec):
+        for s in (0.3, 0.7, 1.5):
+            w = _periodized_weights(spec, offsets, dist, -(n + s), images=16)
+            scale = -0.5 * frac_laplacian_constant(n, s) * spec.cell_volume
+            exact = scale * _second_difference_loop(
+                spec, f.values.astype(np.longdouble), w.astype(np.longdouble))
+            loop = scale * _second_difference_loop(spec, f.values, w)
+            out = frac_laplacian_quadrature(f, s, cfg).values
+            sup = np.max(np.abs(exact))
+            assert np.max(np.abs(out - exact)) <= 1e-13 * sup
+            assert np.max(np.abs(out - loop)) <= 1e-13 * sup
+
+
+@pytest.mark.parametrize("n,N", [(1, 1024), (2, 16)])
+def test_quadratures_make_no_roll_loop(n, N, monkeypatch):
+    spec = GridSpec(n=n, N=N, L=1.0)
+    f = _oracle_inputs(spec)[1]
+    rolls = []
+    real_roll = np.roll
+
+    def counting_roll(*args, **kwargs):
+        rolls.append(1)
+        return real_roll(*args, **kwargs)
+
+    monkeypatch.setattr(np, "roll", counting_roll)
+    for compact in (True, False):
+        rolls.clear()
+        riesz_potential_quadrature(f, 0.5, QuadratureConfig(
+            treat_as_compact=compact, singular_rule="analytic-cell-average"))
+        assert len(rolls) == 0
+        # only the singular-cell second difference rolls, once per direction
+        rolls.clear()
+        frac_laplacian_quadrature(f, 0.7, QuadratureConfig(treat_as_compact=compact))
+        assert len(rolls) <= 2 * n
+    if n == 1:
+        rolls.clear()
+        hilbert_pv_quadrature(f)
+        assert len(rolls) == 0
