@@ -14,9 +14,9 @@ from fracharm import (GridFunction, GridSpec, QuadratureConfig,
 from fracharm.singular_ops import _offsets, _periodized_weights
 
 PERIODIZED = QuadratureConfig(treat_as_compact=False)
-LONGDOUBLE_IS_EXTENDED = np.finfo(np.longdouble).eps < 1e-18
 needs_extended = pytest.mark.skipif(
-    not LONGDOUBLE_IS_EXTENDED, reason="needs an extended-precision longdouble")
+    np.finfo(np.longdouble).eps > 1e-18,
+    reason="needs an extended-precision longdouble")
 
 
 def _gaussian(spec, width_frac=20.0):
