@@ -18,6 +18,7 @@ in the report metadata.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -475,6 +476,10 @@ class EstimateDescriptor:
         if unknown:
             raise ValueError(
                 f"unknown parameters for {self.id}: {sorted(unknown)}")
+        for key, value in self.params.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"parameter {key!r} of {self.id} must be a "
+                                 f"real number, got {value!r}")
         merged = {**entry["defaults"], **self.params}
         if "validate" in entry:
             entry["validate"](merged)

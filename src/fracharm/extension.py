@@ -119,7 +119,8 @@ def s_poisson_symbol(s: float, r_grid: np.ndarray,
 
 def get_symbol(s: float, r_min: float, r_max: float,
                tolerance: float = 1e-8) -> PoissonSymbol:
-    """The Poisson symbol of order s; the range and tolerance select nothing."""
+    """The Poisson symbol of order s; the range and tolerance select nothing.
+    Kept because the benchmark's tracer reports it by name."""
     return PoissonSymbol(s)
 
 
@@ -194,20 +195,13 @@ class ExtensionField:
                 raise ValueError("derivative field shape mismatch")
 
 
-def symbol_for(spec: GridSpec, s: float, ts: np.ndarray,
-               tolerance: float = 1e-8) -> PoissonSymbol:
-    """The Poisson symbol for the radii t*|xi| of a grid and its levels;
-    spec, ts and tolerance select nothing."""
-    return PoissonSymbol(s)
-
-
 def extend_field(f: GridFunction, s: float, levels: TLevels,
                  with_derivatives: tuple[str, ...] = ("t", "x"),
                  symbol: PoissonSymbol | None = None) -> ExtensionField:
     """Compute F(.,t) = m_s(t|xi|) f^(xi) on every level, plus requested
     derivative fields (t from the differentiated symbol, x spectrally)."""
     spec = f.spec
-    sym = symbol if symbol is not None else symbol_for(spec, s, levels.ts)
+    sym = symbol if symbol is not None else PoissonSymbol(s)
     # the symbols are evaluated once per distinct |xi| and gathered back
     radii, inv = np.unique(spec.frequency_magnitude(), return_inverse=True)
     inv = inv.reshape(spec.shape)

@@ -33,7 +33,7 @@ class GridSpec:
     N : int
         Points per axis; power of two, >= 8.
     L : float
-        Period per axis, > 0.
+        Period per axis, > 0, with L^2 and (N/(2L))^2 normal float64 numbers.
     """
 
     n: int
@@ -47,6 +47,14 @@ class GridSpec:
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
         if not (0 < self.L < np.inf):
             raise ValueError(f"period L must be positive and finite, got {self.L}")
+        # the symbols and norms square lengths and frequencies; past this
+        # range the squares overflow to inf or underflow to subnormals or 0
+        fin = np.finfo(float)
+        if not all(fin.tiny <= x * x <= fin.max
+                   for x in (self.L, self.N / (2 * self.L))):
+            raise ValueError(
+                f"period L = {self.L} is out of range: L^2 and the squared top "
+                f"frequency (N/(2L))^2 must be normal float64 numbers")
 
     @property
     def h(self) -> float:
@@ -197,8 +205,9 @@ def spectral_apply(spec: GridSpec, values: np.ndarray,
 
     mult is given on the full lattice of spec.frequencies() and must be
     Hermitian-compatible, m(-xi) = conj(m(xi)): only its real-FFT half
-    mult[..., :N//2+1] is used.  Leading axes of values and mult broadcast,
-    so one forward transform serves a stack of multipliers."""
+    mult[..., :N//2+1] is used, so that half alone is accepted unchanged as
+    well.  Leading axes of values and mult broadcast, so one forward
+    transform serves a stack of multipliers."""
     axes = tuple(range(-spec.n, 0))
     half = mult[..., : spec.N // 2 + 1]
     return scipy.fft.irfftn(scipy.fft.rfftn(values, axes=axes) * half,

@@ -10,6 +10,7 @@ decaying-function setting and is handled explicitly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,28 +77,52 @@ def apply_symbol(f: GridFunction, m: SymbolDescriptor) -> GridFunction:
     return GridFunction(f.spec, spectral_apply(f.spec, f.values, arr))
 
 
+def _magnitude(xis) -> np.ndarray:
+    return np.sqrt(sum(x**2 for x in xis))
+
+
+@functools.lru_cache(maxsize=16)
+def _builtin_multiplier(spec: GridSpec, op: str, param) -> np.ndarray:
+    """Read-only real-FFT half [..., :N//2+1] of a built-in multiplier.
+
+    The key is (grid, operator, order or axis).  Each entry is built once by
+    _multiplier_array, so its finiteness and Hermitian checks run once per
+    key; a failed build raises and stores nothing."""
+    def riesz(*xis):
+        return -1j * xis[param - 1] / _magnitude(xis)
+
+    def frac_lap(*xis):
+        return (2 * np.pi * _magnitude(xis)) ** param
+
+    def potential(*xis):
+        return (2 * np.pi * _magnitude(xis)) ** (-param)
+
+    fn, name = {"riesz_transform": (riesz, f"riesz_{param}"),
+                "frac_laplacian": (frac_lap, f"fracLap_{param}"),
+                "riesz_potential": (potential, f"rieszPot_{param}")}[op]
+    full = _multiplier_array(spec, SymbolDescriptor(fn, at_zero=0.0, name=name))
+    half = full[..., : spec.N // 2 + 1].copy()
+    half.flags.writeable = False
+    return half
+
+
+def _apply_builtin(f: GridFunction, op: str, param) -> GridFunction:
+    mult = _builtin_multiplier(f.spec, op, param)
+    return GridFunction(f.spec, spectral_apply(f.spec, f.values, mult))
+
+
 def riesz_transform(f: GridFunction, j: int) -> GridFunction:
     """Riesz transform along axis j (1-based); the Hilbert transform in 1-D."""
     if not (1 <= j <= f.spec.n):
         raise ValueError(f"axis j must be in 1..{f.spec.n}, got {j}")
-
-    def fn(*xis):
-        mag = np.sqrt(sum(x**2 for x in xis))
-        return -1j * xis[j - 1] / mag
-
-    return apply_symbol(f, SymbolDescriptor(fn, at_zero=0.0, name=f"riesz_{j}"))
+    return _apply_builtin(f, "riesz_transform", j)
 
 
 def frac_laplacian(f: GridFunction, s: float) -> GridFunction:
     """Fractional Laplacian (-Delta)^{s/2}, symbol (2*pi*|xi|)^s."""
     if not (s > 0):
         raise ValueError(f"order s must be positive, got {s}")
-
-    def fn(*xis):
-        mag = np.sqrt(sum(x**2 for x in xis))
-        return (2 * np.pi * mag) ** s
-
-    return apply_symbol(f, SymbolDescriptor(fn, at_zero=0.0, name=f"fracLap_{s}"))
+    return _apply_builtin(f, "frac_laplacian", s)
 
 
 def riesz_potential(f: GridFunction, s: float, tol: float = 1e-8) -> GridFunction:
@@ -111,12 +136,7 @@ def riesz_potential(f: GridFunction, s: float, tol: float = 1e-8) -> GridFunctio
             f"riesz_potential requires negligible mean: mean = {mean:.3e}, "
             f"tolerance {tol:.1e} * ||f||_2 = {tol * scale:.3e}"
         )
-
-    def fn(*xis):
-        mag = np.sqrt(sum(x**2 for x in xis))
-        return (2 * np.pi * mag) ** (-s)
-
-    return apply_symbol(f, SymbolDescriptor(fn, at_zero=0.0, name=f"rieszPot_{s}"))
+    return _apply_builtin(f, "riesz_potential", s)
 
 
 def mean_projected(f: GridFunction) -> tuple[GridFunction, float]:

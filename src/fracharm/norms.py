@@ -14,6 +14,7 @@ trapezoid weights over the truncated level range [t_1, t_M].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,6 +95,56 @@ def _ball_sum(spec: GridSpec, values: np.ndarray,
     return spectral_apply(spec, values, np.fft.fftn(kernel, axes=axes))
 
 
+# Cells one gather of the BMO search holds (256 KB of float64 values and as
+# many int64 indices), or one ball where a single ball is larger
+_GATHER_CELLS = 2**15
+
+
+@dataclass(frozen=True)
+class _BallGeometry:
+    """Grid-constant data of a TentFamily's balls, one row per radius.
+
+    counts are the cell counts, spectrum the real-FFT half of the ball
+    indicators (a stack for spectral_apply).  For gathers from a copy of the
+    grid padded by N/2 on every side, offsets[i] holds the flat offsets of
+    the cells of ball i and centers the flat indices of the centres."""
+
+    counts: np.ndarray
+    spectrum: np.ndarray
+    offsets: tuple[np.ndarray, ...]
+    centers: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _ball_geometry(tents: TentFamily) -> _BallGeometry:
+    spec = tents.spec
+    offsets, dist = _offsets(spec)
+    inside = np.stack([dist <= r * (1 + 1e-12) for r in tents.radii])
+    kernels = inside.reshape((-1,) + spec.shape).astype(float)
+    axes = tuple(range(-spec.n, 0))
+    spectrum = np.fft.fftn(kernels, axes=axes)[..., : spec.N // 2 + 1].copy()
+    # the minimum-image offset y of a centre x is the flat index of x + y
+    place = (2 * spec.N) ** np.arange(spec.n - 1, -1, -1)
+    balls = tuple((offsets[m] + spec.N // 2) @ place for m in inside)
+    centers = np.indices((len(range(0, spec.N, tents.center_stride)),)
+                         * spec.n).reshape(spec.n, -1).T
+    centers = (centers * tents.center_stride) @ place
+    counts = inside.sum(axis=1)
+    for arr in (counts, spectrum, *balls, centers):
+        arr.flags.writeable = False
+    return _BallGeometry(counts=counts, spectrum=spectrum, offsets=balls,
+                         centers=centers)
+
+
+def _oscillations(padded: np.ndarray, ball: np.ndarray, centers: np.ndarray,
+                  means: np.ndarray, count: int) -> np.ndarray:
+    """Mean oscillations of one ball around each of the flat centres, given
+    the ball means; one 2-D gather whose rows sum pairwise as a 1-D sum
+    would."""
+    cells = padded[centers[:, None] + ball[None, :]]
+    return np.abs(cells - means[:, None]).sum(axis=1) / count
+
+
 def _decimate(arr: np.ndarray, stride: int) -> np.ndarray:
     if stride == 1:
         return arr
@@ -172,8 +223,9 @@ def bmo_seminorm(f: GridFunction, tents: TentFamily | None = None) -> float:
     deviation sqrt(E_B[f^2] - f_B^2), and FFT ball sums of f and f^2 give
     that bound at every (radius, center) pair; 1e-12 max|f|^2 under the root
     keeps it an upper bound despite rounding.  Pairs are visited in
-    descending order of the bound, and the L^1 oscillation is summed over
-    the ball's cells only while the bound exceeds the best value found.
+    descending order of the bound, in blocks of doubling size, and a block
+    drops the pairs whose bound no longer exceeds the best value found
+    before the L^1 oscillation is summed over the cells of the rest.
     ``_bmo_direct``, the full sum at every pair, is the test oracle.
     """
     spec = f.spec
@@ -182,41 +234,43 @@ def bmo_seminorm(f: GridFunction, tents: TentFamily | None = None) -> float:
     scale = float(np.max(np.abs(v)))
     if scale == 0.0:
         return 0.0
-    offsets, dist = _offsets(spec)
-    inside = np.stack([dist <= r * (1 + 1e-12) for r in tents.radii])
-    cnt = inside.sum(axis=1)
-    kernels = inside.reshape((-1,) + spec.shape).astype(float)
-    centers_only = (slice(None),) + (slice(None, None, tents.center_stride),
-                                     ) * spec.n
-
-    def ball_means(values: np.ndarray) -> np.ndarray:
-        sums = _ball_sum(spec, values, kernels)
-        return sums[centers_only].reshape(len(cnt), -1) / cnt[:, None]
-
-    mean = ball_means(v)
-    # the moments of f / max|f| cannot overflow
-    var = ball_means((v / scale) ** 2) - (mean / scale) ** 2
+    geo = _ball_geometry(tents)
+    cnt = geo.counts
+    # the moments of f and of f / max|f| (which cannot overflow) in one apply
+    sums = spectral_apply(spec, np.stack([v, (v / scale) ** 2])[:, None],
+                          geo.spectrum)
+    centers_only = (slice(None),) * 2 + (slice(None, None, tents.center_stride),
+                                         ) * spec.n
+    mean, mean2 = sums[centers_only].reshape(2, len(cnt), -1) / cnt[:, None]
+    var = mean2 - (mean / scale) ** 2
     bound = scale * np.sqrt(np.maximum(var, 0.0) + 1e-12).ravel()
-
-    # Ball cells are gathered from a copy of v padded by N/2 on every side,
-    # so the minimum-image offset y of a center x is the flat index of x + y.
     padded = np.pad(v, spec.N // 2, mode="wrap").ravel()
-    place = (2 * spec.N) ** np.arange(spec.n - 1, -1, -1)
-    balls = [(offsets[m] + spec.N // 2) @ place for m in inside]
-    centers = np.indices(v[centers_only[1:]].shape).reshape(spec.n, -1).T
-    centers = (centers * tents.center_stride) @ place
 
-    def oscillation(k: int) -> float:
-        i, c = divmod(int(k), len(centers))
-        cells = padded[balls[i] + centers[c]]
-        return float(np.abs(cells - mean[i, c]).sum() / cnt[i])
+    def block_max(block: np.ndarray) -> float:
+        """Largest oscillation over the flat (radius, center) pairs."""
+        radius, center = np.divmod(block, len(geo.centers))
+        top = 0.0
+        for i in np.unique(radius):
+            cs = center[radius == i]
+            step = max(1, _GATHER_CELLS // int(cnt[i]))
+            for lo in range(0, len(cs), step):
+                c = cs[lo:lo + step]
+                osc = _oscillations(padded, geo.offsets[i], geo.centers[c],
+                                    mean[i, c], cnt[i])
+                top = max(top, float(np.max(osc)))
+        return top
 
-    best = oscillation(np.argmax(bound))
+    best = block_max(np.argmax(bound)[None])
     candidates = np.flatnonzero(bound > best)
-    for k in candidates[np.argsort(bound[candidates])[::-1]]:
-        if bound[k] <= best:
+    candidates = candidates[np.argsort(bound[candidates])[::-1]]
+    start, size = 0, 2
+    while start < len(candidates):
+        block = candidates[start:start + size]
+        block = block[bound[block] > best]
+        if not block.size:
             break
-        best = max(best, oscillation(k))
+        best = max(best, block_max(block))
+        start, size = start + size, 2 * size
     return best
 
 
@@ -273,9 +327,9 @@ def maximal_function(f: GridFunction,
     tents = tents if tents is not None else TentFamily.standard(spec)
     a = np.abs(f.values)
     out = a.copy()
-    for r in tents.radii:
-        kernel, cnt = _ball_kernel(spec, r)
-        np.maximum(out, _ball_sum(spec, a, kernel) / cnt, out=out)
+    geo = _ball_geometry(tents)
+    for sums, cnt in zip(spectral_apply(spec, a, geo.spectrum), geo.counts):
+        np.maximum(out, sums / cnt, out=out)
     return GridFunction(spec, out)
 
 
@@ -410,8 +464,7 @@ def carleson_sup(F: ExtensionField, weight: float = 1.0,
     wlog = F.levels.log_trapezoid_weights()
     g2 = G**2
     best = 0.0
-    for r in tents.radii:
-        _, cnt = _ball_kernel(spec, r)
+    for r, cnt in zip(tents.radii, _ball_geometry(tents).counts):
         measure = cnt * spec.cell_volume
         acc = np.zeros(spec.shape)
         for i, t in enumerate(ts):

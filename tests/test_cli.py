@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracharm import cli
 from fracharm.cli import ConfigError, main, parse_config
@@ -245,3 +249,50 @@ def test_import_does_not_load_scipy_integrate():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def _assert_one_config_error_line(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    for word in words:
+        assert word in err
+
+
+def test_unrepresentable_period_exits_two(tmp_path, capsys):
+    # L^2 underflows, or L^2 overflows, past the normal float64 range
+    for L in (1e-200, 1e300):
+        path = _write_config(tmp_path / "cfg.json", grid={"n": 1, "N": 64,
+                                                          "L": L})
+        assert main(["run", path, "--out", str(tmp_path / "reports")]) == 2
+        _assert_one_config_error_line(capsys, "period L")
+        assert not (tmp_path / "reports").exists()
+    path = _write_config(tmp_path / "cfg.json", grid={"n": 1, "N": 64,
+                                                      "L": 1e-100},
+                         out=str(tmp_path / "small"))
+    assert main(["run", path]) == 0
+
+
+def test_non_numeric_estimate_parameter_exits_two(tmp_path, capsys):
+    for value in ("x", None, True):
+        path = _write_config(tmp_path / "cfg.json",
+                             estimates=[{"id": "crw-bmo",
+                                         "params": {"p": value}}])
+        assert main(["run", path, "--out", str(tmp_path / "reports")]) == 2
+        _assert_one_config_error_line(capsys, "estimates[0]", "'p'",
+                                      "real number")
+        assert not (tmp_path / "reports").exists()
+    # an integer is a real number
+    cfg = parse_config({"estimates": [{"id": "crw-bmo", "params": {"p": 3}}]})
+    assert cfg.estimates[0].params["p"] == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.one_of(st.integers(-8, 300),
+                   st.sampled_from([2**k for k in range(9)])))
+def test_ops_check_grid_N_never_raises(N):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["ops-check", "--grid-N", str(N)])
+    assert rc in (0, 1, 2, 3)

@@ -10,7 +10,6 @@ from fracharm import (GridFunction, GridSpec, PoissonSymbol, TLevels,
                       make_function, make_tlevels,
                       s_harmonicity_residual, s_poisson_symbol,
                       spectral_gradient, symbol_derivative_value, symbol_value)
-from fracharm.extension import symbol_for
 
 
 def _bessel_oracle(s, r):
@@ -66,7 +65,7 @@ def test_closed_form_symbol_matches_quadrature(s):
 
 @pytest.mark.parametrize("s", [0.01, 0.5, 1.0, 1.99])
 def test_closed_form_symbol_shape(s):
-    sym = get_symbol(s, 1e-3, 1.0)
+    sym = PoissonSymbol(s)
     rs = np.geomspace(1e-4, 100.0, 400)
     m, dm = sym.eval_m(rs), sym.eval_dm(rs)
     assert np.all(np.diff(m[m > 0]) < 0)
@@ -82,11 +81,10 @@ def test_closed_form_symbol_shape(s):
 
 
 def test_symbol_arguments_select_nothing():
-    spec = GridSpec(n=2, N=32, L=1.0)
     rs = np.geomspace(1e-3, 20.0, 50)
-    ref = s_poisson_symbol(0.7, rs)
-    for sym in (get_symbol(0.7, 5.0, 6.0, tolerance=1e-2),
-                symbol_for(spec, 0.7, np.array([0.5, 1.0]))):
+    ref = PoissonSymbol(0.7)
+    for sym in (s_poisson_symbol(0.7, np.array([5.0, 6.0]), tolerance=1e-2),
+                get_symbol(0.7, 5.0, 6.0, tolerance=1e-2)):
         assert np.array_equal(sym.eval_m(rs), ref.eval_m(rs))
         assert np.array_equal(sym.eval_dm(rs), ref.eval_dm(rs))
     with pytest.raises(ValueError):

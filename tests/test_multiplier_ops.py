@@ -7,6 +7,7 @@ from fracharm import (GridFunction, GridSpec, SymbolDescriptor,
                       TestFunctionDescriptor, apply_symbol, frac_laplacian,
                       l2_norm, make_function, mean_projected, riesz_potential,
                       riesz_transform)
+from fracharm.multiplier_ops import _builtin_multiplier, _multiplier_array
 
 
 def _bandlimited(spec, seed=3, max_k=8):
@@ -144,3 +145,53 @@ def test_parseval_l2_norm_property(seed):
     from fracharm import fft_forward
     coeff_norm = np.sqrt(np.sum(np.abs(fft_forward(f).coeffs) ** 2) * spec.L)
     assert l2_norm(f) == pytest.approx(coeff_norm, rel=1e-12)
+
+
+def _magnitude(xis):
+    return np.sqrt(sum(x**2 for x in xis))
+
+
+def _builtin_symbols(n):
+    """(operator, order or axis, the operator's symbol) for each built-in."""
+    out = [("riesz_transform", j, SymbolDescriptor(
+        lambda *xis, j=j: -1j * xis[j - 1] / _magnitude(xis)))
+        for j in range(1, n + 1)]
+    for s in (0.3, 1.0, 1.7):
+        out.append(("frac_laplacian", s, SymbolDescriptor(
+            lambda *xis, s=s: (2 * np.pi * _magnitude(xis)) ** s)))
+        if s < n:
+            out.append(("riesz_potential", s, SymbolDescriptor(
+                lambda *xis, s=s: (2 * np.pi * _magnitude(xis)) ** (-s))))
+    return out
+
+
+@pytest.mark.parametrize("n,N", [(1, 128), (2, 32)])
+def test_cached_multipliers_equal_uncached_half(n, N):
+    spec = GridSpec(n=n, N=N, L=1.7)
+    f = _bandlimited(spec, max_k=5)
+    public = {"riesz_transform": riesz_transform,
+              "frac_laplacian": frac_laplacian,
+              "riesz_potential": riesz_potential}
+    for op, param, symbol in _builtin_symbols(n):
+        cached = _builtin_multiplier(spec, op, param)
+        expect = _multiplier_array(spec, symbol)[..., : N // 2 + 1]
+        assert cached.shape == expect.shape
+        assert np.array_equal(cached, expect)
+        assert np.array_equal(public[op](f, param).values,
+                              apply_symbol(f, symbol).values)
+
+
+def test_cached_multiplier_is_read_only_and_reused():
+    spec = GridSpec(n=1, N=64, L=1.0)
+    f = _bandlimited(spec)
+    frac_laplacian(f, 0.45)
+    before = _builtin_multiplier.cache_info()
+    frac_laplacian(f, 0.45)
+    after = _builtin_multiplier.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    arr = _builtin_multiplier(spec, "frac_laplacian", 0.45)
+    with pytest.raises(ValueError, match="read-only"):
+        arr[1] = 0.0
+    # per-call checks still run on a cached key
+    with pytest.raises(ValueError, match="mean"):
+        riesz_potential(f + GridFunction(spec, np.ones(64)), 0.45)

@@ -8,6 +8,7 @@ from fracharm import (GridFunction, GridSpec, LorentzExponents, TLevels,
                       maximal_function, slobodeckij_seminorm, space_functional,
                       square_function, standard_family,
                       tent_pairing_bound_check)
+from fracharm import norms
 from fracharm.norms import _bmo_direct
 
 
@@ -135,11 +136,20 @@ def test_bmo_brute_force_oracle():
     assert bmo_seminorm(f, tents) == pytest.approx(best, rel=1e-10)
 
 
+def _noise(spec, seed):
+    """Band-limited noise of a few low modes: many large balls have a
+    standard deviation near the top one, so the pruned search evaluates
+    hundreds of pairs, many to a gather."""
+    return make_function(TestFunctionDescriptor(
+        kind="random-bandlimited", seed=seed, max_k=2), spec)
+
+
 @pytest.mark.parametrize("n,N", [(1, 1024), (2, 64)])
 def test_bmo_pruned_equals_direct(n, N):
     spec = GridSpec(n=n, N=N, L=1.0)
     members = [make_function(desc, spec)
                for (desc,) in standard_family(1, spec)]
+    members += [_noise(spec, seed) for seed in (4, 5)]
     families = [TentFamily.standard(spec),
                 TentFamily.standard(spec, center_stride=2),
                 TentFamily(spec, radii=(spec.h, 3 * spec.h, 0.21))]
@@ -153,6 +163,28 @@ def test_bmo_pruned_equals_direct(n, N):
     zero = GridFunction(spec, np.zeros(spec.shape))
     assert bmo_seminorm(zero) == 0.0
     assert _bmo_direct(zero) == 0.0
+
+
+def test_bmo_gathers_stay_under_the_cell_cap(monkeypatch):
+    gathered = []
+    real = norms._oscillations
+
+    def recording(padded, ball, centers, means, count):
+        gathered.append((len(centers), len(centers) * len(ball)))
+        return real(padded, ball, centers, means, count)
+
+    monkeypatch.setattr(norms, "_oscillations", recording)
+    for n, N in ((1, 1024), (2, 64)):
+        spec = GridSpec(n=n, N=N, L=1.0)
+        f = _noise(spec, 4)
+        for tents in (TentFamily.standard(spec),
+                      TentFamily.standard(spec, center_stride=2)):
+            gathered.clear()
+            assert bmo_seminorm(f, tents) == pytest.approx(
+                _bmo_direct(f, tents), rel=1e-13, abs=0.0)
+            assert max(cells for _, cells in gathered) <= norms._GATHER_CELLS
+            # candidates are taken many to a gather, not one by one
+            assert max(centers for centers, _ in gathered) > 1
 
 
 def test_bmo_monotone_under_family_enrichment():
