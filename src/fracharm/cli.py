@@ -189,7 +189,8 @@ def _write_profiles(cfg: RunConfig, out: str) -> None:
         kind="gaussian", center=(spec.L / 2,) * spec.n, width=spec.L / 16
     )
     f = make_function(desc, spec)
-    prof = decay_profile(extend_field(f, 0.5, cfg.levels), k=0)
+    F = extend_field(f, 0.5, cfg.levels, with_derivatives=())
+    prof = decay_profile(F, k=0)
     with open(os.path.join(out, "decay_profile.txt"), "w") as fh:
         fh.write("# t sup_x |F(x,t)|\n")
         fh.writelines(f"{float(t)!r} {float(v)!r}\n"

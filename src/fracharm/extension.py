@@ -13,20 +13,32 @@ t-derivative field uses m_s'(r) = -4 pi (pi r)^{s/2} K_{1-s/2}(2 pi r) /
 Gamma(s/2) (Caffarelli-Silvestre, Comm. PDE 2007).  PoissonSymbol evaluates
 the Bessel forms in log space; the lambda-integral form is kept as the
 quadrature oracle symbol_value / symbol_derivative_value.
+
+Fields are produced level by level by extension_levels: the boundary values
+(one function or a stack) are transformed forward once, and each level
+builds its multipliers on the real-FFT half lattice from one symbol
+evaluation on the distinct |xi| and synthesizes the requested fields.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma, gammaln, kve
 
-from .grid import GridFunction, GridSpec, spectral_apply
+from .grid import (GridFunction, GridSpec, gradient_multipliers,
+                   spectral_apply, spectral_forward, spectral_synthesis)
 from .multiplier_ops import frac_laplacian, l2_norm
 
 _LOG_FLOOR = -690.0  # symbol values below e^-690 are returned as hard zero
+# From x = 2 pi r = 1400 on, log m_s and log |m_s'| / (4 pi) lie below
+# _LOG_FLOOR without evaluating K_nu: e^x K_nu(x) decreases in x and
+# increases in nu, so kve(nu, x) <= kve(1, 1) < 1.7 for nu <= 1 and x >= 1,
+# and Gamma(s/2) >= 1, which bound the log by log(x/2) + 0.6 - x < -690.
+_BESSEL_CUTOFF = 1400.0
 
 
 def _lambda_integral(a: float, b: float, rtol: float = 1e-12) -> float:
@@ -91,12 +103,14 @@ class PoissonSymbol:
         r = np.asarray(r, dtype=float)
         out = np.full(r.shape, at_zero)
         x = 2 * np.pi * r[r > 0]
+        vals = np.zeros(x.shape)
+        near = np.flatnonzero(x < _BESSEL_CUTOFF)
+        x = x[near]
         # in log space, with K_nu(x) = kve(nu, x) e^{-x}
         logv = (self.s / 2 * np.log(x / 2) + np.log(kve(nu, x)) - x
                 - gammaln(self.s / 2))
-        vals = np.zeros(x.shape)
         keep = logv >= _LOG_FLOOR
-        vals[keep] = c * np.exp(logv[keep])
+        vals[near[keep]] = c * np.exp(logv[keep])
         out[r > 0] = vals
         return out
 
@@ -107,7 +121,18 @@ class PoissonSymbol:
     def eval_dm(self, r: np.ndarray) -> np.ndarray:
         """m_s' at arbitrary radii r >= 0; r = 0 gives 0 by convention (it
         only ever multiplies |xi| = 0)."""
-        return self._eval(r, 1 - self.s / 2, -4 * math.pi, 0.0)
+        return self._eval_dm(np.asarray(r, dtype=float), None)
+
+    def _eval_dm(self, r: np.ndarray, m: np.ndarray | None) -> np.ndarray:
+        """eval_dm(r), given m = eval_m(r) when the caller holds it.
+
+        At s = 1 both Bessel orders are 1/2, so m' = -2 pi m, and this holds
+        exactly in binary floating point: (-4 pi) e = (-2 pi) (2 e).  There
+        m' is taken from m, keeping +0 at r = 0 and where m is floored."""
+        if self.s != 1:
+            return self._eval(r, 1 - self.s / 2, -4 * math.pi, 0.0)
+        m = self.eval_m(r) if m is None else m
+        return np.where((r > 0) & (m > 0), -2 * math.pi * m, 0.0)
 
 
 def s_poisson_symbol(s: float, r_grid: np.ndarray,
@@ -195,36 +220,59 @@ class ExtensionField:
                 raise ValueError("derivative field shape mismatch")
 
 
+def extension_levels(spec: GridSpec, values: np.ndarray, s: float,
+                     levels: TLevels, fields: tuple[str, ...],
+                     symbol: PoissonSymbol | None = None
+                     ) -> Iterator[np.ndarray]:
+    """Yield, level by level, fields of the extensions of boundary values.
+
+    values has shape (*stack, *spec.shape) and is transformed forward once.
+    fields names some of "F", "t" and "x"; each level yields a new array of
+    shape (k, *stack, *spec.shape) holding, in this order, F, dF/dt and
+    dF/dx_1..dF/dx_n for those named.  Per level the symbol is evaluated once
+    on the distinct |xi|, and the multipliers [m, |xi| m', 2 pi i xi_j m] are
+    gathered onto the real-FFT half lattice."""
+    sym = symbol if symbol is not None else PoissonSymbol(s)
+    half = spec.frequency_magnitude()[..., : spec.N // 2 + 1]
+    radii, inv = np.unique(half, return_inverse=True)
+    inv = inv.reshape(half.shape)
+    coeffs = spectral_forward(spec, values)
+    k = ("F" in fields) + ("t" in fields) + spec.n * ("x" in fields)
+    mults = np.empty((k, *half.shape), dtype=complex)
+    # the multipliers broadcast over the stack axes of coeffs
+    stacked = mults.reshape((k,) + (1,) * (values.ndim - spec.n) + half.shape)
+    for t in levels.ts:
+        m = sym.eval_m(t * radii)
+        m_half = m[inv]
+        j = 0
+        if "F" in fields:
+            mults[j] = m_half
+            j += 1
+        if "t" in fields:
+            mults[j] = (radii * sym._eval_dm(t * radii, m))[inv]
+            j += 1
+        if "x" in fields:
+            np.multiply(gradient_multipliers(spec), m_half, out=mults[j:])
+        yield spectral_synthesis(spec, coeffs, stacked)
+
+
 def extend_field(f: GridFunction, s: float, levels: TLevels,
                  with_derivatives: tuple[str, ...] = ("t", "x"),
                  symbol: PoissonSymbol | None = None) -> ExtensionField:
     """Compute F(.,t) = m_s(t|xi|) f^(xi) on every level, plus requested
     derivative fields (t from the differentiated symbol, x spectrally)."""
     spec = f.spec
-    sym = symbol if symbol is not None else PoissonSymbol(s)
-    # the symbols are evaluated once per distinct |xi| and gathered back
-    radii, inv = np.unique(spec.frequency_magnitude(), return_inverse=True)
-    inv = inv.reshape(spec.shape)
-    nyq = spec.nyquist_mask()
-    xis = spec.frequencies()
-    M = levels.M
-    F = np.empty((M, *spec.shape))
-    dF_dt = np.empty((M, *spec.shape)) if "t" in with_derivatives else None
-    dF_dx = (tuple(np.empty((M, *spec.shape)) for _ in range(spec.n))
+    shape = (levels.M, *spec.shape)
+    F = np.empty(shape)
+    dF_dt = np.empty(shape) if "t" in with_derivatives else None
+    dF_dx = (tuple(np.empty(shape) for _ in range(spec.n))
              if "x" in with_derivatives else None)
-    for i, t in enumerate(levels.ts):
-        # one stack [m, |xi| m', 2 pi i xi_j m] of the requested fields
-        m_arr = sym.eval_m(t * radii)[inv]
-        mults = [m_arr]
-        if dF_dt is not None:
-            mults.append((radii * sym.eval_dm(t * radii))[inv])
-        if dF_dx is not None:
-            mults += [np.where(nyq, 0.0, 2j * np.pi * xi * m_arr) for xi in xis]
-        F[i], *rest = spectral_apply(spec, f.values, np.stack(mults))
-        if dF_dt is not None:
-            dF_dt[i] = rest.pop(0)
-        for j, g in enumerate(rest):
-            dF_dx[j][i] = g
+    outs = [F, *([] if dF_dt is None else [dF_dt]), *(dF_dx or ())]
+    fields = ("F", *with_derivatives)
+    for i, level in enumerate(extension_levels(spec, f.values, s, levels,
+                                               fields, symbol)):
+        for out, g in zip(outs, level):
+            out[i] = g
     return ExtensionField(
         spec=spec, s=s, levels=levels, F=F, dF_dt=dF_dt, dF_dx=dF_dx, boundary=f
     )

@@ -11,6 +11,7 @@ Fourier convention exp(-2*pi*i*x.xi).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -199,6 +200,21 @@ def fft_inverse(S: Spectrum) -> GridFunction:
     return GridFunction(S.spec, values.real)
 
 
+def spectral_forward(spec: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Real-FFT half spectrum of values over their last n axes, the forward
+    half of spectral_apply; leading axes are a stack."""
+    return scipy.fft.rfftn(values, axes=tuple(range(-spec.n, 0)))
+
+
+def spectral_synthesis(spec: GridSpec, coeffs: np.ndarray,
+                       mult: np.ndarray) -> np.ndarray:
+    """Real samples of the multiplier mult applied to a half spectrum coeffs
+    from spectral_forward, the synthesis half of spectral_apply.  mult is
+    taken as in spectral_apply, and leading axes broadcast."""
+    return scipy.fft.irfftn(coeffs * mult[..., : spec.N // 2 + 1],
+                            s=spec.shape, axes=tuple(range(-spec.n, 0)))
+
+
 def spectral_apply(spec: GridSpec, values: np.ndarray,
                    mult: np.ndarray) -> np.ndarray:
     """Real samples of the multiplier mult applied to real values.
@@ -207,19 +223,28 @@ def spectral_apply(spec: GridSpec, values: np.ndarray,
     Hermitian-compatible, m(-xi) = conj(m(xi)): only its real-FFT half
     mult[..., :N//2+1] is used, so that half alone is accepted unchanged as
     well.  Leading axes of values and mult broadcast, so one forward
-    transform serves a stack of multipliers."""
-    axes = tuple(range(-spec.n, 0))
-    half = mult[..., : spec.N // 2 + 1]
-    return scipy.fft.irfftn(scipy.fft.rfftn(values, axes=axes) * half,
-                            s=spec.shape, axes=axes)
+    transform serves a stack of multipliers.  This is spectral_synthesis of
+    spectral_forward; a caller applying many multipliers to the same values
+    in turn can transform once with spectral_forward."""
+    return spectral_synthesis(spec, spectral_forward(spec, values), mult)
+
+
+@functools.lru_cache(maxsize=16)
+def gradient_multipliers(spec: GridSpec) -> np.ndarray:
+    """Read-only real-FFT half of the n gradient multipliers 2*pi*i*xi_j,
+    stacked along the first axis and zeroed on the Nyquist rows."""
+    full = np.where(spec.nyquist_mask(),
+                    0.0, 2j * np.pi * np.stack(spec.frequencies()))
+    half = full[..., : spec.N // 2 + 1].copy()
+    half.flags.writeable = False
+    return half
 
 
 def spectral_gradient(f: GridFunction) -> list[GridFunction]:
     """Gradient components via multipliers 2*pi*i*xi_j; Nyquist rows zeroed."""
-    spec = f.spec
-    mults = np.where(spec.nyquist_mask(),
-                     0.0, 2j * np.pi * np.stack(spec.frequencies()))
-    return [GridFunction(spec, g) for g in spectral_apply(spec, f.values, mults)]
+    mults = gradient_multipliers(f.spec)
+    return [GridFunction(f.spec, g)
+            for g in spectral_apply(f.spec, f.values, mults)]
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,17 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracharm import (CATALOG, EstimateDescriptor, GridFunction, GridSpec,
-                      TestFunctionDescriptor, crw_commutator,
-                      double_commutator_1d, fl_commutator, frac_laplacian,
-                      hardy_duality_check, jacobian_pairing, l2_norm,
-                      leibniz_defect, make_function, make_tlevels,
+                      TestFunctionDescriptor, TLevels, crw_commutator,
+                      double_commutator_1d, extend_field, fl_commutator,
+                      frac_laplacian, hardy_duality_check, jacobian_pairing,
+                      l2_norm, leibniz_defect, make_function, make_tlevels,
                       mean_projected, riesz_potential_commutator,
                       standard_family, verify_estimate)
 from fracharm.commutators import _dilated_about
@@ -138,6 +140,69 @@ def test_jacobian_two_routes_agree():
     assert ext == pytest.approx(boundary, rel=0.10)
     assert details["per_level"].shape == (48,)
     assert details["tail_estimate"] <= 1e-6 * np.max(np.abs(details["per_level"]))
+
+
+def _jacobian_by_three_fields(phi, u, levels):
+    # the extension route jacobian_pairing replaced: three full extend_field
+    # arrays, reduced level by level afterwards
+    spec = phi.spec
+    fields = [extend_field(g, 1.0, levels, with_derivatives=("t", "x"))
+              for g in (phi, *u)]
+    per_level = np.zeros(levels.M)
+    for i in range(levels.M):
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = [
+            (F.dF_dx[0][i], F.dF_dx[1][i], F.dF_dt[i]) for F in fields]
+        det3 = (a0 * (b1 * c2 - b2 * c1)
+                - a1 * (b0 * c2 - b2 * c0)
+                + a2 * (b0 * c1 - b1 * c0))
+        per_level[i] = float(np.sum(det3) * spec.cell_volume)
+    ts, wlog = levels.ts, levels.log_trapezoid_weights()
+    tail = float(wlog[-1] * ts[-1] * abs(per_level[-1]))
+    return -float(np.sum(wlog * ts * per_level)), per_level, tail
+
+
+def _jacobian_inputs(N):
+    spec = GridSpec(n=2, N=N, L=1.0)
+    # levels as in acceptance criterion 8
+    levels = TLevels(np.geomspace(spec.h / 128, 4 * spec.L, 80))
+    return (_bump(spec, (0.5, 0.45), 0.25),
+            (_bandlimited(spec, 3, max_k=4), _bandlimited(spec, 9, max_k=4)),
+            levels)
+
+
+def test_jacobian_extension_route_equals_three_fields(monkeypatch):
+    phi, u, levels = _jacobian_inputs(64)
+    forward = []
+    real_rfftn = scipy.fft.rfftn
+
+    def counting_rfftn(*args, **kwargs):
+        forward.append(1)
+        return real_rfftn(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfftn", counting_rfftn)
+    details: dict = {}
+    got = jacobian_pairing(phi, u, method="extension", levels=levels,
+                           details=details)
+    # one forward transform for the stack of all three functions
+    assert len(forward) == 1
+    monkeypatch.undo()
+    want, per_level, tail = _jacobian_by_three_fields(phi, u, levels)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert details["per_level"].tobytes() == per_level.tobytes()
+    assert np.float64(details["tail_estimate"]).tobytes() == \
+        np.float64(tail).tobytes()
+
+
+def test_jacobian_extension_route_holds_one_level():
+    phi, u, levels = _jacobian_inputs(64)
+    one_field = levels.M * 64 * 64 * 8  # one (80, 64, 64) float64 array
+    tracemalloc.start()
+    try:
+        jacobian_pairing(phi, u, method="extension", levels=levels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < one_field
 
 
 def test_hardy_duality_check_values():

@@ -1,15 +1,23 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gamma, kv
+import scipy.fft
+from scipy.special import gamma, gammaln, kv, kve
 
+import fracharm.extension
 from fracharm import (GridFunction, GridSpec, PoissonSymbol, TLevels,
                       TestFunctionDescriptor, boundary_limit_check,
                       decay_profile, extend_field, frac_laplacian, get_symbol,
                       make_function, make_tlevels,
-                      s_harmonicity_residual, s_poisson_symbol,
+                      s_harmonicity_residual, s_poisson_symbol, spectral_apply,
                       spectral_gradient, symbol_derivative_value, symbol_value)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _bessel_oracle(s, r):
@@ -80,6 +88,48 @@ def test_closed_form_symbol_shape(s):
         assert np.all(sym.eval_dm(far) == 0.0)
 
 
+def _unskipped_eval(s, r, nu, c, at_zero):
+    # PoissonSymbol._eval without its shortcuts: K_nu at every r > 0
+    out = np.full(r.shape, at_zero)
+    x = 2 * np.pi * r[r > 0]
+    logv = s / 2 * np.log(x / 2) + np.log(kve(nu, x)) - x - gammaln(s / 2)
+    vals = np.zeros(x.shape)
+    keep = logv >= -690.0
+    vals[keep] = c * np.exp(logv[keep])
+    out[r > 0] = vals
+    return out
+
+
+@pytest.mark.parametrize("s", [0.01, 0.5, 1.0, 1.5, 1.99])
+def test_symbol_shortcuts_are_exact(s, monkeypatch):
+    # radii from 0 past the Bessel cutoff x = 2 pi r = 1400, with its
+    # neighbours on both sides
+    rc = 1400.0 / (2 * np.pi)
+    rs = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 300),
+                         rc * (1 + np.linspace(-1e-2, 1e-2, 41)),
+                         np.nextafter(rc, [0.0, np.inf]), [rc]])
+    sym = PoissonSymbol(s)
+    seen = []
+    real_kve = fracharm.extension.kve
+
+    def recording_kve(nu, x):
+        seen.append(np.max(x, initial=0.0))
+        return real_kve(nu, x)
+
+    monkeypatch.setattr(fracharm.extension, "kve", recording_kve)
+    m, dm = sym.eval_m(rs), sym.eval_dm(rs)
+    assert seen and max(seen) < 1400.0
+    monkeypatch.undo()
+    assert _same_bits(m, _unskipped_eval(s, rs, s / 2, 2.0, 1.0))
+    assert _same_bits(dm, _unskipped_eval(s, rs, 1 - s / 2, -4 * math.pi, 0.0))
+    assert np.count_nonzero(m) > 100
+    if s == 1.0:
+        pos = rs > 0
+        assert np.array_equal(dm[pos], -2 * np.pi * m[pos])
+        live = pos & (m > 0)
+        assert _same_bits(dm[live], -2 * np.pi * m[live])
+
+
 def test_symbol_arguments_select_nothing():
     rs = np.geomspace(1e-3, 20.0, 50)
     ref = PoissonSymbol(0.7)
@@ -119,6 +169,58 @@ def test_extension_symbol_evaluated_per_distinct_radius(monkeypatch):
         assert np.array_equal(sym.eval_m(t * radii)[inv], m_arr)
         direct = np.fft.ifftn(m_arr * coeffs).real
         assert np.max(np.abs(F.F[i] - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+
+def _extend_field_loop(f, s, levels, with_derivatives):
+    # the per-level route extend_field replaced: full-lattice multipliers and
+    # one spectral_apply, so one forward transform, per level.  Returns the
+    # fields [F, dF/dt, dF/dx_j] that were requested, each of shape (M, *grid).
+    spec = f.spec
+    sym = PoissonSymbol(s)
+    radii, inv = np.unique(spec.frequency_magnitude(), return_inverse=True)
+    inv = inv.reshape(spec.shape)
+    nyq = spec.nyquist_mask()
+    out = []
+    for t in levels.ts:
+        m_arr = sym.eval_m(t * radii)[inv]
+        mults = [m_arr]
+        if "t" in with_derivatives:
+            mults.append((radii * sym.eval_dm(t * radii))[inv])
+        if "x" in with_derivatives:
+            mults += [np.where(nyq, 0.0, 2j * np.pi * xi * m_arr)
+                      for xi in spec.frequencies()]
+        out.append(spectral_apply(spec, f.values, np.stack(mults)))
+    return list(np.stack(out, axis=1))
+
+
+@pytest.mark.parametrize("n,N", [(1, 256), (2, 128)])
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("derivs", [(), ("t",), ("x",), ("t", "x")],
+                         ids=["F", "t", "x", "tx"])
+def test_extend_field_equals_per_level_loop(n, N, s, derivs, monkeypatch):
+    # the top levels reach 2 pi t |xi| > 1400, past the Bessel cutoff
+    spec = GridSpec(n=n, N=N, L=1.0)
+    f = make_function(TestFunctionDescriptor(
+        kind="gaussian", center=(0.45,) * n, width=0.05), spec)
+    lv = make_tlevels(spec, M=16)
+    forward = []
+    real_rfftn = scipy.fft.rfftn
+
+    def counting_rfftn(*args, **kwargs):
+        forward.append(1)
+        return real_rfftn(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfftn", counting_rfftn)
+    F = extend_field(f, s, lv, with_derivatives=derivs)
+    assert len(forward) == 1
+    monkeypatch.undo()
+    assert (F.dF_dt is None) == ("t" not in derivs)
+    assert (F.dF_dx is None) == ("x" not in derivs)
+    got = [F.F, *([F.dF_dt] if "t" in derivs else []), *(F.dF_dx or ())]
+    want = _extend_field_loop(f, s, lv, derivs)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert _same_bits(a, b)
 
 
 def test_tlevels_validation():

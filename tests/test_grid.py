@@ -118,7 +118,7 @@ def test_spectral_apply_matches_complex_fft(n, N):
 
 
 def test_inverse_transforms_only_in_spectral_path():
-    # every multiplier goes through grid.spectral_apply; fft_inverse is the
+    # every multiplier goes through grid.spectral_synthesis; fft_inverse is the
     # inverse of the Spectrum API.  Any mention of an inverse transform
     # counts: a call, an alias or an import.
     inverse = {"ifft", "ifft2", "ifftn", "irfft", "irfft2", "irfftn"}
@@ -136,7 +136,7 @@ def test_inverse_transforms_only_in_spectral_path():
                       if f.lineno <= node.lineno <= f.end_lineno]
             owner = max(owners, key=lambda f: f.lineno, default=None)
             sites.add((path.stem, owner.name if owner else "<module>"))
-    assert sites == {("grid", "spectral_apply"), ("grid", "fft_inverse")}
+    assert sites == {("grid", "spectral_synthesis"), ("grid", "fft_inverse")}
 
 
 @pytest.mark.parametrize("k", [1, 3, 7])
