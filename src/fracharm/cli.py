@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutators import EstimateDescriptor, standard_family, verify_estimate
+from .commutators import (STANDARD_FAMILY_MIN_N, EstimateDescriptor,
+                          standard_family, verify_estimate)
 from .extension import (TLevels, boundary_limit_check, decay_profile,
                         extend_field, make_tlevels)
 from .grid import (GridSpec, TestFunctionDescriptor, make_function,
@@ -141,6 +142,10 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"estimates[{i}]: {exc}") from exc
         descriptors.append(d)
+    if descriptors and N < STANDARD_FAMILY_MIN_N:
+        raise ConfigError(
+            f"grid: N = {N} does not resolve the dilated test family; "
+            f"the estimates need N >= {STANDARD_FAMILY_MIN_N}")
     tolerance_scale = _convert(
         float, pick("tolerance_scale", data, "tolerance_scale", 1.0),
         "tolerance_scale")

@@ -518,6 +518,17 @@ class RatioReport:
     metadata: dict
 
 
+# The joint dilations verify_estimate applies by default, and the band limit
+# and baked-in dilate factor of the band-limited members of standard_family.
+_DILATIONS = (0.5, 2.0)
+_FAMILY_MAX_K = 6
+_FAMILY_DILATE = 2.0
+# Smallest grid size N on which standard_family and its dilations resolve:
+# the top mode max_k * dilate * max(_DILATIONS) must be at most N/2 - 1.
+STANDARD_FAMILY_MIN_N = 2 ** math.ceil(math.log2(
+    2 * (_FAMILY_MAX_K * _FAMILY_DILATE * max(_DILATIONS) + 1)))
+
+
 def standard_family(arity: int, spec: GridSpec, n_members: int = 20,
                     seed: int = 1000) -> list[tuple[TestFunctionDescriptor, ...]]:
     """Deterministic family: 10 smooth bumps, 5 gaussians, 5 random
@@ -543,19 +554,19 @@ def standard_family(arity: int, spec: GridSpec, n_members: int = 20,
                 tup.append(TestFunctionDescriptor(
                     kind="smooth-bump", center=center,
                     radius=(0.14 + 0.008 * i + 0.010 * k) * L,
-                    amplitude=1.0 + 0.2 * k, dilate=2.0,
+                    amplitude=1.0 + 0.2 * k, dilate=_FAMILY_DILATE,
                 ))
             elif i < 15:
                 tup.append(TestFunctionDescriptor(
                     kind="gaussian", center=center,
                     width=(0.040 + 0.004 * (i - 10) + 0.003 * k) * L,
-                    amplitude=1.0 + 0.2 * k, dilate=2.0,
+                    amplitude=1.0 + 0.2 * k, dilate=_FAMILY_DILATE,
                 ))
             else:
                 tup.append(TestFunctionDescriptor(
                     kind="random-bandlimited",
-                    seed=seed + 37 * i + 11 * k, max_k=6,
-                    amplitude=1.0 + 0.2 * k, dilate=2.0,
+                    seed=seed + 37 * i + 11 * k, max_k=_FAMILY_MAX_K,
+                    amplitude=1.0 + 0.2 * k, dilate=_FAMILY_DILATE,
                 ))
         out.append(tuple(tup))
     return out
@@ -605,7 +616,8 @@ def _evaluate_family(d: EstimateDescriptor, family, spec: GridSpec,
 
 
 def verify_estimate(d: EstimateDescriptor, family, spec: GridSpec,
-                    slack: float = 1.5, dilations: tuple[float, ...] = (0.5, 2.0),
+                    slack: float = 1.5,
+                    dilations: tuple[float, ...] = _DILATIONS,
                     zero_rhs_tol: float = 1e-11,
                     zero_lhs_tol: float = 1e-12) -> RatioReport:
     """Fit/validate verification of one estimate over a test family.

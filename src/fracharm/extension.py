@@ -291,8 +291,12 @@ class BoundaryTraceResult:
 def boundary_limit_check(f: GridFunction, s: float,
                          small_ts: np.ndarray) -> BoundaryTraceResult:
     """Least-squares constants c_t between -t^{1-s} dF/dt and (-Delta)^{s/2} f,
-    extrapolated to t = 0 with the basis {1, t^{2-s}, t^2}; small_ts ascend
-    and number at least 3."""
+    extrapolated to t = 0 with the basis {1, u^{2-s}, u^2} in u = t/h;
+    small_ts ascend and number at least 3.
+
+    Both tests are scale-free: f counts as degenerate when
+    ||(-Delta)^{s/2} f|| <= 1e-14 (2 pi/L)^s ||f||, the lowest mode's gain,
+    and the fit in u stays well scaled for any period."""
     spec = f.spec
     small_ts = np.asarray(small_ts, dtype=float)
     if np.any(small_ts < spec.h / 4 * (1 - 1e-12)) or np.any(
@@ -300,7 +304,7 @@ def boundary_limit_check(f: GridFunction, s: float,
     ):
         raise ValueError("small_ts must lie within [h/4, 8h]")
     w = frac_laplacian(f, s)
-    if l2_norm(w) <= 1e-14 * max(l2_norm(f), 1e-300):
+    if l2_norm(w) <= 1e-14 * (2 * np.pi / spec.L) ** s * l2_norm(f):
         raise ValueError("degenerate input: (-Delta)^{s/2} f vanishes")
     w, ww = w.values, np.sum(w.values**2)
     dF_dt = extend_field(f, s, TLevels(small_ts), with_derivatives=("t",)).dF_dt
@@ -311,9 +315,8 @@ def boundary_limit_check(f: GridFunction, s: float,
         c_ts.append(ct)
         residuals.append(float(np.sqrt(np.sum((g - ct * w) ** 2)) / np.sqrt(ww)))
     c_ts = np.array(c_ts)
-    basis = np.stack(
-        [np.ones_like(small_ts), small_ts ** (2 - s), small_ts**2], axis=1
-    )
+    u = small_ts / spec.h
+    basis = np.stack([np.ones_like(u), u ** (2 - s), u**2], axis=1)
     sol, *_ = np.linalg.lstsq(basis, c_ts, rcond=None)
     return BoundaryTraceResult(
         c=float(sol[0]), small_ts=small_ts, c_ts=c_ts,

@@ -335,8 +335,42 @@ def _bandlimited_values(desc: TestFunctionDescriptor, spec: GridSpec) -> np.ndar
     return desc.amplitude * values
 
 
+# Test functions of at most this many cells (32 KB: 1-D N <= 4096, 2-D
+# N <= 64) are cached, 256 of them, so the cache holds at most 8 MB; one
+# harness run samples 181 distinct functions.
+_CACHED_FUNCTION_CELLS = 2**12
+
+
 def make_function(desc: TestFunctionDescriptor, spec: GridSpec) -> GridFunction:
-    """Sample a test function; bit-identical output for equal (desc, spec)."""
+    """Sample a test function; bit-identical output for equal (desc, spec).
+
+    The values are read-only.  On grids of at most 2^12 cells the result
+    comes from a process-wide LRU cache of 256 entries keyed by (desc, spec),
+    so equal descriptors return the same object; a descriptor with an
+    unhashable (list-valued) field is sampled afresh."""
+    if spec.N**spec.n <= _CACHED_FUNCTION_CELLS and _hashable(desc):
+        return _cached_function(desc, spec)
+    return _sampled(desc, spec)
+
+
+def _hashable(obj) -> bool:
+    try:
+        hash(obj)
+    except TypeError:
+        return False
+    return True
+
+
+def _sampled(desc: TestFunctionDescriptor, spec: GridSpec) -> GridFunction:
+    f = GridFunction(spec, _sample_values(desc, spec))
+    f.values.flags.writeable = False
+    return f
+
+
+_cached_function = functools.lru_cache(maxsize=256)(_sampled)
+
+
+def _sample_values(desc: TestFunctionDescriptor, spec: GridSpec) -> np.ndarray:
     lam = desc.dilate
     if not (lam > 0):
         raise ValueError(f"dilate must be positive, got {lam}")
@@ -352,8 +386,7 @@ def make_function(desc: TestFunctionDescriptor, spec: GridSpec) -> GridFunction:
             )
         d = _wrapped_displacement(spec, desc.center, desc.translate)
         r2 = sum((lam * dj) ** 2 for dj in d)
-        values = desc.amplitude * np.exp(-r2 / (2 * desc.width**2))
-        return GridFunction(spec, values)
+        return desc.amplitude * np.exp(-r2 / (2 * desc.width**2))
 
     if desc.kind == "smooth-bump":
         if desc.center is None or desc.radius is None:
@@ -369,7 +402,7 @@ def make_function(desc: TestFunctionDescriptor, spec: GridSpec) -> GridFunction:
         values = np.zeros(spec.shape)
         inside = rho2 < 1.0
         values[inside] = np.exp(1.0 - 1.0 / (1.0 - rho2[inside]))
-        return GridFunction(spec, desc.amplitude * values)
+        return desc.amplitude * values
 
     if desc.kind == "sine":
         if desc.kvec is None:
@@ -383,13 +416,12 @@ def make_function(desc: TestFunctionDescriptor, spec: GridSpec) -> GridFunction:
         coords = spec.coords()
         tau = desc.translate if desc.translate else (0.0,) * spec.n
         phase = sum(k * (x - t) for k, x, t in zip(kl, coords, tau))
-        values = desc.amplitude * np.sin(2 * np.pi * phase / spec.L)
-        return GridFunction(spec, values)
+        return desc.amplitude * np.sin(2 * np.pi * phase / spec.L)
 
     if desc.kind == "random-bandlimited":
-        return GridFunction(spec, _bandlimited_values(desc, spec))
+        return _bandlimited_values(desc, spec)
 
     if desc.kind == "constant":
-        return GridFunction(spec, np.full(spec.shape, desc.amplitude))
+        return np.full(spec.shape, desc.amplitude)
 
     raise ValueError(f"unknown test-function kind: {desc.kind!r}")

@@ -93,7 +93,8 @@ def _surface(n: int) -> float:
 
 def _periodized_weights(spec: GridSpec, offsets: np.ndarray, dist: np.ndarray,
                         power: float, images: int) -> np.ndarray:
-    """Kernel sum_k |y + kL|^power over periodic images at each offset.
+    """Kernel sum_k |y + kL|^power over periodic images at each offset of
+    _offsets(spec), whose arrays are offsets and dist.
 
     In 1-D with power < -1 the lattice sum is exact via the Hurwitz zeta
     function.  Otherwise the sum is truncated at `images` shells; for
@@ -117,17 +118,22 @@ def _periodized_weights(spec: GridSpec, offsets: np.ndarray, dist: np.ndarray,
         with np.errstate(divide="ignore"):
             w = np.where(d > 0, d**power, 0.0).sum(axis=1)
     else:
-        KX, KY = np.meshgrid(k1, k1, indexing="ij")
-        kx, ky = KX.ravel(), KY.ravel()
-        y = (offsets * spec.h) % L
-        w = np.zeros(len(offsets))
-        chunk = 2048
-        for lo in range(0, len(offsets), chunk):
-            dx = y[lo:lo + chunk, 0:1] + kx[None, :]
-            dy = y[lo:lo + chunk, 1:2] + ky[None, :]
-            d = np.sqrt(dx**2 + dy**2)
+        # offset (i, j) with images (a, b) lies at distance
+        # sqrt(sq[i, a] + sq[j, b]), so the image block of (j, i) is the
+        # transpose of that of (i, j); the power is taken for i <= j only,
+        # and each row is summed in the image order (a, b) of offset (i, j)
+        N = spec.N
+        # the second components of the first N offsets run over one axis
+        sq = (((offsets[:N, 1] * spec.h) % L)[:, None] + k1[None, :]) ** 2
+        w = np.empty((N, N))
+        for i in range(N):
+            d = np.sqrt(sq[i, None, :, None] + sq[i:, None, :])
             with np.errstate(divide="ignore"):
-                w[lo:lo + chunk] = np.where(d > 0, d**power, 0.0).sum(axis=1)
+                terms = np.where(d > 0, d**power, 0.0)
+            w[i, i:] = terms.reshape(-1, k1.size**2).sum(axis=1)
+            swapped = np.ascontiguousarray(terms[1:].transpose(0, 2, 1))
+            w[i + 1:, i] = swapped.reshape(-1, k1.size**2).sum(axis=1)
+        w = w.ravel()
     if power < -spec.n:
         # remainder beyond the truncated shells, as the integral over the
         # complement of the equal-area disc

@@ -274,6 +274,57 @@ def test_unrepresentable_period_exits_two(tmp_path, capsys):
     assert main(["run", path]) == 0
 
 
+def test_huge_period_runs_like_the_unit_period(tmp_path):
+    # the boundary-trace diagnostics are scale-free: no spurious degeneracy
+    # and the same extrapolated constant
+    cs = []
+    for L in (1.0, 1e150):
+        out = tmp_path / f"L{L:g}"
+        path = _write_config(tmp_path / "cfg.json",
+                             grid={"n": 1, "N": 64, "L": L}, out=str(out))
+        assert main(["run", path]) == 0
+        head = (out / "boundary_trace.txt").read_text().splitlines()[0]
+        cs.append(float(head.split("=")[1]))
+    assert cs[1] == pytest.approx(cs[0], rel=0, abs=1e-12)
+
+
+def test_run_rejects_grids_below_the_family_band(tmp_path, capsys):
+    # the band-limited members reach mode 6 * 2 * 2 = 24 under the harness
+    # dilations, which needs 24 <= N/2 - 1
+    for n in (1, 2):
+        for N in (8, 16, 32):
+            path = _write_config(tmp_path / "cfg.json",
+                                 grid={"n": n, "N": N, "L": 1.0},
+                                 out=str(tmp_path / "reports"))
+            assert main(["run", path]) == 2
+            _assert_one_config_error_line(capsys, f"N = {N}", "N >= 64")
+            assert not (tmp_path / "reports").exists()
+
+
+def test_cold_and_warm_caches_write_identical_reports(tmp_path):
+    # crw-bmo and leibniz-bmo share their phi members; the second run takes
+    # every test function and every BMO seminorm from the caches
+    from fracharm import grid, norms
+    grid._cached_function.cache_clear()
+    norms._BMO_MEMO.clear()
+    trees, filled = [], []
+    for name in ("cold", "warm"):
+        path = _write_config(
+            tmp_path / "cfg.json",
+            estimates=[{"id": "crw-bmo"}, {"id": "leibniz-bmo"}],
+            out=str(tmp_path / name))
+        assert main(["run", path]) == 0
+        trees.append({p.name: p.read_bytes()
+                      for p in sorted((tmp_path / name).iterdir())})
+        filled.append((grid._cached_function.cache_info().misses,
+                       len(norms._BMO_MEMO)))
+    # 20 samples of 2 slots at 3 dilation states, plus the profile gaussian;
+    # phi is shared, so 3 * 20 BMO searches serve 2 * 3 * 20 calls
+    assert filled == [(121, 60)] * 2
+    assert len(trees[0]) == 5
+    assert trees[0] == trees[1]
+
+
 def test_non_numeric_estimate_parameter_exits_two(tmp_path, capsys):
     for value in ("x", None, True):
         path = _write_config(tmp_path / "cfg.json",

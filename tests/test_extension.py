@@ -318,6 +318,21 @@ def test_boundary_trace_rejects_out_of_range_levels():
         boundary_limit_check(f, 0.5, np.geomspace(spec.h, 100 * spec.h, 4))
 
 
+def test_boundary_trace_is_scale_free():
+    cs = []
+    for L in (1e-100, 1.0, 1e150):
+        spec = GridSpec(n=1, N=64, L=L)
+        f = make_function(TestFunctionDescriptor(
+            kind="gaussian", center=(L / 2,), width=L / 16), spec)
+        small_ts = np.geomspace(spec.h / 2, 4 * spec.h, 8)
+        cs.append(boundary_limit_check(f, 0.5, small_ts).c)
+        constant = GridFunction(spec, np.full(spec.shape, 3.0))
+        with pytest.raises(ValueError, match="degenerate"):
+            boundary_limit_check(constant, 0.5, small_ts)
+    assert cs[0] == pytest.approx(cs[1], rel=0, abs=1e-12)
+    assert cs[2] == pytest.approx(cs[1], rel=0, abs=1e-12)
+
+
 def test_s_harmonicity_residual_is_small():
     spec = GridSpec(n=1, N=128, L=1.0)
     f = make_function(TestFunctionDescriptor(

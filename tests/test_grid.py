@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracharm
+from fracharm import grid
 from fracharm import (GridFunction, GridSpec, TestFunctionDescriptor,
                       fft_forward, fft_inverse, hermitian_asymmetry,
                       make_function, spectral_apply, spectral_gradient)
@@ -184,6 +185,32 @@ def test_make_function_deterministic():
     a = make_function(d, spec).values
     b = make_function(d, spec).values
     assert np.array_equal(a, b)
+
+
+def test_make_function_caches_read_only_functions():
+    spec = GridSpec(n=1, N=128, L=1.0)
+    desc = TestFunctionDescriptor(kind="gaussian", center=(0.5,), width=0.05)
+    f = make_function(desc, spec)
+    assert not f.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[0] = 1.0
+    equal = TestFunctionDescriptor(kind="gaussian", center=(0.5,), width=0.05)
+    assert make_function(equal, spec) is f
+    assert np.array_equal(grid._sampled(desc, spec).values, f.values)
+    other = GridSpec(n=1, N=128, L=2.0)
+    assert make_function(desc, other) is not f
+    # a list-valued field is sampled afresh, to the same values
+    listed = make_function(TestFunctionDescriptor(
+        kind="gaussian", center=[0.5], width=0.05), spec)
+    assert listed is not f and not listed.values.flags.writeable
+    assert np.array_equal(listed.values, f.values)
+    # grids of more than 2^12 cells bypass the cache
+    big = GridSpec(n=2, N=128, L=1.0)
+    centred = TestFunctionDescriptor(kind="gaussian", center=(0.5, 0.5),
+                                     width=0.05)
+    g = make_function(centred, big)
+    assert not g.values.flags.writeable
+    assert make_function(centred, big) is not g
 
 
 def test_bump_support_and_positivity():

@@ -1,5 +1,9 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+import scipy.fft
 
 from fracharm import (GridFunction, GridSpec, LorentzExponents, TLevels,
                       TentFamily, TestFunctionDescriptor, bmo_seminorm,
@@ -174,6 +178,8 @@ def test_bmo_gathers_stay_under_the_cell_cap(monkeypatch):
         return real(padded, ball, centers, means, count)
 
     monkeypatch.setattr(norms, "_oscillations", recording)
+    # earlier tests searched the same functions; a memo hit gathers nothing
+    norms._BMO_MEMO.clear()
     for n, N in ((1, 1024), (2, 64)):
         spec = GridSpec(n=n, N=N, L=1.0)
         f = _noise(spec, 4)
@@ -185,6 +191,36 @@ def test_bmo_gathers_stay_under_the_cell_cap(monkeypatch):
             assert max(cells for _, cells in gathered) <= norms._GATHER_CELLS
             # candidates are taken many to a gather, not one by one
             assert max(centers for centers, _ in gathered) > 1
+
+
+def test_bmo_memo_hits_equal_the_search_and_misses_on_any_change(
+        monkeypatch):
+    spec = GridSpec(n=1, N=256, L=1.0)
+    f = _noise(spec, 9)
+    norms._BMO_MEMO.clear()
+    first = bmo_seminorm(f)
+    # a hit: equal values in another array
+    assert bmo_seminorm(GridFunction(spec, f.values.copy())) == first
+    assert len(norms._BMO_MEMO) == 1
+    assert first == norms._bmo_pruned(f)
+    nudged = f.values.copy()
+    nudged[17] = np.nextafter(nudged[17], np.inf)
+    rescaled = GridSpec(n=1, N=256, L=2.0)
+    for g, tents in ((GridFunction(spec, nudged), None),
+                     (f, TentFamily.standard(spec, center_stride=2)),
+                     (GridFunction(rescaled, f.values), None)):
+        size = len(norms._BMO_MEMO)
+        assert bmo_seminorm(g, tents) == norms._bmo_pruned(g, tents)
+        assert len(norms._BMO_MEMO) == size + 1
+    # the memo is a bounded LRU: a hit refreshes, the oldest entry goes
+    monkeypatch.setattr(norms, "_BMO_MEMO_SIZE", 2)
+    norms._BMO_MEMO.clear()
+    a, b, c = (GridFunction(spec, k * f.values) for k in (1.0, 2.0, 3.0))
+    for g in (a, b, a, c):
+        bmo_seminorm(g)
+    kept = {key[2] for key in norms._BMO_MEMO}
+    assert len(kept) == 2
+    assert hashlib.blake2b(a.values.tobytes(), digest_size=32).digest() in kept
 
 
 def test_bmo_monotone_under_family_enrichment():
@@ -321,6 +357,50 @@ def test_carleson_sup_comparable_to_bmo():
     ratios = np.array(ratios)
     assert np.all(ratios > 0)
     assert np.max(ratios) / np.min(ratios) <= 3.0
+
+
+def _carleson_per_pair(F, weight, selector, tents):
+    """carleson_sup with |G|^2 transformed again for every (radius, level)
+    pair: the oracle of its one forward transform."""
+    spec = F.spec
+    G = norms._field_stack(F, selector)
+    ts, wlog = F.levels.ts, F.levels.log_trapezoid_weights()
+    g2 = G**2
+    best = 0.0
+    for r, cnt in zip(tents.radii, norms._ball_geometry(tents).counts):
+        measure = cnt * spec.cell_volume
+        acc = np.zeros(spec.shape)
+        for i, t in enumerate(ts):
+            if t >= r:
+                continue
+            kernel, _ = norms._ball_kernel(spec, r - t, strict=True)
+            acc += wlog[i] * t ** (1 + weight) * norms._ball_sum(
+                spec, g2[i], kernel)
+        acc *= spec.cell_volume / measure
+        top = float(np.max(norms._decimate(acc, tents.center_stride)))
+        best = max(best, math.sqrt(max(top, 0.0)))
+    return best
+
+
+@pytest.mark.parametrize("n,N", [(1, 256), (2, 32)])
+def test_carleson_sup_transforms_once_and_equals_per_pair_loop(n, N,
+                                                              monkeypatch):
+    spec = GridSpec(n=n, N=N, L=1.0)
+    F = extend_field(_bump(spec, radius=0.2), 0.5, make_tlevels(spec, M=32))
+    calls = []
+    real = scipy.fft.rfftn
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfftn", counting)
+    for selector, tents in (("gradient", TentFamily.standard(spec)),
+                            ("dt", TentFamily.standard(spec, center_stride=2))):
+        calls.clear()
+        got = carleson_sup(F, 1.0, selector, tents)
+        assert calls == [(32,) + spec.shape]
+        assert got == _carleson_per_pair(F, 1.0, selector, tents)
 
 
 def test_tent_pairing_bound_check():

@@ -185,6 +185,39 @@ def test_periodized_weights_match_direct_image_sum():
         assert w[idx] == pytest.approx(direct, rel=1e-8)
 
 
+def _periodized_weights_2d_loop(spec, offsets, power, images):
+    """Chunked image sum over all (offset, image) pairs, with the disc
+    remainder for power < -2: the oracle of the 2-D _periodized_weights."""
+    L = spec.L
+    k1 = np.arange(-images, images + 1) * L
+    KX, KY = np.meshgrid(k1, k1, indexing="ij")
+    kx, ky = KX.ravel(), KY.ravel()
+    y = (offsets * spec.h) % L
+    w = np.zeros(len(offsets))
+    chunk = 2048
+    for lo in range(0, len(offsets), chunk):
+        dx = y[lo:lo + chunk, 0:1] + kx[None, :]
+        dy = y[lo:lo + chunk, 1:2] + ky[None, :]
+        d = np.sqrt(dx**2 + dy**2)
+        with np.errstate(divide="ignore"):
+            w[lo:lo + chunk] = np.where(d > 0, d**power, 0.0).sum(axis=1)
+    if power < -2:
+        R = (2 * images + 1) * L / math.sqrt(np.pi)
+        w = w + 2 * np.pi * R ** (power + 2) / (-(power + 2))
+    return w
+
+
+@pytest.mark.parametrize("N,power,images", [
+    (16, -2.3, 16), (64, -2.3, 16), (64, -3.5, 16), (64, -1.5, 12),
+    (32, -2.7, 5)])
+def test_periodized_weights_2d_equal_chunked_image_sum(N, power, images):
+    spec = GridSpec(n=2, N=N, L=1.0)
+    offsets, dist = _offsets(spec)
+    assert np.array_equal(
+        _periodized_weights(spec, offsets, dist, power, images),
+        _periodized_weights_2d_loop(spec, offsets, power, images))
+
+
 def _circulant_direct(spec, v, w):
     """Roll-loop oracle for sum_y w(y) v(x - y), with w in _offsets order,
     summed in the dtype of v and w."""
