@@ -82,11 +82,14 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _convert(kind, value, where: str):
-    """kind(value), with a failed conversion reported as a ConfigError; None
-    passes through."""
+def _convert(kind, value, where: str, optional: bool = False):
+    """kind(value), with a failed conversion reported as a ConfigError.  None
+    (a JSON null) passes through for an optional key and is refused for any
+    other."""
     if value is None:
-        return None
+        if optional:
+            return None
+        raise ConfigError(f"{where}: expected a value, got null")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -118,8 +121,10 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
 
     tl = _section(data, "t_levels")
     _reject_unknown(tl, _TLEVEL_KEYS, "t_levels")
-    t_min = _convert(float, pick("t_min", tl, "t_min", None), "t_levels.t_min")
-    t_max = _convert(float, pick("t_max", tl, "t_max", None), "t_levels.t_max")
+    t_min = _convert(float, pick("t_min", tl, "t_min", None), "t_levels.t_min",
+                     optional=True)
+    t_max = _convert(float, pick("t_max", tl, "t_max", None), "t_levels.t_max",
+                     optional=True)
     M = _convert(_integer, pick("t_levels_M", tl, "M", 32), "t_levels.M")
     try:
         levels = make_tlevels(spec, t_min, t_max, M)
@@ -155,9 +160,9 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
     seed = _convert(_integer, pick("seed", data, "seed", 1000), "seed")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    out = str(pick("out", data, "out", "reports"))
-    if not out:
-        raise ConfigError("out must be a non-empty path")
+    out = pick("out", data, "out", "reports")
+    if not isinstance(out, str) or not out:
+        raise ConfigError(f"out must be a non-empty path, got {out!r}")
     return RunConfig(
         grid=spec,
         levels=levels,
@@ -366,7 +371,10 @@ def main(argv: list[str] | None = None) -> int:
     p_ops = sub.add_parser("ops-check", help="operator identity suite")
     p_ops.add_argument("--grid-N", type=int, default=512, dest="grid_N")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error, reported by argparse, or --help
+        return exc.code
     if args.command == "run":
         overrides = {
             k: getattr(args, k)

@@ -595,8 +595,11 @@ def _dilated_about(t: TestFunctionDescriptor, lam: float,
 
 def _evaluate_family(d: EstimateDescriptor, family, spec: GridSpec,
                      meta: dict, zero_rhs_tol: float):
+    """(samples, zeros, lhs_scale): a sample is zero when its RHS is at most
+    zero_rhs_tol times the family's largest RHS; lhs_scale is the family's
+    largest LHS.  A family whose every RHS is zero is an ArithmeticError."""
     evaluate = CATALOG[d.id]["evaluate"]
-    samples, zeros = [], []
+    values = []
     for i, tup in enumerate(family):
         if len(tup) != d.arity:
             raise ValueError(
@@ -607,12 +610,20 @@ def _evaluate_family(d: EstimateDescriptor, family, spec: GridSpec,
         if not (np.isfinite(lhs) and np.isfinite(rhs)):
             raise ArithmeticError(
                 f"estimate {d.id} sample {i} produced a non-finite value")
-        if rhs <= zero_rhs_tol:
+        values.append((lhs, rhs))
+    rhs_scale = max(rhs for _, rhs in values)
+    if not rhs_scale > 0:
+        raise ArithmeticError(
+            f"estimate {d.id}: degenerate family, every sample has a zero "
+            f"right-hand side on this grid")
+    samples, zeros = [], []
+    for i, (lhs, rhs) in enumerate(values):
+        if rhs <= zero_rhs_tol * rhs_scale:
             zeros.append({"index": i, "lhs": lhs, "rhs": rhs})
         else:
             samples.append({"index": i, "lhs": lhs, "rhs": rhs,
                             "ratio": lhs / rhs})
-    return samples, zeros
+    return samples, zeros, max(lhs for lhs, _ in values)
 
 
 def verify_estimate(d: EstimateDescriptor, family, spec: GridSpec,
@@ -624,8 +635,11 @@ def verify_estimate(d: EstimateDescriptor, family, spec: GridSpec,
 
     The constant is fitted as the max ratio over even-indexed samples and
     validated on odd-indexed samples against slack * fitted.  Zero-RHS
-    samples (for example constant multipliers) pass only if their LHS is
-    below zero_lhs_tol.  The whole family is re-run at each dilation and the
+    samples (for example constant multipliers), those with an RHS at most
+    zero_rhs_tol times the family's largest, pass only if their LHS is at
+    most zero_lhs_tol times the family's largest LHS; both cuts are relative,
+    so they hold at any period.  A family whose every RHS is zero raises
+    ArithmeticError.  The whole family is re-run at each dilation and the
     per-sample relative ratio drift is reported as dilation_stability.
     """
     if len(family) < 8:
@@ -634,14 +648,15 @@ def verify_estimate(d: EstimateDescriptor, family, spec: GridSpec,
     meta: dict = {"grid": {"n": spec.n, "N": spec.N, "L": spec.L},
                   "slack": slack, "zero_rhs_tol": zero_rhs_tol,
                   "zero_lhs_tol": zero_lhs_tol}
-    samples, zeros = _evaluate_family(d, family, spec, meta, zero_rhs_tol)
+    samples, zeros, lhs_scale = _evaluate_family(d, family, spec, meta,
+                                                 zero_rhs_tol)
     even = [s["ratio"] for s in samples if s["index"] % 2 == 0]
     odd = [s["ratio"] for s in samples if s["index"] % 2 == 1]
     fitted = max(even) if even else 0.0
     validation_max = max(odd) if odd else 0.0
     max_ratio = max(fitted, validation_max)
     fit_ok = validation_max <= slack * fitted or validation_max == 0.0
-    zeros_ok = all(z["lhs"] <= zero_lhs_tol for z in zeros)
+    zeros_ok = all(z["lhs"] <= zero_lhs_tol * lhs_scale for z in zeros)
 
     dilation_ratios: dict = {}
     stability = 0.0
@@ -649,7 +664,8 @@ def verify_estimate(d: EstimateDescriptor, family, spec: GridSpec,
         dil_family = [tuple(_dilated_about(t, lam, spec) for t in tup)
                       for tup in family]
         dmeta: dict = {}
-        dsamples, _ = _evaluate_family(d, dil_family, spec, dmeta, zero_rhs_tol)
+        dsamples, _, _ = _evaluate_family(d, dil_family, spec, dmeta,
+                                          zero_rhs_tol)
         dilation_ratios[lam] = max((s["ratio"] for s in dsamples), default=0.0)
         if max_ratio > 0:
             # stability of the constant estimate: relative drift of the

@@ -11,7 +11,8 @@ symbol m_s(t|xi|) where
 normalized so m_s(0) = 1; for s = 1 this reduces to e^{-2 pi r}.  The
 t-derivative field uses m_s'(r) = -4 pi (pi r)^{s/2} K_{1-s/2}(2 pi r) /
 Gamma(s/2) (Caffarelli-Silvestre, Comm. PDE 2007).  PoissonSymbol evaluates
-the Bessel forms in log space; the lambda-integral form is kept as the
+the Bessel forms in log space, with e^x K_nu(x) from the trapezoid rule on its
+integral representation (_kve); the lambda-integral form is kept as the
 quadrature oracle symbol_value / symbol_derivative_value.
 
 Fields are produced level by level by extension_levels: the boundary values
@@ -22,12 +23,12 @@ evaluation on the distinct |xi| and synthesizes the requested fields.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, gammaln, kve
 
 from .grid import (GridFunction, GridSpec, gradient_multipliers,
                    spectral_apply, spectral_forward, spectral_synthesis)
@@ -36,9 +37,64 @@ from .multiplier_ops import frac_laplacian, l2_norm
 _LOG_FLOOR = -690.0  # symbol values below e^-690 are returned as hard zero
 # From x = 2 pi r = 1400 on, log m_s and log |m_s'| / (4 pi) lie below
 # _LOG_FLOOR without evaluating K_nu: e^x K_nu(x) decreases in x and
-# increases in nu, so kve(nu, x) <= kve(1, 1) < 1.7 for nu <= 1 and x >= 1,
+# increases in nu, so e^x K_nu(x) <= e K_1(1) < 1.7 for nu <= 1 and x >= 1,
 # and Gamma(s/2) >= 1, which bound the log by log(x/2) + 0.6 - x < -690.
 _BESSEL_CUTOFF = 1400.0
+# The trapezoid nodes of _kve reach u_max with x (cosh u_max - 1) >= _KV_TAIL
+# for every x of a bucket, where the integrand has fallen by e^-38 < 4e-17.
+_KV_TAIL = 38.0
+
+
+@functools.lru_cache(maxsize=None)
+def _kve_rule(k: int, nus: tuple[float, ...]
+              ) -> tuple[int, np.ndarray, np.ndarray]:
+    """Trapezoid rule (q, c, W) for e^x K_nu(x), nu in nus, on the bucket
+    2^k <= x < 2^(k+1).
+
+    The nodes u_j run from 0 to u_max = acosh(1 + 38 / 2^k) with a step of at
+    most min(0.2, 0.5 / sqrt(2^(k+1))), which resolves the integrand's width
+    min(1, 1/sqrt(x)).  c_j = 2^-q (cosh u_j - 1) and W[i, j] = 2^-q times the
+    step times cosh(nus[i] u_j), both found in longdouble and rounded once.
+    The scale q is 0 unless x < 2^-1000, where cosh(u_max) leaves the float64
+    range; then x is scaled by 2^q and the sum by 2^q in turn."""
+    if k >= -1000:
+        # acosh(1 + t), written so that it neither overflows nor rounds to 0
+        t = _KV_TAIL * 2.0**-k
+        q, u_max = 0, math.log1p(t + math.sqrt(t) * math.sqrt(t + 2))
+    else:  # 38 / 2^k and cosh(u_max) would overflow
+        q, u_max = 64, math.log(2 * _KV_TAIL) - k * math.log(2)
+    n = math.ceil(u_max / min(0.2, 0.5 / math.sqrt(2.0) ** (k + 1)))
+    step = u_max / n
+    u = np.arange(n + 1) * np.longdouble(step)
+    c = 2 * np.ldexp(np.sinh(u / 2), -q // 2) ** 2
+    W = np.stack([np.ldexp(np.cosh(np.longdouble(nu) * u), -q) for nu in nus])
+    W *= step
+    W[:, 0] /= 2
+    return q, c.astype(float), W.astype(float)
+
+
+def _kve(nus: tuple[float, ...], x: np.ndarray,
+         log: bool = False) -> list[np.ndarray]:
+    """e^x K_nu(x), or its logarithm if log, at x > 0 for each nu in nus,
+    0 < nu <= 1.  The logarithm stays finite where the value overflows.
+
+    The trapezoid rule on e^x K_nu(x) = int_0^inf exp(-x (cosh u - 1))
+    cosh(nu u) du converges exponentially in the step (Trefethen and
+    Weideman, SIAM Review 2014); with the nodes of _kve_rule it agrees with
+    the exact value to about 1e-15 relative.  Each dyadic bucket of x costs
+    one exp grid, which the orders share.  Every value depends on its own x
+    alone, whatever else x holds."""
+    k = np.frexp(x)[1] - 1
+    outs = [np.empty(x.shape) for _ in nus]
+    for kb in np.unique(k):
+        sel = k == kb
+        q, c, W = _kve_rule(int(kb), nus)
+        grid = np.exp(np.multiply.outer(np.ldexp(x[sel], q), -c))
+        for out, w in zip(outs, W):
+            # a row sum of the contiguous grid, summed pairwise, per x
+            v = (grid * w).sum(axis=1)
+            out[sel] = np.log(v) + q * math.log(2) if log else np.ldexp(v, q)
+    return outs
 
 
 def _lambda_integral(a: float, b: float, rtol: float = 1e-12) -> float:
@@ -72,7 +128,7 @@ def symbol_value(s: float, r: float, rtol: float = 1e-12) -> float:
     if r == 0.0:
         return 1.0
     b = (math.pi * r) ** 2
-    return _lambda_integral(s / 2, b, rtol) / gamma(s / 2)
+    return _lambda_integral(s / 2, b, rtol) / math.gamma(s / 2)
 
 
 def symbol_derivative_value(s: float, r: float, rtol: float = 1e-12) -> float:
@@ -80,7 +136,8 @@ def symbol_derivative_value(s: float, r: float, rtol: float = 1e-12) -> float:
     if r == 0.0:
         return 0.0
     b = (math.pi * r) ** 2
-    return -2 * math.pi**2 * r * _lambda_integral(s / 2 - 1, b, rtol) / gamma(s / 2)
+    return (-2 * math.pi**2 * r * _lambda_integral(s / 2 - 1, b, rtol)
+            / math.gamma(s / 2))
 
 
 @dataclass(frozen=True)
@@ -97,42 +154,56 @@ class PoissonSymbol:
         if not (0 < self.s < 2):
             raise ValueError(f"order s must lie in (0, 2), got {self.s}")
 
-    def _eval(self, r: np.ndarray, nu: float, c: float,
-              at_zero: float) -> np.ndarray:
-        """c (pi r)^{s/2} K_nu(2 pi r) / Gamma(s/2) for r > 0, at_zero at 0."""
-        r = np.asarray(r, dtype=float)
-        out = np.full(r.shape, at_zero)
-        x = 2 * np.pi * r[r > 0]
-        vals = np.zeros(x.shape)
-        near = np.flatnonzero(x < _BESSEL_CUTOFF)
-        x = x[near]
-        # in log space, with K_nu(x) = kve(nu, x) e^{-x}
-        logv = (self.s / 2 * np.log(x / 2) + np.log(kve(nu, x)) - x
-                - gammaln(self.s / 2))
-        keep = logv >= _LOG_FLOOR
-        vals[near[keep]] = c * np.exp(logv[keep])
-        out[r > 0] = vals
-        return out
-
     def eval_m(self, r: np.ndarray) -> np.ndarray:
         """m_s at arbitrary radii r >= 0; r = 0 gives exactly 1."""
-        return self._eval(r, self.s / 2, 2.0, 1.0)
+        return self._eval(r, dm=False)[0]
 
     def eval_dm(self, r: np.ndarray) -> np.ndarray:
         """m_s' at arbitrary radii r >= 0; r = 0 gives 0 by convention (it
         only ever multiplies |xi| = 0)."""
-        return self._eval_dm(np.asarray(r, dtype=float), None)
+        return self._eval(r, m=False)[0]
 
-    def _eval_dm(self, r: np.ndarray, m: np.ndarray | None) -> np.ndarray:
-        """eval_dm(r), given m = eval_m(r) when the caller holds it.
+    def eval_m_dm(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(eval_m(r), eval_dm(r)) from one shared evaluation."""
+        m, dm = self._eval(r)
+        return m, dm
 
-        At s = 1 both Bessel orders are 1/2, so m' = -2 pi m, and this holds
-        exactly in binary floating point: (-4 pi) e = (-2 pi) (2 e).  There
-        m' is taken from m, keeping +0 at r = 0 and where m is floored."""
-        if self.s != 1:
-            return self._eval(r, 1 - self.s / 2, -4 * math.pi, 0.0)
-        m = self.eval_m(r) if m is None else m
-        return np.where((r > 0) & (m > 0), -2 * math.pi * m, 0.0)
+    def _eval(self, r: np.ndarray, m: bool = True,
+              dm: bool = True) -> list[np.ndarray]:
+        """[m_s(r)] if m, then [m_s'(r)] if dm: c (pi r)^{s/2} K_nu(2 pi r) /
+        Gamma(s/2) for r > 0 with (nu, c) = (s/2, 2) and (1 - s/2, -4 pi),
+        and 1 and 0 at r = 0.
+
+        At s = 1 both orders are 1/2, and 2 (pi r)^{1/2} K_{1/2}(2 pi r) /
+        Gamma(1/2) = e^{-2 pi r}: there m = e^{-x} and m' = -2 pi e^{-x} with
+        x = 2 pi r, with no Bessel function, so m' = -2 pi m bit for bit."""
+        r = np.asarray(r, dtype=float)
+        terms = [t for t, want in (((self.s / 2, 2.0, 1.0), m),
+                                   ((1 - self.s / 2, -4 * math.pi, 0.0), dm))
+                 if want]
+        pos = r > 0
+        x_pos = 2 * np.pi * r[pos]
+        near = np.flatnonzero(x_pos < _BESSEL_CUTOFF)
+        x = x_pos[near]
+        if self.s == 1:
+            # (pi r)^{1/2} K_{1/2}(2 pi r) / Gamma(1/2) = e^{-x} / 2, so each
+            # value is (c / 2) exp(-x)
+            terms = [(nu, c / 2, at_zero) for nu, c, at_zero in terms]
+            logvs = [-x] * len(terms)
+        else:
+            # in log space, with K_nu(x) = (e^x K_nu(x)) e^{-x}
+            log_kves = _kve(tuple(nu for nu, _, _ in terms), x, log=True)
+            logvs = [self.s / 2 * np.log(x / 2) + log_kv - x
+                     - math.lgamma(self.s / 2) for log_kv in log_kves]
+        outs = []
+        for (_, c, at_zero), logv in zip(terms, logvs):
+            keep = logv >= _LOG_FLOOR
+            vals = np.zeros(x_pos.shape)
+            vals[near[keep]] = c * np.exp(logv[keep])
+            out = np.full(r.shape, at_zero)
+            out[pos] = vals
+            outs.append(out)
+        return outs
 
 
 def s_poisson_symbol(s: float, r_grid: np.ndarray,
@@ -242,14 +313,17 @@ def extension_levels(spec: GridSpec, values: np.ndarray, s: float,
     # the multipliers broadcast over the stack axes of coeffs
     stacked = mults.reshape((k,) + (1,) * (values.ndim - spec.n) + half.shape)
     for t in levels.ts:
-        m = sym.eval_m(t * radii)
+        if "t" in fields:
+            m, dm = sym.eval_m_dm(t * radii)
+        else:
+            m = sym.eval_m(t * radii)
         m_half = m[inv]
         j = 0
         if "F" in fields:
             mults[j] = m_half
             j += 1
         if "t" in fields:
-            mults[j] = (radii * sym._eval_dm(t * radii, m))[inv]
+            mults[j] = (radii * dm)[inv]
             j += 1
         if "x" in fields:
             np.multiply(gradient_multipliers(spec), m_half, out=mults[j:])

@@ -15,7 +15,6 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft
 
 
 def _is_power_of_two(m: int) -> bool:
@@ -203,7 +202,7 @@ def fft_inverse(S: Spectrum) -> GridFunction:
 def spectral_forward(spec: GridSpec, values: np.ndarray) -> np.ndarray:
     """Real-FFT half spectrum of values over their last n axes, the forward
     half of spectral_apply; leading axes are a stack."""
-    return scipy.fft.rfftn(values, axes=tuple(range(-spec.n, 0)))
+    return np.fft.rfftn(values, axes=tuple(range(-spec.n, 0)))
 
 
 def spectral_synthesis(spec: GridSpec, coeffs: np.ndarray,
@@ -211,8 +210,8 @@ def spectral_synthesis(spec: GridSpec, coeffs: np.ndarray,
     """Real samples of the multiplier mult applied to a half spectrum coeffs
     from spectral_forward, the synthesis half of spectral_apply.  mult is
     taken as in spectral_apply, and leading axes broadcast."""
-    return scipy.fft.irfftn(coeffs * mult[..., : spec.N // 2 + 1],
-                            s=spec.shape, axes=tuple(range(-spec.n, 0)))
+    return np.fft.irfftn(coeffs * mult[..., : spec.N // 2 + 1],
+                         s=spec.shape, axes=tuple(range(-spec.n, 0)))
 
 
 def spectral_apply(spec: GridSpec, values: np.ndarray,

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, zeta
 
 from .grid import GridFunction, GridSpec, spectral_apply
 
@@ -48,12 +47,13 @@ class QuadratureConfig:
 
 def frac_laplacian_constant(n: int, s: float) -> float:
     """Normalization 2^s Gamma((n+s)/2) / (pi^(n/2) |Gamma(-s/2)|)."""
-    return 2**s * gamma((n + s) / 2) / (np.pi ** (n / 2) * abs(gamma(-s / 2)))
+    return (2**s * math.gamma((n + s) / 2)
+            / (np.pi ** (n / 2) * abs(math.gamma(-s / 2))))
 
 
 def riesz_potential_constant(n: int, s: float) -> float:
     """Normalization Gamma((n-s)/2) / (2^s pi^(n/2) Gamma(s/2))."""
-    return gamma((n - s) / 2) / (2**s * np.pi ** (n / 2) * gamma(s / 2))
+    return math.gamma((n - s) / 2) / (2**s * np.pi ** (n / 2) * math.gamma(s / 2))
 
 
 def _offsets(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -104,6 +104,7 @@ def _periodized_weights(spec: GridSpec, offsets: np.ndarray, dist: np.ndarray,
     """
     L = spec.L
     if spec.n == 1 and power < -1:
+        from scipy.special import zeta  # deferred: only this branch needs scipy
         q = (offsets[:, 0] % spec.N) / spec.N
         w = np.empty(len(q))
         zero = q == 0.0

@@ -235,20 +235,34 @@ def test_run_out_is_an_existing_file_exits_two(tmp_path, capsys, monkeypatch):
     assert target.read_text() == "keep"
 
 
-def test_import_does_not_load_scipy_integrate():
-    # scipy.integrate serves only the lambda-quadrature symbol oracle, and
-    # loading it would add about 0.2 s to every command
+def test_run_path_loads_no_scipy(tmp_path):
+    # scipy serves only the lambda-quadrature symbol oracle and the 1-D
+    # Hurwitz-zeta weights; importing any of it costs every command about
+    # 0.3 s.  chanillo and crw-bmo reach the Riesz-potential quadrature and
+    # the symbol, and the run writes the decay profile and boundary trace.
     import os
     import subprocess
     import sys
 
     import fracharm
     src = os.path.dirname(os.path.dirname(fracharm.__file__))
-    code = "import sys, fracharm.cli; print('scipy.integrate' in sys.modules)"
+    path = _write_config(tmp_path / "cfg.json",
+                         estimates=[{"id": "chanillo"}, {"id": "crw-bmo"}],
+                         out=str(tmp_path / "reports"))
+    code = (
+        "import sys, fracharm.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "print(loaded())\n"
+        f"rc = fracharm.cli.main(['run', {path!r}])\n"
+        "print(rc, loaded())\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
+    assert (tmp_path / "reports" / "boundary_trace.txt").exists()
 
 
 def _assert_one_config_error_line(capsys, *words):
@@ -272,6 +286,28 @@ def test_unrepresentable_period_exits_two(tmp_path, capsys):
                                                       "L": 1e-100},
                          out=str(tmp_path / "small"))
     assert main(["run", path]) == 0
+
+
+def test_tiny_period_gives_the_unit_period_verdict(tmp_path, capsys):
+    # the zero-RHS and zero-LHS cuts are relative to the family, so at
+    # L = 1e-100 no sample is zeroed for its scale alone
+    reports = {}
+    for L in (1.0, 1e-100):
+        out = tmp_path / f"L{L:g}"
+        path = _write_config(tmp_path / "cfg.json",
+                             grid={"n": 1, "N": 64, "L": L}, out=str(out))
+        rc = main(["run", path])
+        if rc == 3:
+            assert "degenerate" in capsys.readouterr().err
+            continue
+        assert rc == 0
+        reports[L] = json.loads((out / "crw-bmo.json").read_text())
+        assert len(reports[L]["samples"]) == 20
+        assert reports[L]["zero_rhs_samples"] == []
+    if 1e-100 in reports:
+        assert reports[1e-100]["pass"] == reports[1.0]["pass"]
+        assert reports[1e-100]["fitted_constant"] == pytest.approx(
+            reports[1.0]["fitted_constant"], rel=1e-12)
 
 
 def test_huge_period_runs_like_the_unit_period(tmp_path):
@@ -346,4 +382,108 @@ def test_ops_check_grid_N_never_raises(N):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         rc = main(["ops-check", "--grid-N", str(N)])
+    assert rc in (0, 1, 2, 3)
+
+
+# `fracharm run` grammar: per key, values that parse_config accepts and
+# values it must refuse.  Valid values keep a run small: 1-D estimates need
+# N = 64, and a 2-D config carries no estimates.
+_ABSENT = object()
+_NAN, _INF = float("nan"), float("inf")
+_IDS_1D = ["crw-bmo", "crw-lorentz", "fl-comm-lorentz", "chanillo",
+           "leibniz-lorentz", "leibniz-bmo", "double-comm-1d",
+           "hardy-duality"]
+_RUN_KEYS = {
+    ("grid", "n"): ([1, 2], [0, 3, -1, 1.5, "1", None, True, [1]]),
+    ("grid", "N"): ([64], [8, 32, 0, 63, 100, -64, 4, 64.5, "64", None,
+                           False, 1e300]),
+    ("grid", "L"): ([1.0, 3.0, 1e-100, 1e150],
+                    [0.0, -1.0, _NAN, _INF, 1e-200, 1e300, "1", None, {}]),
+    ("t_levels", "t_min"): ([0.01, 0.005], [0.0, -1.0, 1e-9, _NAN, "x",
+                                            100.0, []]),
+    ("t_levels", "t_max"): ([1.0, 4.0], [0.0, -1.0, 100.0, _NAN, "x"]),
+    ("t_levels", "M"): ([16, 24, 40], [0, 4, -3, 16.5, "16", None, True]),
+    ("seed",): ([0, 7, 1000, 2**64], [-1, 1.5, "x", True, None, []]),
+    ("tolerance_scale",): ([1.0, 0.0, 10.0], [-1.0, _NAN, _INF, "x", None]),
+    ("estimates",): ([[], [{"id": "crw-bmo"}], [{"id": "chanillo"},
+                                                 {"id": "hardy-duality"}]]
+                     + [[{"id": i}] for i in _IDS_1D],
+                     [[{"id": "jacobian-bmo"}], [{"id": "nope"}], [{}],
+                      [{"id": "crw-bmo", "params": {"p": "x"}}],
+                      [{"id": "crw-bmo", "params": {"p": -1.0}}],
+                      [{"id": "crw-bmo", "params": {"zzz": 1}}],
+                      [{"id": "crw-bmo", "params": "x"}], ["crw-bmo"],
+                      {}, "x", None]),
+    ("out",): (["{tmp}/reports"], ["", "{tmp}/file", None, 5]),
+    ("mystery",): ([_ABSENT], [1]),
+}
+_RUN_OVERRIDES = {
+    "--grid-n": (["1"], ["0", "3", "x", "1.5", ""]),
+    "--grid-N": (["64"], ["0", "63", "-64", "x", "1e3"]),
+    "--period": (["1.0", "2.5", "1e-100"], ["0", "-1", "nan", "inf", "1e-200",
+                                            "x"]),
+    "--t-min": (["0.01"], ["0", "-1", "nan", "1e-9", "x"]),
+    "--t-max": (["2.0"], ["0", "100", "nan", "x"]),
+    "--t-levels": (["16", "20"], ["0", "4", "-1", "x", "16.5"]),
+    "--seed": (["0", "3"], ["-1", "x", "1.5"]),
+    "--out": (["{tmp}/over"], ["{tmp}/file", ""]),
+    "--tolerance-scale": (["1.0", "0.5"], ["-1", "nan", "inf", "x"]),
+}
+
+
+@st.composite
+def _run_invocations(draw):
+    """(config text, argv after the config path) for one `fracharm run`, with
+    "{tmp}" standing for a scratch directory.  Up to two keys, overrides or
+    the JSON text itself take a broken value; the rest are valid or absent."""
+    keys = [*_RUN_KEYS, *_RUN_OVERRIDES, "text"]
+    broken = draw(st.lists(st.sampled_from(keys), max_size=2))
+
+    def value(key, valid, bad):
+        return draw(st.sampled_from(bad if key in broken
+                                    else [*valid, _ABSENT]))
+
+    data: dict = {}
+    for key, (valid, bad) in _RUN_KEYS.items():
+        v = value(key, valid, bad)
+        if v is not _ABSENT:
+            section = data
+            for part in key[:-1]:
+                section = section.setdefault(part, {})
+            section[key[-1]] = v
+    if data.get("grid", {}).get("n") == 2:
+        data["estimates"] = []
+    text = value("text", [json.dumps(data)], ["{", "[]", "null"])
+    if text is _ABSENT:
+        text = json.dumps(data)
+    argv = []
+    for flag, (valid, bad) in _RUN_OVERRIDES.items():
+        v = value(flag, valid, bad)
+        if v is not _ABSENT and (flag in broken or draw(st.booleans())):
+            argv += [flag, v]
+    return text, argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(_run_invocations())
+def test_run_exit_codes_never_raise(invocation):
+    import os
+    import tempfile
+
+    text, argv = invocation
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        # the default out, "reports", is relative to the working directory
+        os.chdir(tmp)
+        try:
+            with open("file", "w") as fh:
+                fh.write("keep")
+            with open("cfg.json", "w") as fh:
+                fh.write(text.replace("{tmp}", tmp))
+            argv = [a.replace("{tmp}", tmp) for a in argv]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = main(["run", "cfg.json", *argv])
+        finally:
+            os.chdir(cwd)
     assert rc in (0, 1, 2, 3)

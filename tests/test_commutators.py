@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,13 +172,13 @@ def _jacobian_inputs(N):
 def test_jacobian_extension_route_equals_three_fields(monkeypatch):
     phi, u, levels = _jacobian_inputs(64)
     forward = []
-    real_rfftn = scipy.fft.rfftn
+    real_rfftn = np.fft.rfftn
 
     def counting_rfftn(*args, **kwargs):
         forward.append(1)
         return real_rfftn(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "rfftn", counting_rfftn)
+    monkeypatch.setattr(np.fft, "rfftn", counting_rfftn)
     details: dict = {}
     got = jacobian_pairing(phi, u, method="extension", levels=levels,
                            details=details)
@@ -278,6 +277,25 @@ def test_verify_estimate_zero_rhs_protocol():
     assert len(report.zero_rhs_samples) == 1
     assert report.zero_rhs_samples[0]["index"] == 3
     assert report.passed
+
+
+def test_verify_estimate_zero_cuts_are_relative():
+    d = EstimateDescriptor(id="crw-bmo")
+    fam = standard_family(2, SPEC1, n_members=10)
+    const_phi = TestFunctionDescriptor(kind="constant", amplitude=2.0)
+    fam[3] = (const_phi, fam[3][1])
+    ref = verify_estimate(d, fam, SPEC1)
+    # scaling every f scales every LHS and RHS alike, and changes nothing
+    tiny = [(b, replace(f, amplitude=1e-30)) for b, f in fam]
+    report = verify_estimate(d, tiny, SPEC1)
+    assert [z["index"] for z in report.zero_rhs_samples] == [3]
+    assert report.passed == ref.passed
+    assert report.fitted_constant == pytest.approx(ref.fitted_constant,
+                                                   rel=1e-12)
+    # a family whose every RHS is zero has nothing to verify
+    flat = [(const_phi, f) for _, f in fam]
+    with pytest.raises(ArithmeticError, match="degenerate"):
+        verify_estimate(d, flat, SPEC1)
 
 
 def test_catalog_entries_are_well_formed():

@@ -3,8 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.fft
-from scipy.special import gamma, gammaln, kv, kve
+from scipy.special import gamma, kv, kve
 
 import fracharm.extension
 from fracharm import (GridFunction, GridSpec, PoissonSymbol, TLevels,
@@ -89,10 +88,16 @@ def test_closed_form_symbol_shape(s):
 
 
 def _unskipped_eval(s, r, nu, c, at_zero):
-    # PoissonSymbol._eval without its shortcuts: K_nu at every r > 0
+    # PoissonSymbol._eval without its cutoff: the kernel, or at s = 1 the
+    # closed form c e^{-x} / 2, at every r > 0
     out = np.full(r.shape, at_zero)
     x = 2 * np.pi * r[r > 0]
-    logv = s / 2 * np.log(x / 2) + np.log(kve(nu, x)) - x - gammaln(s / 2)
+    if s == 1:
+        c, logv = c / 2, -x
+    else:
+        logv = (s / 2 * np.log(x / 2)
+                + fracharm.extension._kve((nu,), x, log=True)[0] - x
+                - math.lgamma(s / 2))
     vals = np.zeros(x.shape)
     keep = logv >= -690.0
     vals[keep] = c * np.exp(logv[keep])
@@ -110,24 +115,93 @@ def test_symbol_shortcuts_are_exact(s, monkeypatch):
                          np.nextafter(rc, [0.0, np.inf]), [rc]])
     sym = PoissonSymbol(s)
     seen = []
-    real_kve = fracharm.extension.kve
+    real_kve = fracharm.extension._kve
 
-    def recording_kve(nu, x):
+    def recording_kve(nus, x, log=False):
         seen.append(np.max(x, initial=0.0))
-        return real_kve(nu, x)
+        return real_kve(nus, x, log)
 
-    monkeypatch.setattr(fracharm.extension, "kve", recording_kve)
+    monkeypatch.setattr(fracharm.extension, "_kve", recording_kve)
     m, dm = sym.eval_m(rs), sym.eval_dm(rs)
-    assert seen and max(seen) < 1400.0
+    # at s = 1 the closed form needs no Bessel function
+    assert (not seen) if s == 1.0 else max(seen) < 1400.0
     monkeypatch.undo()
     assert _same_bits(m, _unskipped_eval(s, rs, s / 2, 2.0, 1.0))
     assert _same_bits(dm, _unskipped_eval(s, rs, 1 - s / 2, -4 * math.pi, 0.0))
     assert np.count_nonzero(m) > 100
+    joint = sym.eval_m_dm(rs)
+    assert _same_bits(joint[0], m) and _same_bits(joint[1], dm)
     if s == 1.0:
         pos = rs > 0
         assert np.array_equal(dm[pos], -2 * np.pi * m[pos])
         live = pos & (m > 0)
         assert _same_bits(dm[live], -2 * np.pi * m[live])
+
+
+def _kve_oracle_points():
+    # x in [1e-12, 1400), with the dyadic bucket edges of _kve and their
+    # lower neighbours
+    edges = 2.0 ** np.arange(-39, 11)
+    xs = np.concatenate([np.geomspace(1e-12, 1399.0, 60), edges,
+                         np.nextafter(edges, 0.0), [np.nextafter(1400.0, 0.0)]])
+    return np.sort(xs)
+
+
+@pytest.mark.parametrize("nu", [0.01, 0.25, 0.5, 0.75, 0.99, 1.0])
+def test_kve_matches_mpmath(nu):
+    mpmath = pytest.importorskip("mpmath")
+    xs = _kve_oracle_points()
+    got = fracharm.extension._kve((nu,), xs)[0]
+    with mpmath.workdps(40):
+        exact = np.array([float(mpmath.besselk(nu, x) * mpmath.exp(x))
+                          for x in map(mpmath.mpf, xs)])
+    assert np.max(np.abs(got / exact - 1)) <= 2e-15
+
+
+def test_kve_matches_scipy():
+    xs = _kve_oracle_points()
+    nus = (0.01, 0.3, 0.5, 0.7, 0.99, 1.0)
+    for nu, got in zip(nus, fracharm.extension._kve(nus, xs)):
+        assert np.max(np.abs(got / kve(nu, xs) - 1)) <= 1e-13
+
+
+def test_kve_orders_are_independent_of_their_company():
+    # one evaluation of several orders equals one per order, and a value
+    # depends on its own x only
+    xs = np.geomspace(1e-6, 1399.0, 501)
+    both = fracharm.extension._kve((0.2, 0.8), xs)
+    assert _same_bits(both[0], fracharm.extension._kve((0.2,), xs)[0])
+    assert _same_bits(both[1][::7],
+                      fracharm.extension._kve((0.8,), xs[::7])[0])
+    logs = fracharm.extension._kve((0.2, 0.8), xs, log=True)
+    assert _same_bits(logs[0], np.log(both[0]))
+
+
+def test_kve_at_extreme_arguments():
+    # e^x K_{1/2}(x) = sqrt(pi / (2 x)) down to the least subnormal; the
+    # node count and u_max stay finite, and the logarithm stays finite where
+    # K_1 overflows
+    xs = np.array([5e-324, 1e-310, 2.0**-1001, 2.0**-1000, 1e-300, 1e-200,
+                   1e-100, 1e-30, 1e-12])
+    got = fracharm.extension._kve((0.5,), xs)[0]
+    assert np.max(np.abs(got * np.sqrt(xs) / np.sqrt(np.pi / 2) - 1)) <= 1e-14
+    for k in (-1074, -1001, -1000, -40):
+        q, c, W = fracharm.extension._kve_rule(k, (0.5, 1.0))
+        assert len(c) <= 4000
+        assert np.all(np.isfinite(c)) and np.all(np.isfinite(W))
+    log_k1 = fracharm.extension._kve((1.0,), xs, log=True)[0]
+    assert np.all(np.isfinite(log_k1))
+    # e^x K_1(x) = e^x / x + O(x log x) for small x
+    assert np.max(np.abs(log_k1 / (xs - np.log(xs)) - 1)) <= 1e-14
+    sym = PoissonSymbol(1.5)
+    m = sym.eval_m(xs / (2 * np.pi))
+    assert np.all(np.isfinite(m)) and np.all(np.abs(m - 1) <= 1e-3)
+    # e^x K_nu(x) = sqrt(pi / (2 x)) (1 + (4 nu^2 - 1) / (8 x) + O(x^-2))
+    big = np.array([1e8, 1e20, 1e300])
+    for nu, got in zip((0.3, 1.0), fracharm.extension._kve((0.3, 1.0), big)):
+        want = np.sqrt(np.pi / 2) / np.sqrt(big) * (1 + (4 * nu**2 - 1)
+                                                    / (8 * big))
+        assert np.max(np.abs(got / want - 1)) <= 1e-14
 
 
 def test_symbol_arguments_select_nothing():
@@ -147,13 +221,14 @@ def test_extension_symbol_evaluated_per_distinct_radius(monkeypatch):
         kind="random-bandlimited", seed=3, max_k=5), spec)
     lv = TLevels(np.geomspace(0.01, 0.5, 4))
     sizes = []
-    real_eval_m = PoissonSymbol.eval_m
+    real_eval = PoissonSymbol._eval
 
-    def counting_eval_m(self, r):
+    def counting_eval(self, r, *args, **kwargs):
         sizes.append(np.size(r))
-        return real_eval_m(self, r)
+        return real_eval(self, r, *args, **kwargs)
 
-    monkeypatch.setattr(PoissonSymbol, "eval_m", counting_eval_m)
+    # one joint evaluation of m and m' per level
+    monkeypatch.setattr(PoissonSymbol, "_eval", counting_eval)
     F = extend_field(f, 0.6, lv)
     radii = np.unique(spec.frequency_magnitude())
     assert sizes == [radii.size] * lv.M
@@ -204,13 +279,13 @@ def test_extend_field_equals_per_level_loop(n, N, s, derivs, monkeypatch):
         kind="gaussian", center=(0.45,) * n, width=0.05), spec)
     lv = make_tlevels(spec, M=16)
     forward = []
-    real_rfftn = scipy.fft.rfftn
+    real_rfftn = np.fft.rfftn
 
     def counting_rfftn(*args, **kwargs):
         forward.append(1)
         return real_rfftn(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "rfftn", counting_rfftn)
+    monkeypatch.setattr(np.fft, "rfftn", counting_rfftn)
     F = extend_field(f, s, lv, with_derivatives=derivs)
     assert len(forward) == 1
     monkeypatch.undo()
