@@ -19,6 +19,11 @@ Fields are produced level by level by extension_levels: the boundary values
 (one function or a stack) are transformed forward once, and each level
 builds its multipliers on the real-FFT half lattice from one symbol
 evaluation on the distinct |xi| and synthesizes the requested fields.
+
+The diagnostics (the s-harmonicity residual and the boundary trace) compare
+radial multipliers of f^, so their L2 norms and inner products are sums over
+the distinct |xi| weighted by the radial power of f (Parseval), and no field
+is transformed for them.
 """
 
 from __future__ import annotations
@@ -31,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (GridFunction, GridSpec, gradient_multipliers,
-                   spectral_apply, spectral_forward, spectral_synthesis)
-from .multiplier_ops import frac_laplacian, l2_norm
+                   spectral_forward, spectral_synthesis)
 
 _LOG_FLOOR = -690.0  # symbol values below e^-690 are returned as hard zero
 # From x = 2 pi r = 1400 on, log m_s and log |m_s'| / (4 pi) lie below
@@ -272,7 +276,9 @@ class ExtensionField:
     """Values of F(x,t) = P^s_t f(x) and optional derivative fields.
 
     F has shape (M, *grid); dF_dt likewise when present; dF_dx is a list of
-    per-axis arrays of the same shape."""
+    per-axis arrays of the same shape.  harmonicity holds the relative
+    s-harmonicity residual of the M - 2 interior levels, which extend_field
+    records whenever it computes dF_dt."""
 
     spec: GridSpec
     s: float
@@ -281,6 +287,7 @@ class ExtensionField:
     dF_dt: np.ndarray | None = None
     dF_dx: tuple[np.ndarray, ...] | None = None
     boundary: GridFunction | None = None
+    harmonicity: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         want = (self.levels.M, *self.spec.shape)
@@ -289,6 +296,86 @@ class ExtensionField:
         for arr in (self.dF_dt, *(self.dF_dx or ())):
             if arr is not None and arr.shape != want:
                 raise ValueError("derivative field shape mismatch")
+        if (self.harmonicity is not None
+                and np.shape(self.harmonicity) != (self.levels.M - 2,)):
+            raise ValueError("harmonicity needs one value per interior level")
+
+
+@dataclass(frozen=True)
+class _RadialLayout:
+    """The distinct |xi| of a grid's real-FFT half lattice.
+
+    radii are the distinct |xi| in ascending order and inv, of half-lattice
+    shape, the index of each point's radius.  weight is each point's
+    Parseval weight: 1 on the last-axis columns 0 and N/2, which hold their
+    own conjugates, and 2 elsewhere, over N^n, so that sum_x g(x)^2 =
+    sum weight |g^|^2 for g^ from spectral_forward.  grad_weight is weight
+    times sum_j (2 pi xi_j)^2, zeroed on the Nyquist rows as
+    gradient_multipliers is, so that it weighs |grad g|^2 the same way."""
+
+    radii: np.ndarray
+    inv: np.ndarray
+    weight: np.ndarray
+    grad_weight: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _radial_layout(spec: GridSpec) -> _RadialLayout:
+    half = spec.frequency_magnitude()[..., : spec.N // 2 + 1]
+    radii, inv = np.unique(half, return_inverse=True)
+    weight = np.full(half.shape, 2.0 / spec.N**spec.n)
+    weight[..., [0, -1]] /= 2
+    grad_weight = weight * np.sum(gradient_multipliers(spec).imag ** 2, axis=0)
+    layout = _RadialLayout(radii=radii, inv=inv.reshape(half.shape),
+                           weight=weight, grad_weight=grad_weight)
+    for arr in (radii, layout.inv, weight, grad_weight):
+        arr.flags.writeable = False
+    return layout
+
+
+def _radial_power(layout: _RadialLayout, coeffs: np.ndarray,
+                  weight: np.ndarray) -> np.ndarray:
+    """The radial power P(r): the sum of weight |coeffs|^2 over the
+    half-lattice points of radius r.  With weight = layout.weight,
+    sum_x g(x)^2 = sum_r a(r)^2 P(r) for g the multiplier a(|xi|) applied to
+    the values of coeffs."""
+    p = weight * (coeffs.real**2 + coeffs.imag**2)
+    return np.bincount(layout.inv.ravel(), weights=p.ravel(),
+                       minlength=layout.radii.size)
+
+
+def _level_stream(spec: GridSpec, coeffs: np.ndarray, s: float,
+                  levels: TLevels, fields: tuple[str, ...],
+                  symbol: PoissonSymbol | None
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    """extension_levels from the half spectrum coeffs: yields per level the
+    fields, and m and |xi| m' (None unless "t" is among the fields) on the
+    layout's distinct radii."""
+    sym = symbol if symbol is not None else PoissonSymbol(s)
+    layout = _radial_layout(spec)
+    radii, inv = layout.radii, layout.inv
+    k = ("F" in fields) + ("t" in fields) + spec.n * ("x" in fields)
+    mults = np.empty((k, *inv.shape), dtype=complex)
+    # the multipliers broadcast over the stack axes of coeffs
+    stacked = mults.reshape((k,) + (1,) * (coeffs.ndim - spec.n) + inv.shape)
+    for t in levels.ts:
+        tdm = None
+        if "t" in fields:
+            m, dm = sym.eval_m_dm(t * radii)
+            tdm = radii * dm
+        else:
+            m = sym.eval_m(t * radii)
+        m_half = m[inv]
+        j = 0
+        if "F" in fields:
+            mults[j] = m_half
+            j += 1
+        if "t" in fields:
+            mults[j] = tdm[inv]
+            j += 1
+        if "x" in fields:
+            np.multiply(gradient_multipliers(spec), m_half, out=mults[j:])
+        yield spectral_synthesis(spec, coeffs, stacked), m, tdm
 
 
 def extension_levels(spec: GridSpec, values: np.ndarray, s: float,
@@ -303,38 +390,44 @@ def extension_levels(spec: GridSpec, values: np.ndarray, s: float,
     dF/dx_1..dF/dx_n for those named.  Per level the symbol is evaluated once
     on the distinct |xi|, and the multipliers [m, |xi| m', 2 pi i xi_j m] are
     gathered onto the real-FFT half lattice."""
-    sym = symbol if symbol is not None else PoissonSymbol(s)
-    half = spec.frequency_magnitude()[..., : spec.N // 2 + 1]
-    radii, inv = np.unique(half, return_inverse=True)
-    inv = inv.reshape(half.shape)
     coeffs = spectral_forward(spec, values)
-    k = ("F" in fields) + ("t" in fields) + spec.n * ("x" in fields)
-    mults = np.empty((k, *half.shape), dtype=complex)
-    # the multipliers broadcast over the stack axes of coeffs
-    stacked = mults.reshape((k,) + (1,) * (values.ndim - spec.n) + half.shape)
-    for t in levels.ts:
-        if "t" in fields:
-            m, dm = sym.eval_m_dm(t * radii)
-        else:
-            m = sym.eval_m(t * radii)
-        m_half = m[inv]
-        j = 0
-        if "F" in fields:
-            mults[j] = m_half
-            j += 1
-        if "t" in fields:
-            mults[j] = (radii * dm)[inv]
-            j += 1
-        if "x" in fields:
-            np.multiply(gradient_multipliers(spec), m_half, out=mults[j:])
-        yield spectral_synthesis(spec, coeffs, stacked)
+    for level, _, _ in _level_stream(spec, coeffs, s, levels, fields, symbol):
+        yield level
+
+
+def _harmonicity(ts: np.ndarray, i: int, s: float, tdm: list[np.ndarray],
+                 m: np.ndarray, lap: np.ndarray, power: np.ndarray,
+                 grad_power: np.ndarray | None) -> float:
+    """Relative L2 residual of div(t^{1-s} grad F) = 0 at interior level i,
+    by Parseval on the distinct radii.  tdm holds |xi| m' at levels i - 1,
+    i and i + 1, m is m at level i and lap the symbol (2 pi |xi|)^2 of
+    -Lap_x; power weighs |f^|^2 and grad_power (if the x-gradient counts in
+    the scale) sum_j (2 pi xi_j)^2 |f^|^2, per radius."""
+    t = ts[i]
+    h1 = ts[i] - ts[i - 1]
+    h2 = ts[i + 1] - ts[i]
+    Ftt = (-h2 / (h1 * (h1 + h2)) * tdm[0]
+           + (h2 - h1) / (h1 * h2) * tdm[1]
+           + h1 / (h2 * (h1 + h2)) * tdm[2])
+    resid = t ** (1 - s) * (Ftt - lap * m) + (1 - s) * t ** (-s) * tdm[1]
+    grad2 = float(np.sum(tdm[1] ** 2 * power))
+    if grad_power is not None:
+        grad2 += float(np.sum(m**2 * grad_power))
+    scale = t ** (1 - s) * math.sqrt(grad2)
+    norm = math.sqrt(float(np.sum(resid**2 * power)))
+    return norm / max(scale, 1e-300)
 
 
 def extend_field(f: GridFunction, s: float, levels: TLevels,
                  with_derivatives: tuple[str, ...] = ("t", "x"),
                  symbol: PoissonSymbol | None = None) -> ExtensionField:
     """Compute F(.,t) = m_s(t|xi|) f^(xi) on every level, plus requested
-    derivative fields (t from the differentiated symbol, x spectrally)."""
+    derivative fields (t from the differentiated symbol, x spectrally).
+
+    With dF/dt it also records the s-harmonicity residual of every interior
+    level (see s_harmonicity_residual) from the symbol values the levels
+    use, a window of three levels at a time, and the radial power of the
+    one forward transform."""
     spec = f.spec
     shape = (levels.M, *spec.shape)
     F = np.empty(shape)
@@ -342,14 +435,30 @@ def extend_field(f: GridFunction, s: float, levels: TLevels,
     dF_dx = (tuple(np.empty(shape) for _ in range(spec.n))
              if "x" in with_derivatives else None)
     outs = [F, *([] if dF_dt is None else [dF_dt]), *(dF_dx or ())]
-    fields = ("F", *with_derivatives)
-    for i, level in enumerate(extension_levels(spec, f.values, s, levels,
-                                               fields, symbol)):
+    coeffs = spectral_forward(spec, f.values)
+    harmonicity = None
+    if dF_dt is not None:
+        layout = _radial_layout(spec)
+        power = _radial_power(layout, coeffs, layout.weight)
+        grad_power = (None if dF_dx is None else
+                      _radial_power(layout, coeffs, layout.grad_weight))
+        lap = (2 * np.pi * layout.radii) ** 2
+        harmonicity = np.empty(levels.M - 2)
+        window: list[np.ndarray] = []
+    stream = _level_stream(spec, coeffs, s, levels, ("F", *with_derivatives),
+                           symbol)
+    for i, (level, m, tdm) in enumerate(stream):
         for out, g in zip(outs, level):
             out[i] = g
+        if dF_dt is not None:
+            window = [*window[-2:], tdm]
+            if i >= 2:
+                harmonicity[i - 2] = _harmonicity(
+                    levels.ts, i - 1, s, window, m_mid, lap, power, grad_power)
+            m_mid = m
     return ExtensionField(
-        spec=spec, s=s, levels=levels, F=F, dF_dt=dF_dt, dF_dx=dF_dx, boundary=f
-    )
+        spec=spec, s=s, levels=levels, F=F, dF_dt=dF_dt, dF_dx=dF_dx,
+        boundary=f, harmonicity=harmonicity)
 
 
 @dataclass(frozen=True)
@@ -368,26 +477,39 @@ def boundary_limit_check(f: GridFunction, s: float,
     extrapolated to t = 0 with the basis {1, u^{2-s}, u^2} in u = t/h;
     small_ts ascend and number at least 3.
 
-    Both tests are scale-free: f counts as degenerate when
-    ||(-Delta)^{s/2} f|| <= 1e-14 (2 pi/L)^s ||f||, the lowest mode's gain,
-    and the fit in u stays well scaled for any period."""
+    Both sides are radial multipliers of f^, -t^{1-s} |xi| m_s'(t|xi|) and
+    (2 pi |xi|)^s, so their L2 inner products are sums over the distinct
+    |xi| of the radial power of f (Parseval): one forward transform, and no
+    field is synthesized.  Both tests are scale-free: f counts as degenerate
+    when ||(-Delta)^{s/2} f|| <= 1e-14 (2 pi/L)^s ||f||, the lowest mode's
+    gain, the sums are taken in units of the period, and the fit in u stays
+    well scaled for any period."""
     spec = f.spec
     small_ts = np.asarray(small_ts, dtype=float)
     if np.any(small_ts < spec.h / 4 * (1 - 1e-12)) or np.any(
         small_ts > 8 * spec.h * (1 + 1e-12)
     ):
         raise ValueError("small_ts must lie within [h/4, 8h]")
-    w = frac_laplacian(f, s)
-    if l2_norm(w) <= 1e-14 * (2 * np.pi / spec.L) ** s * l2_norm(f):
+    layout = _radial_layout(spec)
+    power = _radial_power(layout, spectral_forward(spec, f.values),
+                          layout.weight)
+    # both sides in units of the period, k = L |xi| and t / L, which scales
+    # each by L^s, so that no period overflows or underflows them
+    k = spec.L * layout.radii
+    w = (2 * np.pi * k) ** s  # the frac_laplacian multiplier
+    ww = float(np.sum(w**2 * power))
+    if math.sqrt(ww) <= (1e-14 * (2 * np.pi) ** s
+                         * math.sqrt(float(np.sum(power)))):
         raise ValueError("degenerate input: (-Delta)^{s/2} f vanishes")
-    w, ww = w.values, np.sum(w.values**2)
-    dF_dt = extend_field(f, s, TLevels(small_ts), with_derivatives=("t",)).dF_dt
+    sym = PoissonSymbol(s)
     c_ts, residuals = [], []
-    for t, dF in zip(small_ts, dF_dt):
-        g = -(t ** (1 - s)) * dF
-        ct = float(np.sum(g * w) / ww)
+    for t in small_ts:
+        tau = t / spec.L
+        g = -(tau ** (1 - s)) * (k * sym.eval_dm(tau * k))
+        ct = float(np.sum(g * w * power) / ww)
         c_ts.append(ct)
-        residuals.append(float(np.sqrt(np.sum((g - ct * w) ** 2)) / np.sqrt(ww)))
+        residuals.append(math.sqrt(float(np.sum((g - ct * w) ** 2 * power)))
+                         / math.sqrt(ww))
     c_ts = np.array(c_ts)
     u = small_ts / spec.h
     basis = np.stack([np.ones_like(u), u ** (2 - s), u**2], axis=1)
@@ -399,37 +521,23 @@ def boundary_limit_check(f: GridFunction, s: float,
 
 
 def s_harmonicity_residual(F: ExtensionField) -> list[tuple[float, float]]:
-    """Relative L2 residual of div(t^{1-s} grad F) = 0 per interior level.
+    """Relative L2 residual of div(t^{1-s} grad F) = 0 per interior level,
+    as (t, residual) pairs.
 
     Written as t^{1-s} (F_tt + Lap_x F) + (1-s) t^{-s} F_t; F_t comes from the
     differentiated symbol, F_tt from a second-order non-uniform 3-point
-    stencil across levels, and Lap_x F is spectral."""
+    stencil across levels, and Lap_x F from the symbol -(2 pi |xi|)^2.  The
+    residual is relative to t^{1-s} ||grad F||, with the x-gradient counted
+    when the field carries it.  Every term is a radial multiplier of f^, so
+    extend_field records the L2 norms by Parseval while it streams the
+    levels; a field built without extend_field carries none."""
     if F.dF_dt is None:
         raise ValueError("extension field must carry the t-derivative")
-    ts = F.levels.ts  # a TLevels holds at least 3 levels
-    s = F.s
-    spec = F.spec
-    mag2 = (2 * np.pi * spec.frequency_magnitude()) ** 2
-    out = []
-    for i in range(1, len(ts) - 1):
-        t = ts[i]
-        h1 = ts[i] - ts[i - 1]
-        h2 = ts[i + 1] - ts[i]
-        Ftt = (
-            -h2 / (h1 * (h1 + h2)) * F.dF_dt[i - 1]
-            + (h2 - h1) / (h1 * h2) * F.dF_dt[i]
-            + h1 / (h2 * (h1 + h2)) * F.dF_dt[i + 1]
-        )
-        lap = -spectral_apply(spec, F.F[i], mag2)
-        resid = t ** (1 - s) * (Ftt + lap) + (1 - s) * t ** (-s) * F.dF_dt[i]
-        grad2 = F.dF_dt[i] ** 2
-        if F.dF_dx is not None:
-            for g in F.dF_dx:
-                grad2 = grad2 + g[i] ** 2
-        scale = t ** (1 - s) * math.sqrt(float(np.sum(grad2)))
-        norm = math.sqrt(float(np.sum(resid**2)))
-        out.append((float(t), norm / max(scale, 1e-300)))
-    return out
+    if F.harmonicity is None:
+        raise ValueError("the s-harmonicity residual is recorded by "
+                         "extend_field, and this field carries none")
+    return [(float(t), float(r))
+            for t, r in zip(F.levels.ts[1:-1], F.harmonicity)]
 
 
 def decay_profile(F: ExtensionField, k: int = 0) -> dict[str, np.ndarray]:

@@ -18,11 +18,15 @@ import functools
 import hashlib
 import math
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .extension import ExtensionField, TLevels, extend_field
+# extend_field is no longer called here, but perfbench/test_benchmark.py
+# checks that the tracer rebinds it in this namespace
+from .extension import (ExtensionField, TLevels, extend_field,  # noqa: F401
+                        extension_levels)
 from .grid import (GridFunction, GridSpec, spectral_apply, spectral_forward,
                    spectral_gradient, spectral_synthesis)
 from .multiplier_ops import frac_laplacian
@@ -88,6 +92,24 @@ def _ball_kernel(spec: GridSpec, r: float, strict: bool = False
     dist = _offsets(spec)[1].reshape(spec.shape)
     mask = dist < r if strict else dist <= r * (1 + 1e-12)
     return mask.astype(float), int(np.count_nonzero(mask))
+
+
+def _open_ball_spectra(spec: GridSpec) -> Callable[[float], np.ndarray]:
+    """A function giving the spectrum np.fft.fftn of the indicator of the
+    open ball {|y| < radius}, radius > 0, from _ball_kernel.  The ball is
+    fixed by its cell count, so each distinct ball is transformed once per
+    returned function; only the real-FFT half is kept."""
+    dist = np.sort(_offsets(spec)[1])
+    spectra: dict[int, np.ndarray] = {}
+
+    def spectrum(radius: float) -> np.ndarray:
+        cnt = int(np.searchsorted(dist, radius))  # cells with |y| < radius
+        if cnt not in spectra:
+            kernel, _ = _ball_kernel(spec, radius, strict=True)
+            spectra[cnt] = np.fft.fftn(kernel)[..., : spec.N // 2 + 1].copy()
+        return spectra[cnt]
+
+    return spectrum
 
 
 def _ball_sum(spec: GridSpec, values: np.ndarray,
@@ -414,22 +436,23 @@ def space_functional(f: GridFunction, kind: str, alpha: float, beta: float,
             raise ValueError(
                 f"derivative 'frac-laplacian' requires beta > max(alpha, 0); "
                 f"got alpha={alpha}, beta={beta}")
-        g = frac_laplacian(f, beta)
-        G = extend_field(g, s, levels, with_derivatives=()).F
-        beta_eff = beta
+        values, field, beta_eff = frac_laplacian(f, beta).values, "F", beta
     elif derivative == "dt":
         if not alpha < s:
             raise ValueError(
                 f"derivative 'dt' requires alpha < s; got alpha={alpha}, s={s}")
-        G = extend_field(f, s, levels, with_derivatives=("t",)).dF_dt
-        beta_eff = 1.0
+        values, field, beta_eff = f.values, "t", 1.0
     else:
         if not alpha < 1:
             raise ValueError(
                 f"derivative 'dx' requires alpha < 1; got alpha={alpha}")
-        Ffield = extend_field(f, s, levels, with_derivatives=("x",))
-        G = np.sqrt(sum(gj**2 for gj in Ffield.dF_dx))
-        beta_eff = 1.0
+        values, field, beta_eff = f.values, "x", 1.0
+    # only the field read is synthesized
+    stream = extension_levels(spec, values, s, levels, (field,))
+    if field == "x":
+        G = np.stack([np.sqrt(sum(g**2 for g in level)) for level in stream])
+    else:
+        G = np.stack([level[0] for level in stream])
     ts = levels.ts
     wlog = levels.log_trapezoid_weights()
     wt = ts ** (beta_eff - alpha)
@@ -472,10 +495,10 @@ def square_function(F: ExtensionField, mode: str = "regular",
         weighted = (ts.reshape((-1,) + (1,) * spec.n) ** weight * G) ** 2
         s2 = np.tensordot(wlog, weighted, axes=(0, 0))
     else:
+        ball_spectrum = _open_ball_spectra(spec)
         s2 = np.zeros(spec.shape)
         for i, t in enumerate(ts):
-            kernel, _ = _ball_kernel(spec, t, strict=True)
-            cone = _ball_sum(spec, G[i] ** 2, kernel)
+            cone = spectral_apply(spec, G[i] ** 2, ball_spectrum(t))
             s2 += wlog[i] * t ** (2 * weight - spec.n) * cone * spec.cell_volume
     return GridFunction(spec, np.sqrt(np.maximum(s2, 0.0)))
 
@@ -485,13 +508,15 @@ def carleson_sup(F: ExtensionField, weight: float = 1.0,
                  tents: TentFamily | None = None) -> float:
     """Supremum over tents T(B) = {(y,t) : |y - x| < r - t} of
     (|B|^(-1) int_T t^w |G|^2 dy dt)^(1/2); |G|^2 is transformed forward
-    once, as one stack of levels, for all (radius, level) pairs."""
+    once, as one stack of levels, for all (radius, level) pairs, and each
+    distinct ball {|y| < r - t} once."""
     spec = F.spec
     tents = tents if tents is not None else TentFamily.standard(spec)
     G = _field_stack(F, selector)
     ts = F.levels.ts
     wlog = F.levels.log_trapezoid_weights()
     g2_hat = spectral_forward(spec, G**2)
+    ball_spectrum = _open_ball_spectra(spec)
     best = 0.0
     for r, cnt in zip(tents.radii, _ball_geometry(tents).counts):
         measure = cnt * spec.cell_volume
@@ -499,9 +524,8 @@ def carleson_sup(F: ExtensionField, weight: float = 1.0,
         for i, t in enumerate(ts):
             if t >= r:
                 continue
-            kernel, _ = _ball_kernel(spec, r - t, strict=True)
             acc += wlog[i] * t ** (1 + weight) * spectral_synthesis(
-                spec, g2_hat[i], np.fft.fftn(kernel))
+                spec, g2_hat[i], ball_spectrum(r - t))
         acc *= spec.cell_volume / measure
         top = float(np.max(_decimate(acc, tents.center_stride)))
         best = max(best, math.sqrt(max(top, 0.0)))

@@ -91,6 +91,31 @@ def _surface(n: int) -> float:
     return 2.0 if n == 1 else 2 * np.pi
 
 
+# B_2, B_4, ..., B_16 over (2j)!: the Euler-Maclaurin corrections
+_BERNOULLI_TERMS = tuple(b / math.factorial(2 * j) for j, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+     -3617 / 510), start=1))
+
+
+def _hurwitz_zeta(a: float, q: np.ndarray) -> np.ndarray:
+    """Hurwitz zeta sum_{k >= 0} (q + k)^-a for a > 1 and q > 0.
+
+    Euler-Maclaurin: the first 12 terms directly, then with x = q + 12 the
+    integral x^(1-a) / (a-1), the half term x^-a / 2 and the corrections
+    B_2j / (2j)! a (a+1) ... (a+2j-2) x^(1-a-2j), j = 1..8.  The first
+    omitted correction is below 1e-18 of the sum for 1 < a <= 3 and
+    0 < q <= 1."""
+    x = q + 12.0
+    total = x ** (1 - a) / (a - 1) + x**-a / 2
+    term = a * x ** (-a - 1)  # a (a+1) ... (a+2j-2) x^(1-a-2j) at j = 1
+    for j, b in enumerate(_BERNOULLI_TERMS, start=1):
+        total += b * term
+        term *= (a + 2 * j - 1) * (a + 2 * j) / (x * x)
+    for k in range(11, -1, -1):  # the largest terms last
+        total += (q + k) ** -a
+    return total
+
+
 def _periodized_weights(spec: GridSpec, offsets: np.ndarray, dist: np.ndarray,
                         power: float, images: int) -> np.ndarray:
     """Kernel sum_k |y + kL|^power over periodic images at each offset of
@@ -104,13 +129,13 @@ def _periodized_weights(spec: GridSpec, offsets: np.ndarray, dist: np.ndarray,
     """
     L = spec.L
     if spec.n == 1 and power < -1:
-        from scipy.special import zeta  # deferred: only this branch needs scipy
         q = (offsets[:, 0] % spec.N) / spec.N
         w = np.empty(len(q))
         zero = q == 0.0
         # at the origin offset only the k = 0 singular term is excluded
-        w[zero] = 2 * L**power * zeta(-power)
-        w[~zero] = L**power * (zeta(-power, q[~zero]) + zeta(-power, 1 - q[~zero]))
+        w[zero] = 2 * L**power * _hurwitz_zeta(-power, np.ones(1))
+        w[~zero] = L**power * (_hurwitz_zeta(-power, q[~zero])
+                               + _hurwitz_zeta(-power, 1 - q[~zero]))
         return w
     k1 = np.arange(-images, images + 1) * L
     if spec.n == 1:

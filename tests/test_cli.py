@@ -236,10 +236,11 @@ def test_run_out_is_an_existing_file_exits_two(tmp_path, capsys, monkeypatch):
 
 
 def test_run_path_loads_no_scipy(tmp_path):
-    # scipy serves only the lambda-quadrature symbol oracle and the 1-D
-    # Hurwitz-zeta weights; importing any of it costs every command about
-    # 0.3 s.  chanillo and crw-bmo reach the Riesz-potential quadrature and
-    # the symbol, and the run writes the decay profile and boundary trace.
+    # scipy serves only the lambda-quadrature symbol oracle; importing any
+    # of it costs every command about 0.3 s.  chanillo and crw-bmo reach the
+    # Riesz-potential quadrature and the symbol, the run writes the decay
+    # profile and boundary trace, and ops-check reaches the 1-D periodized
+    # (Hurwitz-zeta) weights.
     import os
     import subprocess
     import sys
@@ -255,13 +256,17 @@ def test_run_path_loads_no_scipy(tmp_path):
         "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "print(loaded())\n"
         f"rc = fracharm.cli.main(['run', {path!r}])\n"
+        "print(rc, loaded())\n"
+        "rc = fracharm.cli.main(['ops-check'])\n"
         "print(rc, loaded())\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     lines = out.stdout.strip().splitlines()
     assert lines[0] == "[]"
+    assert lines[-2].startswith("PASS")  # the last line ops-check printed
     assert lines[-1] == "0 []"
+    assert "0 []" in lines[1:-1]  # after the run
     assert (tmp_path / "reports" / "boundary_trace.txt").exists()
 
 

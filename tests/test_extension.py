@@ -6,7 +6,8 @@ import pytest
 from scipy.special import gamma, kv, kve
 
 import fracharm.extension
-from fracharm import (GridFunction, GridSpec, PoissonSymbol, TLevels,
+from fracharm import (ExtensionField, GridFunction, GridSpec, PoissonSymbol,
+                      TLevels,
                       TestFunctionDescriptor, boundary_limit_check,
                       decay_profile, extend_field, frac_laplacian, get_symbol,
                       make_function, make_tlevels,
@@ -408,6 +409,21 @@ def test_boundary_trace_is_scale_free():
     assert cs[2] == pytest.approx(cs[1], rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("s", [0.3, 1.0, 1.5, 1.9])
+def test_boundary_trace_is_scale_free_at_every_order(s):
+    # at s >= 1.5 the sums of squares of (-Delta)^{s/2} f in physical units
+    # leave the float64 range at these periods
+    cs = []
+    for L in (1e-100, 1.0, 1e150):
+        spec = GridSpec(n=1, N=64, L=L)
+        f = make_function(TestFunctionDescriptor(
+            kind="gaussian", center=(L / 2,), width=L / 16), spec)
+        small_ts = np.geomspace(spec.h / 2, 4 * spec.h, 8)
+        cs.append(boundary_limit_check(f, s, small_ts).c)
+    assert cs[0] == pytest.approx(cs[1], rel=1e-13)
+    assert cs[2] == pytest.approx(cs[1], rel=1e-13)
+
+
 def test_s_harmonicity_residual_is_small():
     spec = GridSpec(n=1, N=128, L=1.0)
     f = make_function(TestFunctionDescriptor(
@@ -433,6 +449,173 @@ def test_s_harmonicity_residual_needs_dt_field():
     F = extend_field(f, 0.5, lv, with_derivatives=())
     with pytest.raises(ValueError):
         s_harmonicity_residual(F)
+
+
+def _harmonicity_by_arrays(F):
+    # the grid route s_harmonicity_residual replaced: F_tt and Lap_x F as
+    # arrays per level, with Lap_x F transformed from F[i] again
+    spec, s, ts = F.spec, F.s, F.levels.ts
+    mag2 = (2 * np.pi * spec.frequency_magnitude()) ** 2
+    out = []
+    for i in range(1, len(ts) - 1):
+        t = ts[i]
+        h1 = ts[i] - ts[i - 1]
+        h2 = ts[i + 1] - ts[i]
+        Ftt = (-h2 / (h1 * (h1 + h2)) * F.dF_dt[i - 1]
+               + (h2 - h1) / (h1 * h2) * F.dF_dt[i]
+               + h1 / (h2 * (h1 + h2)) * F.dF_dt[i + 1])
+        lap = -spectral_apply(spec, F.F[i], mag2)
+        resid = t ** (1 - s) * (Ftt + lap) + (1 - s) * t ** (-s) * F.dF_dt[i]
+        grad2 = F.dF_dt[i] ** 2
+        for g in F.dF_dx or ():
+            grad2 = grad2 + g[i] ** 2
+        scale = t ** (1 - s) * math.sqrt(float(np.sum(grad2)))
+        out.append(math.sqrt(float(np.sum(resid**2))) / max(scale, 1e-300))
+    return np.array(out)
+
+
+def _trace_by_arrays(f, s, small_ts):
+    # the grid route boundary_limit_check replaced: the field dF/dt and
+    # (-Delta)^{s/2} f as arrays, and their dot products on the grid.
+    # Returns c_ts and the residuals.
+    w = frac_laplacian(f, s).values
+    ww = np.sum(w**2)
+    dF_dt = extend_field(f, s, TLevels(small_ts), with_derivatives=("t",)).dF_dt
+    c_ts, residuals = [], []
+    for t, dF in zip(small_ts, dF_dt):
+        g = -(t ** (1 - s)) * dF
+        ct = float(np.sum(g * w) / ww)
+        c_ts.append(ct)
+        residuals.append(float(np.sqrt(np.sum((g - ct * w) ** 2)) / np.sqrt(ww)))
+    return np.array(c_ts), np.array(residuals)
+
+
+_FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+              "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+
+
+def _count_transforms(monkeypatch):
+    """Record the name of every numpy.fft call from now on."""
+    calls = []
+    for name in _FFT_NAMES:
+        real = getattr(np.fft, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
+
+
+def _diagnostic_inputs(n, N):
+    # white noise puts power on the Nyquist rows, which the gaussian and the
+    # band-limited function leave empty
+    spec = GridSpec(n=n, N=N, L=1.0)
+    return spec, [
+        make_function(TestFunctionDescriptor(
+            kind="gaussian", center=(0.47,) * n, width=0.06), spec),
+        make_function(TestFunctionDescriptor(
+            kind="random-bandlimited", seed=3, max_k=5), spec),
+        GridFunction(spec, np.random.default_rng(5).standard_normal(spec.shape))]
+
+
+_DIAGNOSTIC_ORDERS = (0.3, 0.5, 1.0, 1.5, 1.9)
+
+
+@pytest.mark.parametrize("n,N", [(1, 128), (1, 1024), (2, 64)])
+def test_s_harmonicity_residual_equals_array_route(n, N, monkeypatch):
+    # Parseval over the distinct |xi| against the grid route.  The grid
+    # route cancels F_tt against Lap_x F on the grid: it is up to 6.2e-9
+    # (relative, 1-D N=1024, s=0.3) off both the Parseval values and an
+    # extended-precision grid route, which the Parseval values meet to
+    # 2e-14.  At s = 1 the residual of the low levels is about 1e-5 of the
+    # scale, and the two routes differ by up to 3.8e-8 of it, 6e-13
+    # absolute.
+    spec, fs = _diagnostic_inputs(n, N)
+    lv = make_tlevels(spec, M=32)
+    # the noise only adds the Nyquist rows, at two orders
+    cases = [(f, s) for f in fs[:2] for s in _DIAGNOSTIC_ORDERS]
+    cases += [(fs[2], 0.5), (fs[2], 1.5)]
+    for k, (f, s) in enumerate(cases):
+        # each input meets both scales, with and without the x-gradient
+        derivs = (("t",), ("t", "x"))[k % 2]
+        F = extend_field(f, s, lv, with_derivatives=derivs)
+        calls = _count_transforms(monkeypatch)
+        got = s_harmonicity_residual(F)
+        assert calls == []
+        monkeypatch.undo()
+        assert [t for t, _ in got] == list(lv.ts[1:-1])
+        got = np.array([r for _, r in got])
+        want = _harmonicity_by_arrays(F)
+        assert np.all(np.abs(got - want) <= 2e-8 * want + 2e-12)
+
+
+@pytest.mark.parametrize("n,N", [(1, 128), (1, 1024), (2, 64)])
+def test_boundary_trace_equals_array_route(n, N, monkeypatch):
+    # c_t moves by at most 6.1e-16 relative; the residuals, which are small
+    # differences of the two sides, by at most 1.1e-13
+    spec, fs = _diagnostic_inputs(n, N)
+    small_ts = np.geomspace(spec.h / 2, 4 * spec.h, 8)
+    for f in fs:
+        for s in _DIAGNOSTIC_ORDERS:
+            calls = _count_transforms(monkeypatch)
+            got = boundary_limit_check(f, s, small_ts)
+            assert calls == ["rfftn"]
+            monkeypatch.undo()
+            c_ts, residuals = _trace_by_arrays(f, s, small_ts)
+            assert np.all(np.abs(got.c_ts - c_ts) <= 2e-15 * np.abs(c_ts))
+            assert np.all(np.abs(got.residuals - residuals)
+                          <= 3e-13 * residuals)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="longdouble is no wider than float64 here")
+def test_s_harmonicity_residual_meets_extended_precision_route():
+    # the grid route with the fields and every sum in longdouble, from the
+    # same float64 symbol values: the float64 grid route is 1.5e-9 off it
+    spec, (f, *_) = _diagnostic_inputs(1, 1024)
+    s, lv = 0.5, make_tlevels(spec, M=32)
+    sym, ld = PoissonSymbol(s), np.longdouble
+    radii, inv = np.unique(spec.frequency_magnitude()[: spec.N // 2 + 1],
+                           return_inverse=True)
+    coeffs = np.fft.rfft(f.values.astype(ld))
+    F, dF_dt = [], []
+    for t in lv.ts:
+        m, dm = sym.eval_m_dm(t * radii)
+        F.append(np.fft.irfft(coeffs * m.astype(ld)[inv], spec.N))
+        dF_dt.append(np.fft.irfft(coeffs * (radii * dm).astype(ld)[inv], spec.N))
+    mag2 = (2 * np.pi * ld(1) * radii.astype(ld)[inv]) ** 2
+    ts, s = lv.ts.astype(ld), ld(s)
+    want = []
+    for i in range(1, lv.M - 1):
+        t, h1, h2 = ts[i], ts[i] - ts[i - 1], ts[i + 1] - ts[i]
+        Ftt = (-h2 / (h1 * (h1 + h2)) * dF_dt[i - 1]
+               + (h2 - h1) / (h1 * h2) * dF_dt[i]
+               + h1 / (h2 * (h1 + h2)) * dF_dt[i + 1])
+        lap = -np.fft.irfft(np.fft.rfft(F[i]) * mag2, spec.N)
+        resid = t ** (1 - s) * (Ftt + lap) + (1 - s) * t ** (-s) * dF_dt[i]
+        want.append(np.sqrt(np.sum(resid**2))
+                    / (t ** (1 - s) * np.sqrt(np.sum(dF_dt[i] ** 2))))
+    want = np.array(want)
+    got = np.array([r for _, r in s_harmonicity_residual(
+        extend_field(f, 0.5, lv, with_derivatives=("t",)))])
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+def test_s_harmonicity_residual_needs_extend_field():
+    spec = GridSpec(n=1, N=32, L=1.0)
+    f = GridFunction(spec, np.cos(2 * np.pi * spec.coords()[0]))
+    lv = TLevels(np.geomspace(0.05, 0.5, 8))
+    F = extend_field(f, 0.5, lv, with_derivatives=("t",))
+    assert F.harmonicity.shape == (lv.M - 2,)
+    by_hand = ExtensionField(spec=spec, s=0.5, levels=lv, F=F.F,
+                             dF_dt=F.dF_dt, boundary=f)
+    with pytest.raises(ValueError, match="extend_field"):
+        s_harmonicity_residual(by_hand)
+    with pytest.raises(ValueError, match="interior level"):
+        ExtensionField(spec=spec, s=0.5, levels=lv, F=F.F, dF_dt=F.dF_dt,
+                       harmonicity=F.harmonicity[1:])
 
 
 def test_decay_profile_decays_at_large_times():

@@ -313,6 +313,45 @@ def test_space_functional_besov_qinf_is_sup_over_levels():
     assert v_inf <= v_2 * np.sqrt(np.sum(lv.log_trapezoid_weights()))
 
 
+@pytest.mark.parametrize("derivative,alpha,beta,field",
+                         [("frac-laplacian", 0.3, 0.6, "F"),
+                          ("dt", 0.2, 1.0, "dt"), ("dx", 0.4, 1.0, "dx")])
+def test_space_functional_streams_only_its_field(derivative, alpha, beta,
+                                                 field, monkeypatch):
+    spec = GridSpec(n=2, N=32, L=1.0)
+    f = _bump(spec, radius=0.2)
+    lv = make_tlevels(spec, M=16)
+    synthesized = []
+    real = np.fft.irfftn
+
+    def counting(*args, **kwargs):
+        if args[0].ndim > spec.n:  # not the apply of (-Delta)^{beta/2}
+            synthesized.append(args[0].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfftn", counting)
+    got = {kind: space_functional(f, kind, alpha, beta, 2.0, 2.0, 0.5, lv,
+                                  derivative)
+           for kind in ("besov", "triebel")}
+    monkeypatch.undo()
+    # F and dF/dt are one array per level, dF/dx one per axis
+    per_level = spec.n if derivative == "dx" else 1
+    assert synthesized == [per_level] * (2 * lv.M)
+    # the values of the extend_field route, bit for bit
+    g = norms.frac_laplacian(f, beta) if field == "F" else f
+    F = extend_field(g, 0.5, lv)
+    G = {"F": F.F, "dt": F.dF_dt,
+         "dx": np.sqrt(sum(gj**2 for gj in F.dF_dx))}[field]
+    ts, wlog = lv.ts, lv.log_trapezoid_weights()
+    wt = ts ** ((beta if field == "F" else 1.0) - alpha)
+    besov = np.sum(wlog * (wt * [lp_norm(GridFunction(spec, Gi), 2.0)
+                                 for Gi in G]) ** 2.0) ** 0.5
+    weighted = (wt.reshape(-1, 1, 1) * np.abs(G)) ** 2.0
+    inner = np.tensordot(wlog, weighted, axes=(0, 0)) ** 0.5
+    assert got["besov"] == float(besov)
+    assert got["triebel"] == lp_norm(GridFunction(spec, inner), 2.0)
+
+
 def test_square_function_littlewood_paley_identity():
     # for s = 1, int_0^inf (t |dF/dt|)^2 dt/t = ||f||_2^2 / 4 mode by mode,
     # so the regular square function with weight 1 satisfies ||S||_2 = ||f||_2/2
@@ -393,13 +432,70 @@ def test_carleson_sup_transforms_once_and_equals_per_pair_loop(n, N,
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
+    kernels = []
+    real_fftn = np.fft.fftn
+
+    def counting_fftn(*args, **kwargs):
+        kernels.append(1)
+        return real_fftn(*args, **kwargs)
+
     monkeypatch.setattr(np.fft, "rfftn", counting)
+    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+    ts = F.levels.ts
     for selector, tents in (("gradient", TentFamily.standard(spec)),
                             ("dt", TentFamily.standard(spec, center_stride=2))):
+        norms._ball_geometry(tents)  # its ball spectra are cached per family
         calls.clear()
+        kernels.clear()
         got = carleson_sup(F, 1.0, selector, tents)
         assert calls == [(32,) + spec.shape]
+        # one transform per distinct ball {|y| < r - t}: 51 of 128 pairs at
+        # 1-D N=256, 36 of 80 at 2-D N=32
+        balls = [norms._ball_kernel(spec, r - t, strict=True)[1]
+                 for r in tents.radii for t in ts if t < r]
+        assert len(kernels) == len(set(balls)) < len(balls)
         assert got == _carleson_per_pair(F, 1.0, selector, tents)
+
+
+def _nontangential_per_level(F, weight, selector):
+    """The nontangential square function with the ball indicator of every
+    level transformed: the oracle of its one transform per distinct ball."""
+    spec = F.spec
+    G = norms._field_stack(F, selector)
+    ts, wlog = F.levels.ts, F.levels.log_trapezoid_weights()
+    s2 = np.zeros(spec.shape)
+    for i, t in enumerate(ts):
+        kernel, _ = norms._ball_kernel(spec, t, strict=True)
+        cone = norms._ball_sum(spec, G[i] ** 2, kernel)
+        s2 += wlog[i] * t ** (2 * weight - spec.n) * cone * spec.cell_volume
+    return np.sqrt(np.maximum(s2, 0.0))
+
+
+@pytest.mark.parametrize("n,N", [(1, 256), (2, 32)])
+def test_nontangential_square_transforms_each_ball_once(n, N, monkeypatch):
+    spec = GridSpec(n=n, N=N, L=1.0)
+    F = extend_field(_bump(spec, radius=0.2), 0.5, make_tlevels(spec, M=32))
+    kernels = []
+    real_fftn = np.fft.fftn
+
+    def counting_fftn(*args, **kwargs):
+        kernels.append(1)
+        return real_fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+    got = square_function(F, "nontangential", 1.0, "gradient").values
+    monkeypatch.undo()
+    balls = {norms._ball_kernel(spec, t, strict=True)[1] for t in F.levels.ts}
+    assert len(kernels) == len(balls) < F.levels.M
+    assert np.array_equal(got, _nontangential_per_level(F, 1.0, "gradient"))
+    # a radius equal to a lattice distance leaves that shell out of the
+    # open ball, and the spectrum stays that of the ball's own indicator
+    ball_spectrum = norms._open_ball_spectra(spec)
+    dist = np.unique(norms._offsets(spec)[1])[:6]
+    for r in sorted([*dist[1:], *(dist[1:] + dist[:-1]) / 2]):
+        kernel, _ = norms._ball_kernel(spec, r, strict=True)
+        assert np.array_equal(ball_spectrum(r),
+                              np.fft.fftn(kernel)[..., : spec.N // 2 + 1])
 
 
 def test_tent_pairing_bound_check():

@@ -185,6 +185,24 @@ def test_periodized_weights_match_direct_image_sum():
         assert w[idx] == pytest.approx(direct, rel=1e-8)
 
 
+def test_hurwitz_zeta_matches_scipy_and_mpmath():
+    from scipy.special import zeta
+
+    from fracharm.singular_ops import _hurwitz_zeta
+    # the orders a = 1 + s of the periodized 1-D fractional Laplacian, at q
+    # on the N=1024 lattice and near the ends of (0, 1]
+    q = np.concatenate([np.arange(1, 1025) / 1024, [1e-9, 1 - 1e-9]])
+    for a in (1.0001, 1.05, 1.3, 1.6, 2.0, 2.5, 2.99, 3.0):
+        want = zeta(a, q)
+        assert np.max(np.abs(_hurwitz_zeta(a, q) - want) / want) <= 2e-15
+    mpmath = pytest.importorskip("mpmath")
+    q = q[::64]
+    with mpmath.workdps(40):
+        for a in (1.05, 1.3, 2.0, 2.7, 2.99):
+            want = np.array([float(mpmath.zeta(a, mpmath.mpf(x))) for x in q])
+            assert np.max(np.abs(_hurwitz_zeta(a, q) - want) / want) <= 1e-15
+
+
 def _periodized_weights_2d_loop(spec, offsets, power, images):
     """Chunked image sum over all (offset, image) pairs, with the disc
     remainder for power < -2: the oracle of the 2-D _periodized_weights."""
