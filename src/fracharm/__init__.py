@@ -12,8 +12,7 @@ from .commutators import (CATALOG, EstimateDescriptor, RatioReport,
 from .extension import (BoundaryTraceResult, ExtensionField, PoissonSymbol,
                         TLevels, boundary_limit_check, decay_profile,
                         extend_field, get_symbol, make_tlevels,
-                        s_harmonicity_residual, s_poisson_symbol,
-                        symbol_derivative_value, symbol_value)
+                        s_harmonicity_residual, s_poisson_symbol)
 from .grid import (GridFunction, GridSpec, Spectrum, TestFunctionDescriptor,
                    fft_forward, fft_inverse, hermitian_asymmetry,
                    make_function, spectral_apply, spectral_gradient)

@@ -12,8 +12,7 @@ normalized so m_s(0) = 1; for s = 1 this reduces to e^{-2 pi r}.  The
 t-derivative field uses m_s'(r) = -4 pi (pi r)^{s/2} K_{1-s/2}(2 pi r) /
 Gamma(s/2) (Caffarelli-Silvestre, Comm. PDE 2007).  PoissonSymbol evaluates
 the Bessel forms in log space, with e^x K_nu(x) from the trapezoid rule on its
-integral representation (_kve); the lambda-integral form is kept as the
-quadrature oracle symbol_value / symbol_derivative_value.
+integral representation (_kve).
 
 Fields are produced level by level by extension_levels: the boundary values
 (one function or a stack) are transformed forward once, and each level
@@ -99,49 +98,6 @@ def _kve(nus: tuple[float, ...], x: np.ndarray,
             v = (grid * w).sum(axis=1)
             out[sel] = np.log(v) + q * math.log(2) if log else np.ldexp(v, q)
     return outs
-
-
-def _lambda_integral(a: float, b: float, rtol: float = 1e-12) -> float:
-    """int_0^inf lambda^a e^{-lambda - b/lambda} dlambda/lambda for b > 0.
-
-    Integrated in v = log(lambda) with the peak magnitude factored out so the
-    quadrature stays well-scaled for all b."""
-    from scipy.integrate import quad  # deferred: ~0.2 s of import time
-    if b <= 0:
-        raise ValueError("b must be positive")
-    e0 = a * 0.5 * math.log(b) - 2.0 * math.sqrt(b)
-    if e0 < _LOG_FLOOR:
-        return 0.0
-
-    def g(v: float) -> float:
-        return math.exp(a * v - math.exp(v) - b * math.exp(-v) - e0)
-
-    lo = math.log(b / 750.0)
-    hi = math.log(750.0)
-    val, err = quad(g, lo, hi, epsabs=1e-300, epsrel=rtol, limit=400)
-    if not np.isfinite(val) or (val > 0 and err > 1e-6 * val):
-        raise ArithmeticError(
-            f"symbol quadrature did not converge (a={a}, b={b}, "
-            f"value={val}, error={err})"
-        )
-    return val * math.exp(e0)
-
-
-def symbol_value(s: float, r: float, rtol: float = 1e-12) -> float:
-    """m_s(r), the normalized radial Fourier symbol of the Poisson kernel."""
-    if r == 0.0:
-        return 1.0
-    b = (math.pi * r) ** 2
-    return _lambda_integral(s / 2, b, rtol) / math.gamma(s / 2)
-
-
-def symbol_derivative_value(s: float, r: float, rtol: float = 1e-12) -> float:
-    """m_s'(r) by differentiation under the integral sign."""
-    if r == 0.0:
-        return 0.0
-    b = (math.pi * r) ** 2
-    return (-2 * math.pi**2 * r * _lambda_integral(s / 2 - 1, b, rtol)
-            / math.gamma(s / 2))
 
 
 @dataclass(frozen=True)
@@ -286,7 +242,6 @@ class ExtensionField:
     F: np.ndarray
     dF_dt: np.ndarray | None = None
     dF_dx: tuple[np.ndarray, ...] | None = None
-    boundary: GridFunction | None = None
     harmonicity: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -438,11 +393,14 @@ def extend_field(f: GridFunction, s: float, levels: TLevels,
     coeffs = spectral_forward(spec, f.values)
     harmonicity = None
     if dF_dt is not None:
+        # the residual's sums in units of the period, t / L and L |xi|,
+        # which makes it dimensionless and keeps every period in range
         layout = _radial_layout(spec)
         power = _radial_power(layout, coeffs, layout.weight)
-        grad_power = (None if dF_dx is None else
-                      _radial_power(layout, coeffs, layout.grad_weight))
-        lap = (2 * np.pi * layout.radii) ** 2
+        grad_power = (None if dF_dx is None else spec.L**2
+                      * _radial_power(layout, coeffs, layout.grad_weight))
+        lap = (2 * np.pi * spec.L * layout.radii) ** 2
+        taus = levels.ts / spec.L
         harmonicity = np.empty(levels.M - 2)
         window: list[np.ndarray] = []
     stream = _level_stream(spec, coeffs, s, levels, ("F", *with_derivatives),
@@ -451,14 +409,14 @@ def extend_field(f: GridFunction, s: float, levels: TLevels,
         for out, g in zip(outs, level):
             out[i] = g
         if dF_dt is not None:
-            window = [*window[-2:], tdm]
+            window = [*window[-2:], spec.L * tdm]
             if i >= 2:
                 harmonicity[i - 2] = _harmonicity(
-                    levels.ts, i - 1, s, window, m_mid, lap, power, grad_power)
+                    taus, i - 1, s, window, m_mid, lap, power, grad_power)
             m_mid = m
     return ExtensionField(
         spec=spec, s=s, levels=levels, F=F, dF_dt=dF_dt, dF_dx=dF_dx,
-        boundary=f, harmonicity=harmonicity)
+        harmonicity=harmonicity)
 
 
 @dataclass(frozen=True)
@@ -528,9 +486,12 @@ def s_harmonicity_residual(F: ExtensionField) -> list[tuple[float, float]]:
     differentiated symbol, F_tt from a second-order non-uniform 3-point
     stencil across levels, and Lap_x F from the symbol -(2 pi |xi|)^2.  The
     residual is relative to t^{1-s} ||grad F||, with the x-gradient counted
-    when the field carries it.  Every term is a radial multiplier of f^, so
-    extend_field records the L2 norms by Parseval while it streams the
-    levels; a field built without extend_field carries none."""
+    when the field carries it.  It is taken in units of the period (t / L
+    and L |xi|), so it is dimensionless, L times the quotient in units of
+    length, and a configuration reads the same at every period.  Every term
+    is a radial multiplier of f^, so extend_field records the L2 norms by
+    Parseval while it streams the levels; a field built without extend_field
+    carries none."""
     if F.dF_dt is None:
         raise ValueError("extension field must carry the t-derivative")
     if F.harmonicity is None:

@@ -70,11 +70,6 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return (self.N,) * self.n
 
-    def axes(self) -> list[np.ndarray]:
-        """Physical coordinates 0, h, 2h, ... per axis."""
-        x = np.arange(self.N) * self.h
-        return [x for _ in range(self.n)]
-
     def coords(self) -> list[np.ndarray]:
         """Coordinate arrays of full grid shape, one per axis."""
         if self.n == 1:

@@ -86,11 +86,10 @@ class TentFamily:
 # Ball machinery (shared by BMO, maximal function, cones, and tents)
 
 
-def _ball_kernel(spec: GridSpec, r: float, strict: bool = False
-                 ) -> tuple[np.ndarray, int]:
-    """Indicator of the ball of radius r around the origin and its cell count."""
-    dist = _offsets(spec)[1].reshape(spec.shape)
-    mask = dist < r if strict else dist <= r * (1 + 1e-12)
+def _ball_kernel(spec: GridSpec, r: float) -> tuple[np.ndarray, int]:
+    """Indicator of the open ball {|y| < r} around the origin and its cell
+    count."""
+    mask = _offsets(spec)[1].reshape(spec.shape) < r
     return mask.astype(float), int(np.count_nonzero(mask))
 
 
@@ -105,19 +104,11 @@ def _open_ball_spectra(spec: GridSpec) -> Callable[[float], np.ndarray]:
     def spectrum(radius: float) -> np.ndarray:
         cnt = int(np.searchsorted(dist, radius))  # cells with |y| < radius
         if cnt not in spectra:
-            kernel, _ = _ball_kernel(spec, radius, strict=True)
+            kernel, _ = _ball_kernel(spec, radius)
             spectra[cnt] = np.fft.fftn(kernel)[..., : spec.N // 2 + 1].copy()
         return spectra[cnt]
 
     return spectrum
-
-
-def _ball_sum(spec: GridSpec, values: np.ndarray,
-              kernel: np.ndarray) -> np.ndarray:
-    """Circular convolution sum over the ball at each center; kernel is an
-    even indicator on the grid, or a stack of them."""
-    axes = tuple(range(-spec.n, 0))
-    return spectral_apply(spec, values, np.fft.fftn(kernel, axes=axes))
 
 
 # Cells one gather of the BMO search holds (256 KB of float64 values and as
@@ -275,8 +266,9 @@ def _bmo_pruned(f: GridFunction, tents: TentFamily | None = None) -> float:
     keeps it an upper bound despite rounding.  Pairs are visited in
     descending order of the bound, in blocks of doubling size, and a block
     drops the pairs whose bound no longer exceeds the best value found
-    before the L^1 oscillation is summed over the cells of the rest.
-    ``_bmo_direct``, the full sum at every pair, is the test oracle.
+    before the L^1 oscillation is summed over the cells of the rest.  Its
+    test oracle, the full sum at every pair, is ``_bmo_direct`` in
+    tests/test_norms.py.
     """
     spec = f.spec
     tents = tents if tents is not None else TentFamily.standard(spec)
@@ -321,29 +313,6 @@ def _bmo_pruned(f: GridFunction, tents: TentFamily | None = None) -> float:
             break
         best = max(best, block_max(block))
         start, size = start + size, 2 * size
-    return best
-
-
-def _bmo_direct(f: GridFunction, tents: TentFamily | None = None) -> float:
-    """Mean-oscillation sup summed at every (radius, center) pair by one
-    full-grid roll per ball offset; the test oracle of ``bmo_seminorm``."""
-    spec = f.spec
-    tents = tents if tents is not None else TentFamily.standard(spec)
-    v = f.values
-    offsets, dist = _offsets(spec)
-    axes = tuple(range(spec.n))
-    best = 0.0
-    for r in tents.radii:
-        kernel, cnt = _ball_kernel(spec, r)
-        mean = _ball_sum(spec, v, kernel) / cnt
-        osc = np.zeros_like(v)
-        for off, d in zip(offsets, dist):
-            if d > r * (1 + 1e-12):
-                continue
-            osc += np.abs(np.roll(v, shift=[-int(o) for o in off], axis=axes)
-                          - mean)
-        osc /= cnt
-        best = max(best, float(np.max(_decimate(osc, tents.center_stride))))
     return best
 
 

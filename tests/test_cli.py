@@ -236,7 +236,8 @@ def test_run_out_is_an_existing_file_exits_two(tmp_path, capsys, monkeypatch):
 
 
 def test_run_path_loads_no_scipy(tmp_path):
-    # scipy serves only the lambda-quadrature symbol oracle; importing any
+    # the package imports no scipy (test_package_imports_no_scipy); this
+    # checks that nothing a command loads does either, since importing any
     # of it costs every command about 0.3 s.  chanillo and crw-bmo reach the
     # Riesz-potential quadrature and the symbol, the run writes the decay
     # profile and boundary trace, and ops-check reaches the 1-D periodized

@@ -232,6 +232,36 @@ def test_estimate_descriptor_validation():
         EstimateDescriptor(id="double-comm-1d", params={"s1": 0.5, "s2": 0.7})
 
 
+def test_jacobian_sobolev_evaluates_on_the_family():
+    # the catalogue's evaluate on two members of the 2-D family, a bump and
+    # a band-limited one; a 20-member verify_estimate is too slow for Tier-1
+    spec = GridSpec(n=2, N=32, L=1.0)
+    d = EstimateDescriptor(id="jacobian-sobolev")
+    evaluate = CATALOG["jacobian-sobolev"]["evaluate"]
+    family = standard_family(d.arity, spec)
+    const_phi = make_function(
+        TestFunctionDescriptor(kind="constant", amplitude=2.0), spec)
+    for i in (0, 15):
+        phi, u1, u2 = (make_function(t, spec) for t in family[i])
+        lhs, rhs = evaluate(spec, (phi, u1, u2), d.params, {})
+        assert np.isfinite(lhs) and lhs >= 0
+        assert np.isfinite(rhs) and rhs > 0
+        # both sides are homogeneous of degree one in phi
+        lhs2, rhs2 = evaluate(
+            spec, (GridFunction(spec, 2 * phi.values), u1, u2), d.params, {})
+        assert lhs2 / rhs2 == pytest.approx(lhs / rhs, rel=1e-14, abs=0.0)
+        # det(grad u) integrates to zero, so a constant phi pairs to zero
+        zero, _ = evaluate(spec, (const_phi, u1, u2), d.params, {})
+        assert zero <= 1e-12 * lhs
+    with pytest.raises(ValueError, match="s0 \\+ s1 \\+ s2 = 2"):
+        EstimateDescriptor(id="jacobian-sobolev", params={"s0": 0.5})
+    with pytest.raises(ValueError, match="1/p0 \\+ 1/p1 \\+ 1/p2 = 1"):
+        EstimateDescriptor(id="jacobian-sobolev", params={"p0": 2.0})
+    with pytest.raises(ValueError, match="each s_i in \\(0, 1\\)"):
+        EstimateDescriptor(id="jacobian-sobolev",
+                           params={"s0": 1.0, "s1": 0.5, "s2": 0.5})
+
+
 def test_standard_family_shape_and_determinism():
     fam = standard_family(2, SPEC1, n_members=12)
     assert len(fam) == 12

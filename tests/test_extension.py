@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gamma, kv, kve
 
 import fracharm.extension
@@ -12,12 +13,60 @@ from fracharm import (ExtensionField, GridFunction, GridSpec, PoissonSymbol,
                       decay_profile, extend_field, frac_laplacian, get_symbol,
                       make_function, make_tlevels,
                       s_harmonicity_residual, s_poisson_symbol, spectral_apply,
-                      spectral_gradient, symbol_derivative_value, symbol_value)
+                      spectral_gradient)
 
 
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# The lambda-integral form of the extension symbol, the quadrature oracle of
+# the closed form that PoissonSymbol evaluates:
+#   m_s(r) = (1/Gamma(s/2)) int_0^inf lambda^{s/2} e^{-lambda - (pi r)^2/lambda}
+#            dlambda/lambda
+
+
+def _lambda_integral(a: float, b: float, rtol: float = 1e-12) -> float:
+    """int_0^inf lambda^a e^{-lambda - b/lambda} dlambda/lambda for b > 0.
+
+    Integrated in v = log(lambda) with the peak magnitude factored out so the
+    quadrature stays well-scaled for all b."""
+    if b <= 0:
+        raise ValueError("b must be positive")
+    e0 = a * 0.5 * math.log(b) - 2.0 * math.sqrt(b)
+    if e0 < fracharm.extension._LOG_FLOOR:
+        return 0.0
+
+    def g(v: float) -> float:
+        return math.exp(a * v - math.exp(v) - b * math.exp(-v) - e0)
+
+    lo = math.log(b / 750.0)
+    hi = math.log(750.0)
+    val, err = quad(g, lo, hi, epsabs=1e-300, epsrel=rtol, limit=400)
+    if not np.isfinite(val) or (val > 0 and err > 1e-6 * val):
+        raise ArithmeticError(
+            f"symbol quadrature did not converge (a={a}, b={b}, "
+            f"value={val}, error={err})"
+        )
+    return val * math.exp(e0)
+
+
+def symbol_value(s: float, r: float, rtol: float = 1e-12) -> float:
+    """m_s(r), the normalized radial Fourier symbol of the Poisson kernel."""
+    if r == 0.0:
+        return 1.0
+    b = (math.pi * r) ** 2
+    return _lambda_integral(s / 2, b, rtol) / math.gamma(s / 2)
+
+
+def symbol_derivative_value(s: float, r: float, rtol: float = 1e-12) -> float:
+    """m_s'(r) by differentiation under the integral sign."""
+    if r == 0.0:
+        return 0.0
+    b = (math.pi * r) ** 2
+    return (-2 * math.pi**2 * r * _lambda_integral(s / 2 - 1, b, rtol)
+            / math.gamma(s / 2))
 
 
 def _bessel_oracle(s, r):
@@ -424,6 +473,42 @@ def test_boundary_trace_is_scale_free_at_every_order(s):
     assert cs[2] == pytest.approx(cs[1], rel=1e-13)
 
 
+@pytest.mark.parametrize("s", [0.5, 1.5])
+def test_s_harmonicity_residual_is_dimensionless(s):
+    # one configuration at five periods; a residual in units of length
+    # would read 1/L: 5.05e101 at L = 1e-100 (inf at s = 1.5), 0 at 1e150
+    def recorded(L):
+        spec = GridSpec(n=1, N=128, L=L)
+        f = make_function(TestFunctionDescriptor(
+            kind="gaussian", center=(L / 2,), width=L / 16), spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F = extend_field(f, s, make_tlevels(spec, M=32))
+        return f, F.levels, F.harmonicity
+
+    f, lv, ref = recorded(1.0)
+    # at L = 1 the units of the period change no bit: the residual equals
+    # the one summed from t and |xi| themselves
+    ext = fracharm.extension
+    spec = f.spec
+    layout = ext._radial_layout(spec)
+    coeffs = ext.spectral_forward(spec, f.values)
+    power = ext._radial_power(layout, coeffs, layout.weight)
+    grad_power = ext._radial_power(layout, coeffs, layout.grad_weight)
+    lap = (2 * np.pi * layout.radii) ** 2
+    sym = PoissonSymbol(s)
+    m, dm = zip(*(sym.eval_m_dm(t * layout.radii) for t in lv.ts))
+    tdm = [layout.radii * d for d in dm]
+    unscaled = [ext._harmonicity(lv.ts, i, s, tdm[i - 1:i + 2], m[i], lap,
+                                 power, grad_power)
+                for i in range(1, lv.M - 1)]
+    assert _same_bits(ref, np.array(unscaled))
+    for L in (1e-100, 1e-3, 2.0, 1e150):
+        got = recorded(L)[2]
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got / ref - 1)) <= 1e-12
+
+
 def test_s_harmonicity_residual_is_small():
     spec = GridSpec(n=1, N=128, L=1.0)
     f = make_function(TestFunctionDescriptor(
@@ -610,7 +695,7 @@ def test_s_harmonicity_residual_needs_extend_field():
     F = extend_field(f, 0.5, lv, with_derivatives=("t",))
     assert F.harmonicity.shape == (lv.M - 2,)
     by_hand = ExtensionField(spec=spec, s=0.5, levels=lv, F=F.F,
-                             dF_dt=F.dF_dt, boundary=f)
+                             dF_dt=F.dF_dt)
     with pytest.raises(ValueError, match="extend_field"):
         s_harmonicity_residual(by_hand)
     with pytest.raises(ValueError, match="interior level"):

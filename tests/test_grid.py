@@ -19,9 +19,11 @@ def test_spec_geometry(n, N, L):
     assert spec.h == pytest.approx(L / N)
     assert spec.cell_volume == pytest.approx((L / N) ** n)
     assert spec.shape == (N,) * n
-    for ax in spec.axes():
-        assert ax[0] == 0.0
-        assert ax[-1] == pytest.approx(L - L / N)
+    for axis, x in enumerate(spec.coords()):
+        assert x.shape == spec.shape
+        assert np.all(np.take(x, 0, axis=axis) == 0.0)
+        assert np.take(x, -1, axis=axis) == pytest.approx(
+            np.full(spec.shape[1:], L - L / N))
 
 
 @pytest.mark.parametrize("n,N,L", [(3, 64, 1.0), (1, 100, 1.0), (1, 4, 1.0),
@@ -138,6 +140,23 @@ def test_inverse_transforms_only_in_spectral_path():
             owner = max(owners, key=lambda f: f.lineno, default=None)
             sites.add((path.stem, owner.name if owner else "<module>"))
     assert sites == {("grid", "spectral_synthesis"), ("grid", "fft_inverse")}
+
+
+def test_package_imports_no_scipy():
+    # the package needs numpy alone; scipy serves the tests only.  Every
+    # import statement counts, a deferred one inside a function included.
+    sites = []
+    for path in sorted(Path(fracharm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            sites += [(path.stem, node.lineno, m) for m in modules
+                      if m == "scipy" or m.startswith("scipy.")]
+    assert sites == []
 
 
 @pytest.mark.parametrize("k", [1, 3, 7])

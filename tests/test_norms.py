@@ -10,9 +10,41 @@ from fracharm import (GridFunction, GridSpec, LorentzExponents, TLevels,
                       lorentz_norm, lp_norm, make_function, make_tlevels,
                       maximal_function, slobodeckij_seminorm, space_functional,
                       square_function, standard_family,
-                      tent_pairing_bound_check)
+                      spectral_apply, tent_pairing_bound_check)
 from fracharm import norms
-from fracharm.norms import _bmo_direct
+
+
+def _ball_sum(spec, values, kernel):
+    """Circular convolution sum over the ball at each center; kernel is an
+    even indicator on the grid, or a stack of them."""
+    axes = tuple(range(-spec.n, 0))
+    return spectral_apply(spec, values, np.fft.fftn(kernel, axes=axes))
+
+
+def _bmo_direct(f, tents=None):
+    """Mean-oscillation sup summed at every (radius, center) pair by one
+    full-grid roll per ball offset, over the closed balls
+    {|y| <= r (1 + 1e-12)} of the family: the test oracle of
+    ``bmo_seminorm``."""
+    spec = f.spec
+    tents = tents if tents is not None else TentFamily.standard(spec)
+    v = f.values
+    offsets, dist = norms._offsets(spec)
+    axes = tuple(range(spec.n))
+    best = 0.0
+    for r in tents.radii:
+        inside = dist <= r * (1 + 1e-12)
+        kernel = inside.reshape(spec.shape).astype(float)
+        cnt = int(np.count_nonzero(inside))
+        mean = _ball_sum(spec, v, kernel) / cnt
+        osc = np.zeros_like(v)
+        for off in offsets[inside]:
+            osc += np.abs(np.roll(v, shift=[-int(o) for o in off], axis=axes)
+                          - mean)
+        osc /= cnt
+        best = max(best, float(np.max(norms._decimate(osc,
+                                                      tents.center_stride))))
+    return best
 
 
 def _bump(spec, radius, center=None, dilate=1.0):
@@ -411,8 +443,8 @@ def _carleson_per_pair(F, weight, selector, tents):
         for i, t in enumerate(ts):
             if t >= r:
                 continue
-            kernel, _ = norms._ball_kernel(spec, r - t, strict=True)
-            acc += wlog[i] * t ** (1 + weight) * norms._ball_sum(
+            kernel, _ = norms._ball_kernel(spec, r - t)
+            acc += wlog[i] * t ** (1 + weight) * _ball_sum(
                 spec, g2[i], kernel)
         acc *= spec.cell_volume / measure
         top = float(np.max(norms._decimate(acc, tents.center_stride)))
@@ -451,7 +483,7 @@ def test_carleson_sup_transforms_once_and_equals_per_pair_loop(n, N,
         assert calls == [(32,) + spec.shape]
         # one transform per distinct ball {|y| < r - t}: 51 of 128 pairs at
         # 1-D N=256, 36 of 80 at 2-D N=32
-        balls = [norms._ball_kernel(spec, r - t, strict=True)[1]
+        balls = [norms._ball_kernel(spec, r - t)[1]
                  for r in tents.radii for t in ts if t < r]
         assert len(kernels) == len(set(balls)) < len(balls)
         assert got == _carleson_per_pair(F, 1.0, selector, tents)
@@ -465,8 +497,8 @@ def _nontangential_per_level(F, weight, selector):
     ts, wlog = F.levels.ts, F.levels.log_trapezoid_weights()
     s2 = np.zeros(spec.shape)
     for i, t in enumerate(ts):
-        kernel, _ = norms._ball_kernel(spec, t, strict=True)
-        cone = norms._ball_sum(spec, G[i] ** 2, kernel)
+        kernel, _ = norms._ball_kernel(spec, t)
+        cone = _ball_sum(spec, G[i] ** 2, kernel)
         s2 += wlog[i] * t ** (2 * weight - spec.n) * cone * spec.cell_volume
     return np.sqrt(np.maximum(s2, 0.0))
 
@@ -485,7 +517,7 @@ def test_nontangential_square_transforms_each_ball_once(n, N, monkeypatch):
     monkeypatch.setattr(np.fft, "fftn", counting_fftn)
     got = square_function(F, "nontangential", 1.0, "gradient").values
     monkeypatch.undo()
-    balls = {norms._ball_kernel(spec, t, strict=True)[1] for t in F.levels.ts}
+    balls = {norms._ball_kernel(spec, t)[1] for t in F.levels.ts}
     assert len(kernels) == len(balls) < F.levels.M
     assert np.array_equal(got, _nontangential_per_level(F, 1.0, "gradient"))
     # a radius equal to a lattice distance leaves that shell out of the
@@ -493,7 +525,7 @@ def test_nontangential_square_transforms_each_ball_once(n, N, monkeypatch):
     ball_spectrum = norms._open_ball_spectra(spec)
     dist = np.unique(norms._offsets(spec)[1])[:6]
     for r in sorted([*dist[1:], *(dist[1:] + dist[:-1]) / 2]):
-        kernel, _ = norms._ball_kernel(spec, r, strict=True)
+        kernel, _ = norms._ball_kernel(spec, r)
         assert np.array_equal(ball_spectrum(r),
                               np.fft.fftn(kernel)[..., : spec.N // 2 + 1])
 
