@@ -158,12 +158,16 @@ def jacobian_pairing(phi: GridFunction,
 def hardy_duality_check(phi: GridFunction, f: GridFunction, g: GridFunction,
                         s: float = 0.5, p: float = 2.0, q: float = 2.0) -> float:
     """Ratio |int (-Delta)^{s/2} H_s(phi,f) . g| over
-    ||fL^s phi||_(p,q) ||fL^s f||_(p',q') [g]_BMO, conjugate exponents."""
+    ||fL^s phi||_(p,q) ||fL^s f||_(p',q') [g]_BMO, conjugate exponents.
+
+    A zero RHS (constant g) gives 0 if the LHS is at most 1e-12 of the
+    pairing without cancellation, int |(-Delta)^{s/2} H_s(phi,f) . g|."""
     prm = {"s": s, "p": p, "q": q}
     _validate_hardy_duality(prm)
     lhs, rhs = _eval_hardy_duality(phi.spec, (phi, f, g), prm, {})
     if rhs == 0.0:
-        return 0.0 if lhs <= 1e-10 else _INF
+        scale = np.sum(np.abs(_hardy_integrand(phi, f, g, s))) * phi.spec.cell_volume
+        return 0.0 if lhs <= 1e-12 * scale else _INF
     return lhs / rhs
 
 
@@ -378,13 +382,14 @@ def _eval_jacobian_sobolev(spec, funcs, prm, meta):
     return lhs, rhs
 
 
+def _hardy_integrand(phi, f, g, s):
+    return frac_laplacian(leibniz_defect(phi, f, s), s).values * g.values
+
+
 def _eval_hardy_duality(spec, funcs, prm, meta):
     phi, f, g = funcs
     s, p, q = prm["s"], prm["p"], prm["q"]
-    H = leibniz_defect(phi, f, s)
-    lhs = abs(float(
-        np.sum(frac_laplacian(H, s).values * g.values) * spec.cell_volume
-    ))
+    lhs = abs(float(np.sum(_hardy_integrand(phi, f, g, s)) * spec.cell_volume))
     pc, qc = p / (p - 1), q / (q - 1)
     rhs = (lorentz_norm(frac_laplacian(phi, s), LorentzExponents(p, q))
            * lorentz_norm(frac_laplacian(f, s), LorentzExponents(pc, qc))

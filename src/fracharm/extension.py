@@ -14,10 +14,10 @@ Gamma(s/2) (Caffarelli-Silvestre, Comm. PDE 2007).  PoissonSymbol evaluates
 the Bessel forms in log space, with e^x K_nu(x) from the trapezoid rule on its
 integral representation (_kve).
 
-Fields are produced level by level by extension_levels: the boundary values
-(one function or a stack) are transformed forward once, and each level
-builds its multipliers on the real-FFT half lattice from one symbol
-evaluation on the distinct |xi| and synthesizes the requested fields.
+Fields come from one forward transform of the boundary values (one function
+or a stack); each level gathers its multipliers onto the real-FFT half
+lattice from one symbol evaluation on the distinct |xi|.  extension_levels
+streams the levels; extend_field defers each field to its first read.
 
 The diagnostics (the s-harmonicity residual and the boundary trace) compare
 radial multipliers of f^, so their L2 norms and inner products are sums over
@@ -224,36 +224,61 @@ def make_tlevels(spec: GridSpec, t_min: float | None = None,
         raise ValueError(f"t_max {t_max} above 4L = {4 * spec.L}")
     if M < 16:
         raise ValueError(f"need M >= 16 levels, got {M}")
+    if not 0 < t_min < t_max:  # before geomspace takes their logarithms
+        raise ValueError(f"need 0 < t_min < t_max, got {t_min}, {t_max}")
     return TLevels(np.geomspace(t_min, t_max, M))
+
+
+class _Field:
+    """A field of ExtensionField, whose first read runs a deferred synthesis."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        value = None if obj is None else obj.__dict__[self.name]
+        if isinstance(value, functools.partial):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
 
 
 @dataclass(frozen=True)
 class ExtensionField:
     """Values of F(x,t) = P^s_t f(x) and optional derivative fields.
 
-    F has shape (M, *grid); dF_dt likewise when present; dF_dx is a list of
+    F has shape (M, *grid); dF_dt likewise when present; dF_dx is a tuple of
     per-axis arrays of the same shape.  harmonicity holds the relative
     s-harmonicity residual of the M - 2 interior levels, which extend_field
-    records whenever it computes dF_dt."""
+    records whenever it computes dF_dt.  A field from extend_field is
+    synthesized on its first read, alone, and kept; carries tells whether a
+    field is present without synthesizing it."""
 
     spec: GridSpec
     s: float
     levels: TLevels
-    F: np.ndarray
-    dF_dt: np.ndarray | None = None
-    dF_dx: tuple[np.ndarray, ...] | None = None
+    F: np.ndarray = _Field()
+    dF_dt: np.ndarray | None = _Field()
+    dF_dx: tuple[np.ndarray, ...] | None = _Field()
     harmonicity: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         want = (self.levels.M, *self.spec.shape)
-        if self.F.shape != want:
-            raise ValueError(f"F has shape {self.F.shape}, expected {want}")
-        for arr in (self.dF_dt, *(self.dF_dx or ())):
-            if arr is not None and arr.shape != want:
-                raise ValueError("derivative field shape mismatch")
+        F, dF_dt, dF_dx = (self.__dict__[k] for k in ("F", "dF_dt", "dF_dx"))
+        if F is None:
+            raise TypeError("ExtensionField needs the field F")
+        for arr in (F, dF_dt, *(dF_dx if isinstance(dF_dx, tuple) else ())):
+            if isinstance(arr, np.ndarray) and arr.shape != want:
+                raise ValueError(f"a field has shape {arr.shape}, expected {want}")
         if (self.harmonicity is not None
                 and np.shape(self.harmonicity) != (self.levels.M - 2,)):
             raise ValueError("harmonicity needs one value per interior level")
+
+    def carries(self, name: str) -> bool:
+        """Whether the field name ("F", "dF_dt" or "dF_dx") is present."""
+        return self.__dict__[name] is not None
 
 
 @dataclass(frozen=True)
@@ -299,38 +324,33 @@ def _radial_power(layout: _RadialLayout, coeffs: np.ndarray,
                        minlength=layout.radii.size)
 
 
-def _level_stream(spec: GridSpec, coeffs: np.ndarray, s: float,
-                  levels: TLevels, fields: tuple[str, ...],
-                  symbol: PoissonSymbol | None
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
-    """extension_levels from the half spectrum coeffs: yields per level the
-    fields, and m and |xi| m' (None unless "t" is among the fields) on the
-    layout's distinct radii."""
-    sym = symbol if symbol is not None else PoissonSymbol(s)
-    layout = _radial_layout(spec)
-    radii, inv = layout.radii, layout.inv
-    k = ("F" in fields) + ("t" in fields) + spec.n * ("x" in fields)
-    mults = np.empty((k, *inv.shape), dtype=complex)
-    # the multipliers broadcast over the stack axes of coeffs
-    stacked = mults.reshape((k,) + (1,) * (coeffs.ndim - spec.n) + inv.shape)
+def _radial_symbols(spec: GridSpec, sym: PoissonSymbol, levels: TLevels,
+                    with_t: bool) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """Per level, m and |xi| m' (None unless with_t) on the distinct radii."""
+    radii = _radial_layout(spec).radii
     for t in levels.ts:
-        tdm = None
-        if "t" in fields:
+        if with_t:
             m, dm = sym.eval_m_dm(t * radii)
-            tdm = radii * dm
+            yield m, radii * dm
         else:
-            m = sym.eval_m(t * radii)
+            yield sym.eval_m(t * radii), None
+
+
+def _levels(spec: GridSpec, coeffs: np.ndarray, radial, fields: tuple[str, ...]
+            ) -> Iterator[np.ndarray]:
+    """Per (m, |xi| m') of radial, the named fields of the half spectrum
+    coeffs, as extension_levels yields them."""
+    inv = _radial_layout(spec).inv
+    stack = tuple(range(1, coeffs.ndim - spec.n + 1))
+    for m, tdm in radial:
         m_half = m[inv]
-        j = 0
-        if "F" in fields:
-            mults[j] = m_half
-            j += 1
+        parts = [m_half[None]] if "F" in fields else []
         if "t" in fields:
-            mults[j] = tdm[inv]
-            j += 1
+            parts.append(tdm[inv][None])
         if "x" in fields:
-            np.multiply(gradient_multipliers(spec), m_half, out=mults[j:])
-        yield spectral_synthesis(spec, coeffs, stacked), m, tdm
+            parts.append(gradient_multipliers(spec) * m_half)
+        yield spectral_synthesis(spec, coeffs, np.expand_dims(
+            np.concatenate(parts, dtype=complex), stack))
 
 
 def extension_levels(spec: GridSpec, values: np.ndarray, s: float,
@@ -345,9 +365,16 @@ def extension_levels(spec: GridSpec, values: np.ndarray, s: float,
     dF/dx_1..dF/dx_n for those named.  Per level the symbol is evaluated once
     on the distinct |xi|, and the multipliers [m, |xi| m', 2 pi i xi_j m] are
     gathered onto the real-FFT half lattice."""
-    coeffs = spectral_forward(spec, values)
-    for level, _, _ in _level_stream(spec, coeffs, s, levels, fields, symbol):
-        yield level
+    yield from _levels(spec, spectral_forward(spec, values), _radial_symbols(
+        spec, symbol or PoissonSymbol(s), levels, "t" in fields), fields)
+
+
+def _synthesize(spec: GridSpec, coeffs: np.ndarray, radial: list, name: str):
+    """The field name ("F", "t" or "x") of every level, into one array."""
+    out = np.empty((spec.n if name == "x" else 1, len(radial), *spec.shape))
+    for i, level in enumerate(_levels(spec, coeffs, radial, (name,))):
+        out[:, i] = level
+    return tuple(out) if name == "x" else out[0]
 
 
 def _harmonicity(ts: np.ndarray, i: int, s: float, tdm: list[np.ndarray],
@@ -376,47 +403,35 @@ def _harmonicity(ts: np.ndarray, i: int, s: float, tdm: list[np.ndarray],
 def extend_field(f: GridFunction, s: float, levels: TLevels,
                  with_derivatives: tuple[str, ...] = ("t", "x"),
                  symbol: PoissonSymbol | None = None) -> ExtensionField:
-    """Compute F(.,t) = m_s(t|xi|) f^(xi) on every level, plus requested
-    derivative fields (t from the differentiated symbol, x spectrally).
-
-    With dF/dt it also records the s-harmonicity residual of every interior
-    level (see s_harmonicity_residual) from the symbol values the levels
-    use, a window of three levels at a time, and the radial power of the
-    one forward transform."""
+    """F(.,t) = m_s(t|xi|) f^(xi) on every level, plus requested derivative
+    fields (t from the differentiated symbol, x spectrally), each synthesized
+    on its first read (see ExtensionField) from one forward transform and one
+    symbol evaluation per level on the distinct |xi|.  With dF/dt it also
+    records the s-harmonicity residual of every interior level (see
+    s_harmonicity_residual) from these values."""
     spec = f.spec
-    shape = (levels.M, *spec.shape)
-    F = np.empty(shape)
-    dF_dt = np.empty(shape) if "t" in with_derivatives else None
-    dF_dx = (tuple(np.empty(shape) for _ in range(spec.n))
-             if "x" in with_derivatives else None)
-    outs = [F, *([] if dF_dt is None else [dF_dt]), *(dF_dx or ())]
     coeffs = spectral_forward(spec, f.values)
+    radial = list(_radial_symbols(spec, symbol or PoissonSymbol(s), levels,
+                                  "t" in with_derivatives))
+    fields = {name: functools.partial(_synthesize, spec, coeffs, radial, key)
+              for name, key in (("F", "F"), ("dF_dt", "t"), ("dF_dx", "x"))
+              if key == "F" or key in with_derivatives}
     harmonicity = None
-    if dF_dt is not None:
+    if "t" in with_derivatives:
         # the residual's sums in units of the period, t / L and L |xi|,
         # which makes it dimensionless and keeps every period in range
         layout = _radial_layout(spec)
         power = _radial_power(layout, coeffs, layout.weight)
-        grad_power = (None if dF_dx is None else spec.L**2
+        grad_power = (None if "x" not in with_derivatives else spec.L**2
                       * _radial_power(layout, coeffs, layout.grad_weight))
         lap = (2 * np.pi * spec.L * layout.radii) ** 2
         taus = levels.ts / spec.L
-        harmonicity = np.empty(levels.M - 2)
-        window: list[np.ndarray] = []
-    stream = _level_stream(spec, coeffs, s, levels, ("F", *with_derivatives),
-                           symbol)
-    for i, (level, m, tdm) in enumerate(stream):
-        for out, g in zip(outs, level):
-            out[i] = g
-        if dF_dt is not None:
-            window = [*window[-2:], spec.L * tdm]
-            if i >= 2:
-                harmonicity[i - 2] = _harmonicity(
-                    taus, i - 1, s, window, m_mid, lap, power, grad_power)
-            m_mid = m
-    return ExtensionField(
-        spec=spec, s=s, levels=levels, F=F, dF_dt=dF_dt, dF_dx=dF_dx,
-        harmonicity=harmonicity)
+        harmonicity = np.array([_harmonicity(
+            taus, i, s, [spec.L * tdm for _, tdm in radial[i - 1: i + 2]],
+            radial[i][0], lap, power, grad_power)
+            for i in range(1, levels.M - 1)])
+    return ExtensionField(spec=spec, s=s, levels=levels,
+                          harmonicity=harmonicity, **fields)
 
 
 @dataclass(frozen=True)
@@ -490,9 +505,9 @@ def s_harmonicity_residual(F: ExtensionField) -> list[tuple[float, float]]:
     and L |xi|), so it is dimensionless, L times the quotient in units of
     length, and a configuration reads the same at every period.  Every term
     is a radial multiplier of f^, so extend_field records the L2 norms by
-    Parseval while it streams the levels; a field built without extend_field
-    carries none."""
-    if F.dF_dt is None:
+    Parseval from its symbol values, and no field is synthesized for them; a
+    field built without extend_field carries none."""
+    if not F.carries("dF_dt"):
         raise ValueError("extension field must carry the t-derivative")
     if F.harmonicity is None:
         raise ValueError("the s-harmonicity residual is recorded by "
@@ -510,7 +525,7 @@ def decay_profile(F: ExtensionField, k: int = 0) -> dict[str, np.ndarray]:
     if k == 0:
         sup = np.max(np.abs(F.F), axis=tuple(range(1, F.F.ndim)))
     else:
-        if F.dF_dt is None or F.dF_dx is None:
+        if not (F.carries("dF_dt") and F.carries("dF_dx")):
             raise ValueError("k = 1 requires both derivative fields")
         g2 = F.dF_dt**2
         for g in F.dF_dx:

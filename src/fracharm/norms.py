@@ -365,9 +365,9 @@ def _field_stack(F: ExtensionField, selector: str) -> np.ndarray:
         raise ValueError(f"selector must be one of {_SELECTORS}, got {selector!r}")
     if selector == "value":
         return F.F
-    if selector in ("dt", "gradient") and F.dF_dt is None:
+    if selector in ("dt", "gradient") and not F.carries("dF_dt"):
         raise ValueError(f"selector {selector!r} needs the t-derivative field")
-    if selector in ("dx", "gradient") and F.dF_dx is None:
+    if selector in ("dx", "gradient") and not F.carries("dF_dx"):
         raise ValueError(f"selector {selector!r} needs the x-derivative field")
     if selector == "dt":
         return F.dF_dt

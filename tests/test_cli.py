@@ -120,6 +120,26 @@ def test_too_few_t_levels_exit_two(tmp_path, capsys):
         parse_config({"estimates": []}, overrides={"t_levels_M": 15})
 
 
+def test_non_positive_t_max_exits_two_with_one_line(tmp_path):
+    # a subprocess, so that a numpy warning would reach stderr too
+    import os
+    import subprocess
+    import sys
+
+    import fracharm
+    src = os.path.dirname(os.path.dirname(fracharm.__file__))
+    path = _write_config(tmp_path / "cfg.json",
+                         t_levels={"M": 16, "t_max": -1.0})
+    out = subprocess.run(
+        [sys.executable, "-m", "fracharm.cli", "run", path, "--out",
+         str(tmp_path / "reports")], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 2
+    assert out.stderr.startswith("config error: ")
+    assert out.stderr.count("\n") == 1
+    assert not (tmp_path / "reports").exists()
+
+
 def test_estimate_outside_its_dimension_exits_two(tmp_path, capsys):
     # the default chanillo exponents satisfy 1/q = 1/p - s/n only for n = 1
     path = _write_config(tmp_path / "cfg.json",

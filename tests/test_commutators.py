@@ -217,6 +217,25 @@ def test_hardy_duality_check_values():
         hardy_duality_check(phi, f, g, p=1.0)
 
 
+def test_hardy_duality_zero_cut_is_relative():
+    # the pairing with constant g cancels to about 1e-17 of the sum of its
+    # absolute terms at every amplitude and period, and is cut to 0; a
+    # band-limited g keeps its ratio
+    want = None
+    for L in (1e-3, 1.0, 1e3):
+        spec = GridSpec(n=1, N=128, L=L)
+        phi = _bump(spec, (0.45 * L,), 0.2 * L)
+        f, g = _bandlimited(spec, 6), _bandlimited(spec, 7)
+        for amp in (1.0, 1e4, 1e8):
+            phi_a, f_a, g_a = (GridFunction(spec, amp * h.values)
+                               for h in (phi, f, g))
+            const = GridFunction(spec, np.full(128, 3.0 * amp))
+            assert hardy_duality_check(phi_a, f_a, const) == 0.0
+            ratio = hardy_duality_check(phi_a, f_a, g_a)
+            want = ratio if want is None else want
+            assert abs(ratio - want) <= 1e-13 * want
+
+
 def test_estimate_descriptor_validation():
     with pytest.raises(ValueError, match="unknown estimate id"):
         EstimateDescriptor(id="not-an-estimate")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -328,24 +329,50 @@ def test_extend_field_equals_per_level_loop(n, N, s, derivs, monkeypatch):
     f = make_function(TestFunctionDescriptor(
         kind="gaussian", center=(0.45,) * n, width=0.05), spec)
     lv = make_tlevels(spec, M=16)
-    forward = []
-    real_rfftn = np.fft.rfftn
-
-    def counting_rfftn(*args, **kwargs):
-        forward.append(1)
-        return real_rfftn(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfftn", counting_rfftn)
+    calls = _count_transforms(monkeypatch)
     F = extend_field(f, s, lv, with_derivatives=derivs)
-    assert len(forward) == 1
+    # one forward transform, and no field synthesized yet
+    assert calls == ["rfftn"]
+    got = []
+    for name, key in (("F", "F"), ("dF_dt", "t"), ("dF_dx", "x")):
+        if key != "F" and key not in derivs:
+            assert not F.carries(name)
+            assert getattr(F, name) is None
+            continue
+        assert F.carries(name)
+        calls.clear()
+        # the first read synthesizes this field alone, one inverse transform
+        # per level (stacked over the axes for dF/dx); a second read, none
+        field = getattr(F, name)
+        assert calls == ["irfftn"] * lv.M
+        assert getattr(F, name) is field
+        assert calls == ["irfftn"] * lv.M
+        got += list(field) if key == "x" else [field]
     monkeypatch.undo()
-    assert (F.dF_dt is None) == ("t" not in derivs)
-    assert (F.dF_dx is None) == ("x" not in derivs)
-    got = [F.F, *([F.dF_dt] if "t" in derivs else []), *(F.dF_dx or ())]
     want = _extend_field_loop(f, s, lv, derivs)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert _same_bits(a, b)
+
+
+def test_extend_field_holds_no_field_until_read():
+    # extend_field and a read of dF/dt stay below two fields of memory: the
+    # read synthesizes dF/dt alone, and F and dF/dx are never built
+    spec = GridSpec(n=2, N=128, L=1.0)
+    f = make_function(TestFunctionDescriptor(
+        kind="gaussian", center=(0.45, 0.55), width=0.06), spec)
+    lv = make_tlevels(spec, M=16)
+    one_field = lv.M * spec.N**2 * 8  # one (16, 128, 128) float64 array
+    # a first run keeps the imports and caches of a first call out of the count
+    extend_field(f, 0.5, lv).dF_dt
+    tracemalloc.start()
+    try:
+        F = extend_field(f, 0.5, lv)
+        assert F.dF_dt.shape == (lv.M, *spec.shape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * one_field
 
 
 def test_tlevels_validation():
@@ -369,6 +396,13 @@ def test_make_tlevels_defaults_and_bounds():
         make_tlevels(spec, t_max=10 * spec.L)
     with pytest.raises(ValueError):
         make_tlevels(spec, M=4)
+    # refused before np.geomspace takes the logarithm of a bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t_min, t_max in ((None, -1.0), (None, 0.0), (None, spec.h / 8),
+                             (0.5, 0.25), (0.5, 0.5)):
+            with pytest.raises(ValueError, match="t_min < t_max"):
+                make_tlevels(spec, t_min=t_min, t_max=t_max)
 
 
 def test_log_trapezoid_weights_integrate_dt_over_t():
