@@ -17,7 +17,7 @@ integral representation (_kve).
 Fields come from one forward transform of the boundary values (one function
 or a stack); each level gathers its multipliers onto the real-FFT half
 lattice from one symbol evaluation on the distinct |xi|.  extension_levels
-streams the levels; extend_field defers each field to its first read.
+streams the levels; extend_field defers each field (see ExtensionField).
 
 The diagnostics (the s-harmonicity residual and the boundary trace) compare
 radial multipliers of f^, so their L2 norms and inner products are sums over
@@ -230,7 +230,7 @@ def make_tlevels(spec: GridSpec, t_min: float | None = None,
 
 
 class _Field:
-    """A field of ExtensionField, whose first read runs a deferred synthesis."""
+    """A field of ExtensionField; a first read synthesizes a deferred one."""
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
@@ -238,23 +238,23 @@ class _Field:
     def __get__(self, obj, objtype=None):
         value = None if obj is None else obj.__dict__[self.name]
         if isinstance(value, functools.partial):
-            value = obj.__dict__[self.name] = value()
+            value = obj.__dict__[self.name] = _synthesize(obj, self.name)
         return value
 
     def __set__(self, obj, value) -> None:
         obj.__dict__[self.name] = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class ExtensionField:
     """Values of F(x,t) = P^s_t f(x) and optional derivative fields.
 
     F has shape (M, *grid); dF_dt likewise when present; dF_dx is a tuple of
-    per-axis arrays of the same shape.  harmonicity holds the relative
+    spec.n per-axis arrays of the same shape.  harmonicity holds the relative
     s-harmonicity residual of the M - 2 interior levels, which extend_field
     records whenever it computes dF_dt.  A field from extend_field is
-    synthesized on its first read, alone, and kept; carries tells whether a
-    field is present without synthesizing it."""
+    deferred: level_values streams it and stores nothing, its first read
+    synthesizes and keeps it, and carries, repr and == (identity) skip it."""
 
     spec: GridSpec
     s: float
@@ -269,16 +269,39 @@ class ExtensionField:
         F, dF_dt, dF_dx = (self.__dict__[k] for k in ("F", "dF_dt", "dF_dx"))
         if F is None:
             raise TypeError("ExtensionField needs the field F")
+        if self._state("dF_dx") == "held":
+            if not isinstance(dF_dx, (tuple, list)) or len(dF_dx) != self.spec.n:
+                raise ValueError(f"dF_dx needs {self.spec.n} arrays, one per axis")
+            dF_dx = self.__dict__["dF_dx"] = tuple(dF_dx)
         for arr in (F, dF_dt, *(dF_dx if isinstance(dF_dx, tuple) else ())):
-            if isinstance(arr, np.ndarray) and arr.shape != want:
-                raise ValueError(f"a field has shape {arr.shape}, expected {want}")
+            if not isinstance(arr, functools.partial | None) and np.shape(arr) != want:
+                raise ValueError(f"a field has shape {np.shape(arr)}, expected {want}")
         if (self.harmonicity is not None
                 and np.shape(self.harmonicity) != (self.levels.M - 2,)):
             raise ValueError("harmonicity needs one value per interior level")
 
+    def _state(self, name: str) -> str:
+        value = self.__dict__[name]
+        return ("absent" if value is None else "deferred"
+                if isinstance(value, functools.partial) else "held")
+
+    def __repr__(self) -> str:
+        states = (f"{k}={self._state(k)}" for k in ("F", "dF_dt", "dF_dx"))
+        return (f"ExtensionField({self.spec}, s={self.s}, shape="
+                f"{(self.levels.M, *self.spec.shape)}, {', '.join(states)})")
+
     def carries(self, name: str) -> bool:
         """Whether the field name ("F", "dF_dt" or "dF_dx") is present."""
         return self.__dict__[name] is not None
+
+    def level_values(self, name: str) -> Iterator:
+        """The present field name level by level, a level of dF_dx being its
+        n axes: held slices, or a deferred field synthesized level by level."""
+        value = self.__dict__[name]
+        if isinstance(value, functools.partial):  # the stream of _levels
+            levels = value()
+            return levels if name == "dF_dx" else (lvl[0] for lvl in levels)
+        return zip(*value) if name == "dF_dx" else iter(value)
 
 
 @dataclass(frozen=True)
@@ -369,12 +392,13 @@ def extension_levels(spec: GridSpec, values: np.ndarray, s: float,
         spec, symbol or PoissonSymbol(s), levels, "t" in fields), fields)
 
 
-def _synthesize(spec: GridSpec, coeffs: np.ndarray, radial: list, name: str):
-    """The field name ("F", "t" or "x") of every level, into one array."""
-    out = np.empty((spec.n if name == "x" else 1, len(radial), *spec.shape))
-    for i, level in enumerate(_levels(spec, coeffs, radial, (name,))):
+def _synthesize(F: ExtensionField, name: str):
+    """The deferred field name of every level, into one array."""
+    axes = F.spec.n if name == "dF_dx" else 1
+    out = np.empty((axes, F.levels.M, *F.spec.shape))
+    for i, level in enumerate(F.level_values(name)):
         out[:, i] = level
-    return tuple(out) if name == "x" else out[0]
+    return tuple(out) if name == "dF_dx" else out[0]
 
 
 def _harmonicity(ts: np.ndarray, i: int, s: float, tdm: list[np.ndarray],
@@ -413,7 +437,7 @@ def extend_field(f: GridFunction, s: float, levels: TLevels,
     coeffs = spectral_forward(spec, f.values)
     radial = list(_radial_symbols(spec, symbol or PoissonSymbol(s), levels,
                                   "t" in with_derivatives))
-    fields = {name: functools.partial(_synthesize, spec, coeffs, radial, key)
+    fields = {name: functools.partial(_levels, spec, coeffs, radial, (key,))
               for name, key in (("F", "F"), ("dF_dt", "t"), ("dF_dx", "x"))
               if key == "F" or key in with_derivatives}
     harmonicity = None
@@ -520,17 +544,15 @@ def decay_profile(F: ExtensionField, k: int = 0) -> dict[str, np.ndarray]:
     """Per-level sup values: sup_x t^{n+k} |grad^k F| and sup_x t^k |grad^k F|."""
     if k not in (0, 1):
         raise ValueError("k must be 0 or 1")
-    ts = F.levels.ts
-    n = F.spec.n
+    ts, n = F.levels.ts, F.spec.n
+    if k == 1 and not (F.carries("dF_dt") and F.carries("dF_dx")):
+        raise ValueError("k = 1 requires both derivative fields")
     if k == 0:
-        sup = np.max(np.abs(F.F), axis=tuple(range(1, F.F.ndim)))
+        levels = map(np.abs, F.level_values("F"))
     else:
-        if not (F.carries("dF_dt") and F.carries("dF_dx")):
-            raise ValueError("k = 1 requires both derivative fields")
-        g2 = F.dF_dt**2
-        for g in F.dF_dx:
-            g2 = g2 + g**2
-        sup = np.max(np.sqrt(g2), axis=tuple(range(1, g2.ndim)))
+        levels = (np.sqrt(sum((g**2 for g in dx), dt**2)) for dt, dx in
+                  zip(F.level_values("dF_dt"), F.level_values("dF_dx")))
+    sup = np.array([np.max(v) for v in levels])
     return {
         "t": ts,
         "sup": sup,

@@ -18,7 +18,7 @@ import functools
 import hashlib
 import math
 from collections import OrderedDict
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,21 +359,20 @@ def maximal_function(f: GridFunction,
 _SELECTORS = ("value", "dt", "dx", "gradient")
 
 
-def _field_stack(F: ExtensionField, selector: str) -> np.ndarray:
-    """Per-level arrays of the selected field component (shape (M, *grid))."""
+def _field_levels(F: ExtensionField, selector: str) -> Iterator[np.ndarray]:
+    """The selected field component level by level (each of shape grid)."""
     if selector not in _SELECTORS:
         raise ValueError(f"selector must be one of {_SELECTORS}, got {selector!r}")
-    if selector == "value":
-        return F.F
     if selector in ("dt", "gradient") and not F.carries("dF_dt"):
         raise ValueError(f"selector {selector!r} needs the t-derivative field")
     if selector in ("dx", "gradient") and not F.carries("dF_dx"):
         raise ValueError(f"selector {selector!r} needs the x-derivative field")
-    if selector == "dt":
-        return F.dF_dt
+    if selector in ("value", "dt"):
+        return F.level_values({"value": "F", "dt": "dF_dt"}[selector])
     if selector == "dx":
-        return np.sqrt(sum(g**2 for g in F.dF_dx))
-    return np.sqrt(F.dF_dt**2 + sum(g**2 for g in F.dF_dx))
+        return (np.sqrt(sum(g**2 for g in dx)) for dx in F.level_values("dF_dx"))
+    return (np.sqrt(dt**2 + sum(g**2 for g in dx)) for dt, dx in
+            zip(F.level_values("dF_dt"), F.level_values("dF_dx")))
 
 
 _DERIVATIVES = ("frac-laplacian", "dt", "dx")
@@ -456,19 +455,17 @@ def square_function(F: ExtensionField, mode: str = "regular",
     if mode not in ("regular", "nontangential"):
         raise ValueError(
             f"mode must be 'regular' or 'nontangential', got {mode!r}")
-    spec = F.spec
-    G = _field_stack(F, selector)
-    ts = F.levels.ts
-    wlog = F.levels.log_trapezoid_weights()
-    if mode == "regular":
-        weighted = (ts.reshape((-1,) + (1,) * spec.n) ** weight * G) ** 2
-        s2 = np.tensordot(wlog, weighted, axes=(0, 0))
-    else:
-        ball_spectrum = _open_ball_spectra(spec)
-        s2 = np.zeros(spec.shape)
-        for i, t in enumerate(ts):
-            cone = spectral_apply(spec, G[i] ** 2, ball_spectrum(t))
-            s2 += wlog[i] * t ** (2 * weight - spec.n) * cone * spec.cell_volume
+    spec, ts = F.spec, F.levels.ts
+    ball_spectrum = _open_ball_spectra(spec) if mode != "regular" else None
+    s2 = np.zeros(spec.shape)
+    # one level at a time, summed in level order
+    for t, tw, w, G in zip(ts, ts**weight, F.levels.log_trapezoid_weights(),
+                           _field_levels(F, selector)):
+        if mode == "regular":
+            s2 += w * (tw * G) ** 2
+        else:
+            cone = spectral_apply(spec, G**2, ball_spectrum(t))
+            s2 += w * t ** (2 * weight - spec.n) * cone * spec.cell_volume
     return GridFunction(spec, np.sqrt(np.maximum(s2, 0.0)))
 
 
@@ -476,29 +473,29 @@ def carleson_sup(F: ExtensionField, weight: float = 1.0,
                  selector: str = "gradient",
                  tents: TentFamily | None = None) -> float:
     """Supremum over tents T(B) = {(y,t) : |y - x| < r - t} of
-    (|B|^(-1) int_T t^w |G|^2 dy dt)^(1/2); |G|^2 is transformed forward
-    once, as one stack of levels, for all (radius, level) pairs, and each
-    distinct ball {|y| < r - t} once."""
+    (|B|^(-1) int_T t^w |G|^2 dy dt)^(1/2).  Level by level, |G|^2 is
+    transformed forward once if some radius exceeds t, and added to the
+    accumulator of each such radius; each distinct ball {|y| < r - t} is
+    transformed once."""
     spec = F.spec
     tents = tents if tents is not None else TentFamily.standard(spec)
-    G = _field_stack(F, selector)
     ts = F.levels.ts
-    wlog = F.levels.log_trapezoid_weights()
-    g2_hat = spectral_forward(spec, G**2)
     ball_spectrum = _open_ball_spectra(spec)
-    best = 0.0
-    for r, cnt in zip(tents.radii, _ball_geometry(tents).counts):
-        measure = cnt * spec.cell_volume
-        acc = np.zeros(spec.shape)
-        for i, t in enumerate(ts):
-            if t >= r:
-                continue
-            acc += wlog[i] * t ** (1 + weight) * spectral_synthesis(
-                spec, g2_hat[i], ball_spectrum(r - t))
-        acc *= spec.cell_volume / measure
-        top = float(np.max(_decimate(acc, tents.center_stride)))
-        best = max(best, math.sqrt(max(top, 0.0)))
-    return best
+    accs = np.zeros((len(tents.radii), *spec.shape))
+    # the levels ascend, so those below the largest radius come first
+    below = ts[ts < tents.radii[-1]]
+    for t, w, G in zip(below, F.levels.log_trapezoid_weights(),
+                       _field_levels(F, selector)):
+        g2_hat = spectral_forward(spec, G**2)
+        for r, acc in zip(tents.radii, accs):
+            if t < r:
+                acc += w * t ** (1 + weight) * spectral_synthesis(
+                    spec, g2_hat, ball_spectrum(r - t))
+    # a positive factor commutes with the max, and sqrt with max over radii
+    top = max(float(np.max(_decimate(acc, tents.center_stride)))
+              * (spec.cell_volume / (cnt * spec.cell_volume))
+              for acc, cnt in zip(accs, _ball_geometry(tents).counts))
+    return math.sqrt(max(top, 0.0))
 
 
 def tent_pairing_bound_check(Phi: ExtensionField, G: ExtensionField,
@@ -513,15 +510,11 @@ def tent_pairing_bound_check(Phi: ExtensionField, G: ExtensionField,
     """
     if Phi.spec != G.spec or not np.array_equal(Phi.levels.ts, G.levels.ts):
         raise ValueError("fields must share the same grid and t-levels")
-    spec = Phi.spec
-    P = _field_stack(Phi, phi_selector)
-    Q = _field_stack(G, g_selector)
-    ts = Phi.levels.ts
-    wlog = Phi.levels.log_trapezoid_weights()
     lhs = float(sum(
-        w * t**2 * np.sum(np.abs(P[i] * Q[i]))
-        for i, (t, w) in enumerate(zip(ts, wlog))
-    ) * spec.cell_volume)
+        w * t**2 * np.sum(np.abs(P * Q)) for t, w, P, Q in zip(
+            Phi.levels.ts, Phi.levels.log_trapezoid_weights(),
+            _field_levels(Phi, phi_selector), _field_levels(G, g_selector))
+    ) * Phi.spec.cell_volume)
     if lhs == 0.0:
         return 0.0
     c = carleson_sup(Phi, weight=1.0, selector=phi_selector, tents=tents)

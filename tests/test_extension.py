@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -375,6 +376,40 @@ def test_extend_field_holds_no_field_until_read():
     assert peak <= 2 * one_field
 
 
+def test_extension_field_repr_and_equality_synthesize_nothing(monkeypatch):
+    spec = GridSpec(n=2, N=64, L=1.0)
+    f = make_function(TestFunctionDescriptor(
+        kind="gaussian", center=(0.45, 0.55), width=0.06), spec)
+    lv = make_tlevels(spec, M=16)
+    F, G = extend_field(f, 0.5, lv), extend_field(f, 0.5, lv)
+    calls = _count_transforms(monkeypatch)
+    text = repr(F)
+    assert len(text) < 300
+    assert text.count("deferred") == 3
+    assert "(16, 64, 64)" in text
+    assert F != G and F == F
+    assert calls == []
+    assert all(isinstance(F.__dict__[k], functools.partial)
+               for k in ("F", "dF_dt", "dF_dx"))
+    assert all(F.carries(k) for k in ("F", "dF_dt", "dF_dx"))
+    held = extend_field(f, 0.5, lv, with_derivatives=())
+    held.F
+    assert "F=held" in repr(held) and "dF_dx=absent" in repr(held)
+
+
+def test_extension_field_checks_dF_dx():
+    # dF_dx is one array per axis, each of the field's shape, kept as a tuple
+    spec = GridSpec(n=2, N=32, L=1.0)
+    lv = make_tlevels(spec, M=16)
+    A = np.ones((lv.M, *spec.shape))
+    for dF_dx in ([A, A[:, :1, :]], (A,), (A, A, A), [np.ones((16, 32))]):
+        with pytest.raises(ValueError):
+            ExtensionField(spec=spec, s=0.5, levels=lv, F=A, dF_dx=dF_dx)
+    F = ExtensionField(spec=spec, s=0.5, levels=lv, F=A, dF_dx=[A, 2 * A])
+    assert isinstance(F.dF_dx, tuple) and len(F.dF_dx) == spec.n
+    assert [len(level) for level in F.level_values("dF_dx")] == [2] * lv.M
+
+
 def test_tlevels_validation():
     with pytest.raises(ValueError):
         TLevels(np.array([0.1, 0.2]))  # too few
@@ -749,5 +784,14 @@ def test_decay_profile_decays_at_large_times():
     assert sup[-1] < 1e-3 * sup[0]
     prof1 = decay_profile(F, k=1)
     assert np.all(np.isfinite(prof1["sup"]))
+    # streamed level by level from the deferred fields, and again from the
+    # held ones, the sups are those of the stacked arrays bit for bit
+    g2 = F.dF_dt**2
+    for g in F.dF_dx:
+        g2 = g2 + g**2
+    want = {0: np.max(np.abs(F.F), axis=1), 1: np.max(np.sqrt(g2), axis=1)}
+    for k, got in ((0, sup), (1, prof1["sup"])):
+        assert _same_bits(got, want[k])
+        assert _same_bits(decay_profile(F, k=k)["sup"], want[k])
     with pytest.raises(ValueError):
         decay_profile(F, k=2)

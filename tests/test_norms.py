@@ -1,12 +1,14 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracharm import (GridFunction, GridSpec, LorentzExponents, TLevels,
                       TentFamily, TestFunctionDescriptor, bmo_seminorm,
-                      carleson_sup, extend_field, holder_seminorm, l2_norm,
+                      carleson_sup, decay_profile, extend_field,
+                      holder_seminorm, l2_norm,
                       lorentz_norm, lp_norm, make_function, make_tlevels,
                       maximal_function, slobodeckij_seminorm, space_functional,
                       square_function, standard_family,
@@ -409,6 +411,65 @@ def test_square_function_modes_are_comparable():
         square_function(F, "diagonal")
 
 
+@pytest.mark.parametrize("n,N", [(1, 256), (2, 32)])
+def test_regular_square_function_sums_the_levels_in_order(n, N):
+    # the levels are summed one at a time in level order, where np.tensordot
+    # over the stacked field leaves the order to BLAS: the two agree to
+    # rounding, and a dropped level would show
+    spec = GridSpec(n=n, N=N, L=1.0)
+    lv = make_tlevels(spec, M=32)
+    # a nonzero mean, so that the top level (where F is the mean) counts
+    f = GridFunction(spec, 1.0 + make_function(TestFunctionDescriptor(
+        kind="random-bandlimited", seed=5, max_k=6), spec).values)
+    for s in (0.5, 1.5):
+        F = extend_field(f, s, lv)
+        for weight in (1.0, 0.5):
+            for selector in norms._SELECTORS:
+                got = square_function(F, "regular", weight, selector).values
+                G = _field_stack(F, selector)
+                weighted = (lv.ts.reshape((-1,) + (1,) * n) ** weight * G) ** 2
+                want = np.sqrt(np.tensordot(lv.log_trapezoid_weights(),
+                                            weighted, axes=(0, 0)))
+                assert np.all(want > 0)
+                assert np.max(np.abs(got - want) / want) <= 1e-15
+
+
+_READERS = {  # name: (reader, fields it reads, bound in fields)
+    "square-dt": (
+        lambda F: square_function(F, "regular", 1.0, "dt"), 1, 1.0),
+    "square-gradient": (
+        lambda F: square_function(F, "regular", 1.0, "gradient"), 1, 1.0),
+    "decay-k1": (lambda F: decay_profile(F, k=1), 1, 1.0),
+    "nontangential": (
+        lambda F: square_function(F, "nontangential", 1.0, "dt"), 1, 1.5),
+    "carleson": (carleson_sup, 1, 4.0),
+    "tent-pairing": (tent_pairing_bound_check, 2, 4.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_READERS))
+def test_extension_readers_hold_no_stacked_field(name):
+    # the readers reduce a field level by level: with extend_field they stay
+    # within a field of memory (1.5 with the nontangential ball spectra, 4
+    # with those of the tents), where the stacked route took 2.1 to 7.8
+    reader, arity, bound = _READERS[name]
+    spec = GridSpec(n=2, N=128, L=1.0)
+    lv = make_tlevels(spec, M=32)
+    one_field = lv.M * spec.N**2 * 8  # one (32, 128, 128) float64 array
+    fs = [make_function(TestFunctionDescriptor(
+        kind="gaussian", center=c, width=0.06), spec)
+        for c in ((0.45, 0.55), (0.6, 0.4))[:arity]]
+    # a first run keeps the imports and caches of a first call out of the count
+    reader(*(extend_field(f, 0.5, lv) for f in fs))
+    tracemalloc.start()
+    try:
+        reader(*(extend_field(f, 0.5, lv) for f in fs))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * one_field
+
+
 def test_carleson_sup_vanishes_for_constants():
     spec = GridSpec(n=1, N=64, L=1.0)
     c = GridFunction(spec, np.full(64, 2.0))
@@ -429,11 +490,23 @@ def test_carleson_sup_comparable_to_bmo():
     assert np.max(ratios) / np.min(ratios) <= 3.0
 
 
+def _field_stack(F, selector):
+    """The selected field component of every level, one (M, *grid) array
+    built from attribute reads: the materialized route of the readers that
+    stream the levels."""
+    if selector == "value":
+        return F.F
+    if selector == "dt":
+        return F.dF_dt
+    dx2 = sum(g**2 for g in F.dF_dx)
+    return np.sqrt(dx2 if selector == "dx" else F.dF_dt**2 + dx2)
+
+
 def _carleson_per_pair(F, weight, selector, tents):
     """carleson_sup with |G|^2 transformed again for every (radius, level)
-    pair: the oracle of its one forward transform."""
+    pair: the oracle of its one forward transform per level."""
     spec = F.spec
-    G = norms._field_stack(F, selector)
+    G = _field_stack(F, selector)
     ts, wlog = F.levels.ts, F.levels.log_trapezoid_weights()
     g2 = G**2
     best = 0.0
@@ -480,7 +553,11 @@ def test_carleson_sup_transforms_once_and_equals_per_pair_loop(n, N,
         calls.clear()
         kernels.clear()
         got = carleson_sup(F, 1.0, selector, tents)
-        assert calls == [(32,) + spec.shape]
+        # one transform per level below the largest radius and none above:
+        # 24 of 32 levels at 1-D N=256, 22 of 32 at 2-D N=32
+        below = int(np.count_nonzero(ts < tents.radii[-1]))
+        assert calls == [spec.shape] * below
+        assert below == {1: 24, 2: 22}[n]
         # one transform per distinct ball {|y| < r - t}: 51 of 128 pairs at
         # 1-D N=256, 36 of 80 at 2-D N=32
         balls = [norms._ball_kernel(spec, r - t)[1]
@@ -493,7 +570,7 @@ def _nontangential_per_level(F, weight, selector):
     """The nontangential square function with the ball indicator of every
     level transformed: the oracle of its one transform per distinct ball."""
     spec = F.spec
-    G = norms._field_stack(F, selector)
+    G = _field_stack(F, selector)
     ts, wlog = F.levels.ts, F.levels.log_trapezoid_weights()
     s2 = np.zeros(spec.shape)
     for i, t in enumerate(ts):
@@ -530,7 +607,7 @@ def test_nontangential_square_transforms_each_ball_once(n, N, monkeypatch):
                               np.fft.fftn(kernel)[..., : spec.N // 2 + 1])
 
 
-def test_tent_pairing_bound_check():
+def test_tent_pairing_bound_check(monkeypatch):
     spec = GridSpec(n=1, N=64, L=1.0)
     lv = make_tlevels(spec, M=16)
     Phi = extend_field(_bump(spec, radius=0.2), 1.0, lv)
@@ -543,3 +620,15 @@ def test_tent_pairing_bound_check():
     other = extend_field(_bump(spec, radius=0.2), 1.0, make_tlevels(spec, M=20))
     with pytest.raises(ValueError, match="same grid"):
         tent_pairing_bound_check(Phi, other)
+    # the pairing side alone, with the bound side set to 1, is the sum over
+    # the stacked fields bit for bit: for deferred, mixed and held fields
+    monkeypatch.setattr(norms, "carleson_sup", lambda *args, **kwargs: 1.0)
+    monkeypatch.setattr(norms, "lp_norm", lambda *args: 1.0)
+    ts, wlog = lv.ts, lv.log_trapezoid_weights()
+    for selector in ("value", "dt", "gradient"):
+        lhs = tent_pairing_bound_check(Phi, G, selector, selector)
+        P, Q = _field_stack(Phi, selector), _field_stack(G, selector)
+        assert lhs == float(sum(
+            w * t**2 * np.sum(np.abs(P[i] * Q[i]))
+            for i, (t, w) in enumerate(zip(ts, wlog))) * spec.cell_volume)
+        assert tent_pairing_bound_check(Phi, G, selector, selector) == lhs
