@@ -25,10 +25,10 @@ import numpy as np
 
 # extend_field is no longer called here, but perfbench/test_benchmark.py
 # checks that the tracer rebinds it in this namespace
-from .extension import (TLevels, extend_field,  # noqa: F401
-                        extension_levels, make_tlevels)
+from .extension import (PoissonSymbol, TLevels, extend_field,  # noqa: F401
+                        _levels, _radial_symbols, make_tlevels)
 from .grid import (GridFunction, GridSpec, TestFunctionDescriptor,
-                   make_function, spectral_gradient)
+                   make_function, spectral_forward, spectral_gradient)
 from .multiplier_ops import (frac_laplacian, l2_norm, mean_projected,
                              riesz_potential, riesz_transform)
 from .norms import (LorentzExponents, bmo_seminorm, lorentz_norm, lp_norm,
@@ -129,11 +129,12 @@ def jacobian_pairing(phi: GridFunction,
     ts = levels.ts
     wlog = levels.log_trapezoid_weights()
     per_level = np.zeros(levels.M)
-    # the three extensions share one forward transform and one symbol
-    # evaluation per level, and each level is reduced as soon as it exists
-    stack = np.stack([phi.values, u1.values, u2.values])
-    for i, (dt, dx0, dx1) in enumerate(
-            extension_levels(spec, stack, 1.0, levels, ("t", "x"))):
+    # the three extensions share one forward transform and one symbol table
+    # per level (three extend_field calls would make three of each), and
+    # each level is reduced as soon as it exists
+    stack = spectral_forward(spec, np.stack([phi.values, u1.values, u2.values]))
+    radial = _radial_symbols(spec, PoissonSymbol(1.0), levels, True)
+    for i, (dt, dx0, dx1) in enumerate(_levels(spec, stack, radial, ("t", "x"))):
         # columns a, b, c: grad_3 of Phi, U1, U2 as (d/dx_1, d/dx_2, d/dt)
         (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = dx0, dx1, dt
         det3 = (a0 * (b1 * c2 - b2 * c1)
@@ -219,11 +220,11 @@ def _validate_chanillo(p: dict) -> None:
         raise ValueError("chanillo requires q > 1")
 
 
-def _check_chanillo_grid(p: dict, n: int) -> None:
-    if not _close(1 / p["q"], 1 / p["p"] - p["s"] / n):
+def _check_chanillo_grid(p: dict, spec: GridSpec) -> None:
+    if not _close(1 / p["q"], 1 / p["p"] - p["s"] / spec.n):
         raise ValueError(
             f"chanillo requires 1/q = 1/p - s/n; got p={p['p']}, q={p['q']}, "
-            f"s={p['s']}, n={n}")
+            f"s={p['s']}, n={spec.n}")
 
 
 def _validate_leibniz_lorentz(p: dict) -> None:
@@ -263,8 +264,17 @@ def _validate_jacobian_sobolev(p: dict) -> None:
         raise ValueError("jacobian-sobolev requires each s_i in (0, 1)")
     if not _close(sum(ss), 2.0):
         raise ValueError("jacobian-sobolev requires s0 + s1 + s2 = 2")
+    for k in ("p0", "p1", "p2"):
+        if not (1 < p[k] < _INF):
+            raise ValueError(f"jacobian-sobolev requires {k} in (1, inf)")
     if not _close(1 / p["p0"] + 1 / p["p1"] + 1 / p["p2"], 1.0):
         raise ValueError("jacobian-sobolev requires 1/p0 + 1/p1 + 1/p2 = 1")
+
+
+def _check_jacobian_sobolev_grid(p: dict, spec: GridSpec) -> None:
+    # the Slobodeckij double sums of the right-hand side
+    if spec.N > 96:
+        raise ValueError(f"jacobian-sobolev requires N <= 96, got N = {spec.N}")
 
 
 def _validate_hardy_duality(p: dict) -> None:
@@ -313,7 +323,7 @@ def _eval_fl_comm(spec, funcs, prm, meta):
 def _eval_chanillo(spec, funcs, prm, meta):
     phi, u = funcs
     s, p, q = prm["s"], prm["p"], prm["q"]
-    _check_chanillo_grid(prm, spec.n)
+    _check_chanillo_grid(prm, spec)
     # The truncated whole-space kernel realizes the potential on data with
     # nonzero mean, so the commutator stays dilation-covariant for localized
     # inputs; the spectral route would need a mean projection whose constant
@@ -457,6 +467,7 @@ CATALOG = {
                      "p0": 3.0, "p1": 3.0, "p2": 3.0},
         "validate": _validate_jacobian_sobolev,
         "evaluate": _eval_jacobian_sobolev,
+        "check_grid": _check_jacobian_sobolev_grid,
         "dims": (2,),
     },
     "hardy-duality": {
@@ -498,13 +509,13 @@ class EstimateDescriptor:
         return CATALOG[self.id]["arity"]
 
     def check_grid(self, spec: GridSpec) -> None:
-        """Raise ValueError if the estimate does not fit the grid dimension."""
+        """Raise ValueError if the estimate does not fit the grid."""
         entry = CATALOG[self.id]
         if spec.n not in entry.get("dims", (1, 2)):
             raise ValueError(f"{self.id} requires n in {entry['dims']}, "
                              f"got n = {spec.n}")
         if "check_grid" in entry:
-            entry["check_grid"](self.params, spec.n)
+            entry["check_grid"](self.params, spec)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ integral representation (_kve).
 
 Fields come from one forward transform of the boundary values (one function
 or a stack); each level gathers its multipliers onto the real-FFT half
-lattice from one symbol evaluation on the distinct |xi|.  extension_levels
-streams the levels; extend_field defers each field (see ExtensionField).
+lattice from one symbol evaluation on the distinct |xi|.  extend_field
+defers each field (see ExtensionField), and _field_levels reads a field
+component level by level.
 
 The diagnostics (the s-harmonicity residual and the boundary trace) compare
 radial multipliers of f^, so their L2 norms and inner products are sums over
@@ -304,6 +305,25 @@ class ExtensionField:
         return zip(*value) if name == "dF_dx" else iter(value)
 
 
+_SELECTORS = ("value", "dt", "dx", "gradient")
+
+
+def _field_levels(F: ExtensionField, selector: str) -> Iterator[np.ndarray]:
+    """The selected field component level by level (each of shape grid)."""
+    if selector not in _SELECTORS:
+        raise ValueError(f"selector must be one of {_SELECTORS}, got {selector!r}")
+    if selector in ("dt", "gradient") and not F.carries("dF_dt"):
+        raise ValueError(f"selector {selector!r} needs the t-derivative field")
+    if selector in ("dx", "gradient") and not F.carries("dF_dx"):
+        raise ValueError(f"selector {selector!r} needs the x-derivative field")
+    if selector in ("value", "dt"):
+        return F.level_values({"value": "F", "dt": "dF_dt"}[selector])
+    if selector == "dx":
+        return (np.sqrt(sum(g**2 for g in dx)) for dx in F.level_values("dF_dx"))
+    return (np.sqrt(dt**2 + sum(g**2 for g in dx)) for dt, dx in
+            zip(F.level_values("dF_dt"), F.level_values("dF_dx")))
+
+
 @dataclass(frozen=True)
 class _RadialLayout:
     """The distinct |xi| of a grid's real-FFT half lattice.
@@ -361,8 +381,9 @@ def _radial_symbols(spec: GridSpec, sym: PoissonSymbol, levels: TLevels,
 
 def _levels(spec: GridSpec, coeffs: np.ndarray, radial, fields: tuple[str, ...]
             ) -> Iterator[np.ndarray]:
-    """Per (m, |xi| m') of radial, the named fields of the half spectrum
-    coeffs, as extension_levels yields them."""
+    """Per (m, |xi| m') of radial, the named fields ("F", "t", "x") of the
+    half spectrum coeffs: an array (k, *stack, *spec.shape) of F, dF/dt and
+    dF/dx_1..dF/dx_n for those named, in this order."""
     inv = _radial_layout(spec).inv
     stack = tuple(range(1, coeffs.ndim - spec.n + 1))
     for m, tdm in radial:
@@ -374,22 +395,6 @@ def _levels(spec: GridSpec, coeffs: np.ndarray, radial, fields: tuple[str, ...]
             parts.append(gradient_multipliers(spec) * m_half)
         yield spectral_synthesis(spec, coeffs, np.expand_dims(
             np.concatenate(parts, dtype=complex), stack))
-
-
-def extension_levels(spec: GridSpec, values: np.ndarray, s: float,
-                     levels: TLevels, fields: tuple[str, ...],
-                     symbol: PoissonSymbol | None = None
-                     ) -> Iterator[np.ndarray]:
-    """Yield, level by level, fields of the extensions of boundary values.
-
-    values has shape (*stack, *spec.shape) and is transformed forward once.
-    fields names some of "F", "t" and "x"; each level yields a new array of
-    shape (k, *stack, *spec.shape) holding, in this order, F, dF/dt and
-    dF/dx_1..dF/dx_n for those named.  Per level the symbol is evaluated once
-    on the distinct |xi|, and the multipliers [m, |xi| m', 2 pi i xi_j m] are
-    gathered onto the real-FFT half lattice."""
-    yield from _levels(spec, spectral_forward(spec, values), _radial_symbols(
-        spec, symbol or PoissonSymbol(s), levels, "t" in fields), fields)
 
 
 def _synthesize(F: ExtensionField, name: str):
@@ -547,11 +552,8 @@ def decay_profile(F: ExtensionField, k: int = 0) -> dict[str, np.ndarray]:
     ts, n = F.levels.ts, F.spec.n
     if k == 1 and not (F.carries("dF_dt") and F.carries("dF_dx")):
         raise ValueError("k = 1 requires both derivative fields")
-    if k == 0:
-        levels = map(np.abs, F.level_values("F"))
-    else:
-        levels = (np.sqrt(sum((g**2 for g in dx), dt**2)) for dt, dx in
-                  zip(F.level_values("dF_dt"), F.level_values("dF_dx")))
+    levels = (map(np.abs, F.level_values("F")) if k == 0
+              else _field_levels(F, "gradient"))
     sup = np.array([np.max(v) for v in levels])
     return {
         "t": ts,

@@ -111,6 +111,8 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.values):
+            raise ValueError("GridFunction values must be real")
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.spec.shape:
             if v.size == self.spec.N**self.spec.n:

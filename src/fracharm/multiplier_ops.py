@@ -36,7 +36,7 @@ class SymbolDescriptor:
 
 def _multiplier_array(spec: GridSpec, m: SymbolDescriptor) -> np.ndarray:
     xis = spec.frequencies()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         arr = np.asarray(m.fn(*xis), dtype=complex)
     if arr.shape != spec.shape:
         arr = np.broadcast_to(arr, spec.shape).astype(complex)

@@ -18,15 +18,12 @@ import functools
 import hashlib
 import math
 from collections import OrderedDict
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-# extend_field is no longer called here, but perfbench/test_benchmark.py
-# checks that the tracer rebinds it in this namespace
-from .extension import (ExtensionField, TLevels, extend_field,  # noqa: F401
-                        extension_levels)
+from .extension import ExtensionField, TLevels, _field_levels, extend_field
 from .grid import (GridFunction, GridSpec, spectral_apply, spectral_forward,
                    spectral_gradient, spectral_synthesis)
 from .multiplier_ops import frac_laplacian
@@ -356,25 +353,6 @@ def maximal_function(f: GridFunction,
 # Extension-based functionals
 
 
-_SELECTORS = ("value", "dt", "dx", "gradient")
-
-
-def _field_levels(F: ExtensionField, selector: str) -> Iterator[np.ndarray]:
-    """The selected field component level by level (each of shape grid)."""
-    if selector not in _SELECTORS:
-        raise ValueError(f"selector must be one of {_SELECTORS}, got {selector!r}")
-    if selector in ("dt", "gradient") and not F.carries("dF_dt"):
-        raise ValueError(f"selector {selector!r} needs the t-derivative field")
-    if selector in ("dx", "gradient") and not F.carries("dF_dx"):
-        raise ValueError(f"selector {selector!r} needs the x-derivative field")
-    if selector in ("value", "dt"):
-        return F.level_values({"value": "F", "dt": "dF_dt"}[selector])
-    if selector == "dx":
-        return (np.sqrt(sum(g**2 for g in dx)) for dx in F.level_values("dF_dx"))
-    return (np.sqrt(dt**2 + sum(g**2 for g in dx)) for dt, dx in
-            zip(F.level_values("dF_dt"), F.level_values("dF_dx")))
-
-
 _DERIVATIVES = ("frac-laplacian", "dt", "dx")
 
 
@@ -404,42 +382,38 @@ def space_functional(f: GridFunction, kind: str, alpha: float, beta: float,
             raise ValueError(
                 f"derivative 'frac-laplacian' requires beta > max(alpha, 0); "
                 f"got alpha={alpha}, beta={beta}")
-        values, field, beta_eff = frac_laplacian(f, beta).values, "F", beta
+        g, derivs, selector, beta_eff = frac_laplacian(f, beta), (), "value", beta
     elif derivative == "dt":
         if not alpha < s:
             raise ValueError(
                 f"derivative 'dt' requires alpha < s; got alpha={alpha}, s={s}")
-        values, field, beta_eff = f.values, "t", 1.0
+        g, derivs, selector, beta_eff = f, ("t",), "dt", 1.0
     else:
         if not alpha < 1:
             raise ValueError(
                 f"derivative 'dx' requires alpha < 1; got alpha={alpha}")
-        values, field, beta_eff = f.values, "x", 1.0
-    # only the field read is synthesized
-    stream = extension_levels(spec, values, s, levels, (field,))
-    if field == "x":
-        G = np.stack([np.sqrt(sum(g**2 for g in level)) for level in stream])
-    else:
-        G = np.stack([level[0] for level in stream])
-    ts = levels.ts
+        g, derivs, selector, beta_eff = f, ("x",), "dx", 1.0
+    # only the field read is synthesized, one level at a time
+    F = extend_field(g, s, levels, derivs)
     wlog = levels.log_trapezoid_weights()
-    wt = ts ** (beta_eff - alpha)
+    terms = zip(wlog, levels.ts ** (beta_eff - alpha), _field_levels(F, selector))
 
     if kind == "besov":
-        per_level = np.array(
-            [lp_norm(GridFunction(spec, G[i]), p) for i in range(levels.M)]
-        )
-        vals = wt * per_level
+        vals = np.array([tw * lp_norm(GridFunction(spec, G), p)
+                         for _, tw, G in terms])
         if math.isinf(q):
             return float(np.max(vals))
         return float(np.sum(wlog * vals**q) ** (1 / q))
 
-    absG = np.abs(G)
-    if math.isinf(q):
-        inner = np.max(wt.reshape((-1,) + (1,) * spec.n) * absG, axis=0)
-    else:
-        weighted = (wt.reshape((-1,) + (1,) * spec.n) * absG) ** q
-        inner = np.tensordot(wlog, weighted, axes=(0, 0)) ** (1 / q)
+    # the pointwise L^q(dt/t) integral, summed in level order
+    inner = np.zeros(spec.shape)
+    for w, tw, G in terms:
+        if math.isinf(q):
+            np.maximum(inner, tw * np.abs(G), out=inner)
+        else:
+            inner += w * (tw * np.abs(G)) ** q
+    if not math.isinf(q):
+        inner **= 1 / q
     return lp_norm(GridFunction(spec, inner), p)
 
 

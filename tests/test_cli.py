@@ -401,6 +401,22 @@ def test_non_numeric_estimate_parameter_exits_two(tmp_path, capsys):
     assert cfg.estimates[0].params["p"] == 3
 
 
+def test_jacobian_sobolev_outside_its_range_exits_two(tmp_path, capsys):
+    # its Slobodeckij right-hand side takes 2-D grids up to N = 96 and
+    # exponents in [1, inf); a negative p0 still sums 1/p_i to 1
+    for grid, params, words in (
+            ({"n": 2, "N": 128, "L": 1.0}, {}, ("N <= 96",)),
+            ({"n": 2, "N": 64, "L": 1.0},
+             {"p0": -3.0, "p1": 1.5, "p2": 1.5}, ("p0 in (1, inf)",))):
+        path = _write_config(tmp_path / "cfg.json", grid=grid,
+                             estimates=[{"id": "jacobian-sobolev",
+                                         "params": params}])
+        assert main(["run", path, "--out", str(tmp_path / "reports")]) == 2
+        _assert_one_config_error_line(capsys, "estimates[0]",
+                                      "jacobian-sobolev", *words)
+        assert not (tmp_path / "reports").exists()
+
+
 @settings(max_examples=40, deadline=None)
 @given(N=st.one_of(st.integers(-8, 300),
                    st.sampled_from([2**k for k in range(9)])))

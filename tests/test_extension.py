@@ -795,3 +795,15 @@ def test_decay_profile_decays_at_large_times():
         assert _same_bits(decay_profile(F, k=k)["sup"], want[k])
     with pytest.raises(ValueError):
         decay_profile(F, k=2)
+    # in 2-D the k = 1 level adds dt^2 to the sum of the dx^2, which orders
+    # the sum apart from the stacked route: the two agree to rounding
+    spec = GridSpec(n=2, N=64, L=1.0)
+    f = make_function(TestFunctionDescriptor(
+        kind="random-bandlimited", seed=2, max_k=5), spec)
+    for s in (0.5, 1.5):
+        F = extend_field(f, s, make_tlevels(spec, M=32))
+        got = decay_profile(F, k=1)["sup"]
+        g2 = F.dF_dt**2 + F.dF_dx[0]**2 + F.dF_dx[1]**2
+        want = np.max(np.sqrt(g2), axis=(1, 2))
+        assert np.all(want > 0)
+        assert np.max(np.abs(got - want) / want) <= 1e-15

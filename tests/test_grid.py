@@ -42,6 +42,14 @@ def test_grid_function_shape_check():
     assert g.values.shape == (16, 16)
 
 
+def test_grid_function_rejects_complex_values():
+    # casting would drop the imaginary part with only a ComplexWarning
+    spec = GridSpec(n=1, N=16, L=1.0)
+    for values in (np.ones(16) + 1j, np.ones(16, dtype=complex), [1j] * 16):
+        with pytest.raises(ValueError, match="real"):
+            GridFunction(spec, values)
+
+
 def test_grid_function_arithmetic_rejects_mismatched_grids():
     a = GridFunction(GridSpec(n=1, N=16, L=1.0), np.ones(16))
     b = GridFunction(GridSpec(n=1, N=16, L=2.0), np.ones(16))

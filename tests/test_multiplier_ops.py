@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,17 @@ def test_frac_laplacian_of_constant_is_zero():
     c = GridFunction(spec, np.full(spec.shape, 3.7))
     g = frac_laplacian(c, 0.8)
     assert np.max(np.abs(g.values)) <= 1e-12
+
+
+def test_overflowing_symbol_is_an_error_not_a_warning():
+    # (2 pi |xi|)^1000 overflows at every nonzero mode: with warnings as
+    # errors the "not finite" ValueError is still what surfaces
+    spec = GridSpec(n=1, N=16, L=1.0)
+    f = GridFunction(spec, np.sin(2 * np.pi * spec.coords()[0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            frac_laplacian(f, 1e3)
 
 
 def test_frac_laplacian_rejects_nonpositive_order():

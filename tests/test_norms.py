@@ -13,7 +13,7 @@ from fracharm import (GridFunction, GridSpec, LorentzExponents, TLevels,
                       maximal_function, slobodeckij_seminorm, space_functional,
                       square_function, standard_family,
                       spectral_apply, tent_pairing_bound_check)
-from fracharm import norms
+from fracharm import extension, norms
 
 
 def _ball_sum(spec, values, kernel):
@@ -384,6 +384,42 @@ def test_space_functional_streams_only_its_field(derivative, alpha, beta,
     inner = np.tensordot(wlog, weighted, axes=(0, 0)) ** 0.5
     assert got["besov"] == float(besov)
     assert got["triebel"] == lp_norm(GridFunction(spec, inner), 2.0)
+    # q = inf: the sup over the levels of the stacked field, bit for bit
+    sup_besov = np.max(wt * [lp_norm(GridFunction(spec, Gi), 2.0)
+                             for Gi in G])
+    sup_inner = np.max(wt.reshape(-1, 1, 1) * np.abs(G), axis=0)
+    for kind, want in (("besov", float(sup_besov)),
+                       ("triebel", lp_norm(GridFunction(spec, sup_inner),
+                                           2.0))):
+        assert space_functional(f, kind, alpha, beta, 2.0, np.inf, 0.5, lv,
+                                derivative) == want
+
+
+_SPACE_CASES = [(derivative, kind, q)
+                for derivative in ("frac-laplacian", "dt", "dx")
+                for kind in ("besov", "triebel") for q in (2.0, np.inf)]
+
+
+@pytest.mark.parametrize("derivative,kind,q", _SPACE_CASES)
+def test_space_functional_holds_no_stacked_field(derivative, kind, q):
+    # space_functional reduces its one field level by level, so it stays
+    # within a field of memory, where the stacked route took 2 to 4
+    spec = GridSpec(n=2, N=128, L=1.0)
+    lv = make_tlevels(spec, M=32)
+    one_field = lv.M * spec.N**2 * 8  # one (32, 128, 128) float64 array
+    f = make_function(TestFunctionDescriptor(
+        kind="gaussian", center=(0.45, 0.55), width=0.06), spec)
+    alpha, beta = (0.3, 0.6) if derivative == "frac-laplacian" else (0.2, 1.0)
+    args = (f, kind, alpha, beta, 2.0, q, 0.5, lv, derivative)
+    # a first run keeps the imports and caches of a first call out of the count
+    space_functional(*args)
+    tracemalloc.start()
+    try:
+        space_functional(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= one_field
 
 
 def test_square_function_littlewood_paley_identity():
@@ -424,7 +460,7 @@ def test_regular_square_function_sums_the_levels_in_order(n, N):
     for s in (0.5, 1.5):
         F = extend_field(f, s, lv)
         for weight in (1.0, 0.5):
-            for selector in norms._SELECTORS:
+            for selector in extension._SELECTORS:
                 got = square_function(F, "regular", weight, selector).values
                 G = _field_stack(F, selector)
                 weighted = (lv.ts.reshape((-1,) + (1,) * n) ** weight * G) ** 2
