@@ -27,8 +27,8 @@ import numpy as np
 # checks that the tracer rebinds it in this namespace
 from .extension import (PoissonSymbol, TLevels, extend_field,  # noqa: F401
                         _levels, _radial_symbols, make_tlevels)
-from .grid import (GridFunction, GridSpec, TestFunctionDescriptor,
-                   make_function, spectral_forward, spectral_gradient)
+from .grid import (GridFunction, GridSpec, TestFunctionDescriptor, _per_row,
+                   _rows, make_function, spectral_forward, spectral_gradient)
 from .multiplier_ops import (frac_laplacian, l2_norm, mean_projected,
                              riesz_potential, riesz_transform)
 from .norms import (LorentzExponents, bmo_seminorm, lorentz_norm, lp_norm,
@@ -94,10 +94,9 @@ def double_commutator_1d(phi: GridFunction, f: GridFunction
     return a - b, riesz_transform(a + b, 1)
 
 
-def _det_gradients(u1: GridFunction, u2: GridFunction) -> np.ndarray:
-    g1 = spectral_gradient(u1)
-    g2 = spectral_gradient(u2)
-    return g1[0].values * g2[1].values - g1[1].values * g2[0].values
+def _integral(spec: GridSpec, values: np.ndarray):
+    """Riemann sum h^n sum(values) over the last n axes, one per row."""
+    return _per_row(np.sum(_rows(spec, values), axis=-1) * spec.cell_volume)
 
 
 def jacobian_pairing(phi: GridFunction,
@@ -113,6 +112,7 @@ def jacobian_pairing(phi: GridFunction,
     classical (s = 1) extensions, using Stokes' theorem with outward normal
     -e_t on the boundary t = 0; the t-integral is truncated to the level
     range, and the last-level remainder estimate is reported in details.
+    The boundary route takes stacks and gives one pairing per row.
     """
     spec = phi.spec
     if spec.n != 2:
@@ -121,8 +121,9 @@ def jacobian_pairing(phi: GridFunction,
     if u1.spec != spec or u2.spec != spec:
         raise ValueError("all three functions must share the grid")
     if method == "boundary":
-        det = _det_gradients(u1, u2)
-        return float(np.sum(phi.values * det) * spec.cell_volume)
+        (a0, a1), (b0, b1) = spectral_gradient(u1), spectral_gradient(u2)
+        return _integral(spec, phi.values * (a0.values * b1.values
+                                             - a1.values * b0.values))
     if method != "extension":
         raise ValueError(f"method must be 'boundary' or 'extension', got {method!r}")
     levels = levels if levels is not None else make_tlevels(spec)
@@ -298,7 +299,7 @@ def _eval_crw_bmo(spec, funcs, prm, meta):
 def _eval_crw_lorentz(spec, funcs, prm, meta):
     phi, f = funcs
     f0, mass = mean_projected(f)
-    meta.setdefault("projected_masses", []).append(mass)
+    meta.setdefault("projected_masses", []).extend(np.ravel(mass).tolist())
     lhs = lp_norm(crw_commutator(phi, f0, 1), prm["p"])
     sigma = prm["sigma"]
     pot = f0 if sigma == 0.0 else riesz_potential(f0, sigma)
@@ -312,7 +313,7 @@ def _eval_fl_comm(spec, funcs, prm, meta):
     phi, f = funcs
     s, sigma = prm["s"], prm["sigma"]
     f0, mass = mean_projected(f)
-    meta.setdefault("projected_masses", []).append(mass)
+    meta.setdefault("projected_masses", []).extend(np.ravel(mass).tolist())
     lhs = lp_norm(fl_commutator(phi, f0, s), prm["p"])
     pot = f0 if sigma == s else riesz_potential(f0, sigma - s)
     rhs = (lp_norm(frac_laplacian(phi, sigma), prm["q1"])
@@ -330,12 +331,10 @@ def _eval_chanillo(spec, funcs, prm, meta):
     # does not scale with the family.
     cfg = QuadratureConfig(treat_as_compact=True,
                            singular_rule="analytic-cell-average")
-    phiu = GridFunction(spec, phi.values * u.values)
-    c = GridFunction(spec,
-                     riesz_potential_quadrature(phiu, s, cfg).values
-                     - phi.values * riesz_potential_quadrature(u, s, cfg).values)
-    meta.setdefault("input_masses", []).append(
-        float(np.sum(u.values) * spec.cell_volume))
+    c = (riesz_potential_quadrature(phi * u, s, cfg)
+         - phi * riesz_potential_quadrature(u, s, cfg))
+    meta.setdefault("input_masses", []).extend(
+        np.ravel(_integral(spec, u.values)).tolist())
     lhs = lp_norm(c, q)
     rhs = bmo_seminorm(phi) * lp_norm(u, p)
     return lhs, rhs
@@ -379,7 +378,7 @@ def _eval_jacobian_bmo(spec, funcs, prm, meta):
     rhs = bmo_seminorm(phi)
     for uj in (u1, u2):
         grads = spectral_gradient(uj)
-        rhs *= math.sqrt(sum(l2_norm(g) ** 2 for g in grads))
+        rhs *= _per_row(np.sqrt(sum(l2_norm(g) ** 2 for g in grads)))
     return lhs, rhs
 
 
@@ -399,7 +398,7 @@ def _hardy_integrand(phi, f, g, s):
 def _eval_hardy_duality(spec, funcs, prm, meta):
     phi, f, g = funcs
     s, p, q = prm["s"], prm["p"], prm["q"]
-    lhs = abs(float(np.sum(_hardy_integrand(phi, f, g, s)) * spec.cell_volume))
+    lhs = abs(_integral(spec, _hardy_integrand(phi, f, g, s)))
     pc, qc = p / (p - 1), q / (q - 1)
     rhs = (lorentz_norm(frac_laplacian(phi, s), LorentzExponents(p, q))
            * lorentz_norm(frac_laplacian(f, s), LorentzExponents(pc, qc))
@@ -613,20 +612,23 @@ def _evaluate_family(d: EstimateDescriptor, family, spec: GridSpec,
                      meta: dict, zero_rhs_tol: float):
     """(samples, zeros, lhs_scale): a sample is zero when its RHS is at most
     zero_rhs_tol times the family's largest RHS; lhs_scale is the family's
-    largest LHS.  A family whose every RHS is zero is an ArithmeticError."""
-    evaluate = CATALOG[d.id]["evaluate"]
-    values = []
-    for i, tup in enumerate(family):
+    largest LHS.  A family whose every RHS is zero is an ArithmeticError.
+    The family is evaluated once, stacked per argument position (sample i is
+    row i); tests/test_commutators.py holds the per-sample loop as oracle."""
+    for tup in family:
         if len(tup) != d.arity:
             raise ValueError(
                 f"estimate {d.id} needs {d.arity} functions per sample, "
                 f"got {len(tup)}")
-        funcs = tuple(make_function(t, spec) for t in tup)
-        lhs, rhs = evaluate(spec, funcs, d.params, meta)
-        if not (np.isfinite(lhs) and np.isfinite(rhs)):
+    funcs = tuple(GridFunction(spec, np.stack([make_function(t, spec).values
+                                               for t in col]))
+                  for col in zip(*family))
+    lhs, rhs = CATALOG[d.id]["evaluate"](spec, funcs, d.params, meta)
+    values = list(zip(np.ravel(lhs).tolist(), np.ravel(rhs).tolist()))
+    for i, (lhs, rhs) in enumerate(values):
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise ArithmeticError(
                 f"estimate {d.id} sample {i} produced a non-finite value")
-        values.append((lhs, rhs))
     rhs_scale = max(rhs for _, rhs in values)
     if not rhs_scale > 0:
         raise ArithmeticError(

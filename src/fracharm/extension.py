@@ -90,7 +90,8 @@ def _kve(nus: tuple[float, ...], x: np.ndarray,
     alone, whatever else x holds."""
     k = np.frexp(x)[1] - 1
     outs = [np.empty(x.shape) for _ in nus]
-    for kb in np.unique(k):
+    # a bare np.unique would import numpy.ma (about 15 ms)
+    for kb in np.unique(k, return_inverse=True)[0]:
         sel = k == kb
         q, c, W = _kve_rule(int(kb), nus)
         grid = np.exp(np.multiply.outer(np.ldexp(x[sel], q), -c))

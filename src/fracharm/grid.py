@@ -103,9 +103,20 @@ class GridSpec:
         return mask
 
 
+def _rows(spec: GridSpec, values: np.ndarray) -> np.ndarray:
+    """values with their last n axes flattened into one."""
+    return values.reshape(values.shape[: values.ndim - spec.n] + (-1,))
+
+
+def _per_row(x):
+    """A float for one function, the array of row values for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 @dataclass(frozen=True)
 class GridFunction:
-    """Real samples of a function on a GridSpec; value index j is x = j*h."""
+    """Real samples of a function on a GridSpec; value index j is x = j*h.
+    Leading axes in front of spec.shape make a stack, a function per row."""
 
     spec: GridSpec
     values: np.ndarray
@@ -114,7 +125,7 @@ class GridFunction:
         if np.iscomplexobj(self.values):
             raise ValueError("GridFunction values must be real")
         v = np.asarray(self.values, dtype=float)
-        if v.shape != self.spec.shape:
+        if v.shape[-self.spec.n:] != self.spec.shape:
             if v.size == self.spec.N**self.spec.n:
                 v = v.reshape(self.spec.shape)
             else:
@@ -149,7 +160,8 @@ class GridFunction:
         return GridFunction(self.spec, -self.values)
 
     def mean(self) -> float:
-        return float(np.mean(self.values))
+        """Mean value; for a stack, an array of the row means."""
+        return _per_row(np.mean(_rows(self.spec, self.values), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -237,10 +249,12 @@ def gradient_multipliers(spec: GridSpec) -> np.ndarray:
 
 
 def spectral_gradient(f: GridFunction) -> list[GridFunction]:
-    """Gradient components via multipliers 2*pi*i*xi_j; Nyquist rows zeroed."""
-    mults = gradient_multipliers(f.spec)
-    return [GridFunction(f.spec, g)
-            for g in spectral_apply(f.spec, f.values, mults)]
+    """Gradient components via multipliers 2*pi*i*xi_j; Nyquist rows zeroed.
+    The components of a stack are stacks."""
+    axis = -f.spec.n - 1
+    grads = spectral_apply(f.spec, np.expand_dims(f.values, axis),
+                           gradient_multipliers(f.spec))
+    return [GridFunction(f.spec, g) for g in np.moveaxis(grads, axis, 0)]
 
 
 @dataclass(frozen=True)

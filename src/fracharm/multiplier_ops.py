@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, hermitian_asymmetry, spectral_apply
+from .grid import (GridFunction, GridSpec, _per_row, _rows, hermitian_asymmetry,
+                   spectral_apply)
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,9 @@ def _multiplier_array(spec: GridSpec, m: SymbolDescriptor) -> np.ndarray:
 
 
 def l2_norm(f: GridFunction) -> float:
-    """Discrete L2 norm (sum |f|^2 h^n)^(1/2)."""
-    return float(np.sqrt(np.sum(f.values**2) * f.spec.cell_volume))
+    """Discrete L2 norm (sum |f|^2 h^n)^(1/2); one per row of a stack."""
+    return _per_row(np.sqrt(np.sum(_rows(f.spec, f.values) ** 2, axis=-1)
+                            * f.spec.cell_volume))
 
 
 def apply_symbol(f: GridFunction, m: SymbolDescriptor) -> GridFunction:
@@ -129,17 +131,19 @@ def riesz_potential(f: GridFunction, s: float, tol: float = 1e-8) -> GridFunctio
     """Riesz potential I^s, symbol (2*pi*|xi|)^{-s}; requires negligible mean."""
     if not (0 < s < f.spec.n):
         raise ValueError(f"order s must lie in (0, n) = (0, {f.spec.n}), got {s}")
-    mean = f.mean()
-    scale = max(l2_norm(f), 1e-300)
-    if abs(mean) * f.spec.L ** (f.spec.n / 2) > tol * scale:
-        raise ValueError(
-            f"riesz_potential requires negligible mean: mean = {mean:.3e}, "
-            f"tolerance {tol:.1e} * ||f||_2 = {tol * scale:.3e}"
-        )
+    scales = np.maximum(np.ravel(l2_norm(f)), 1e-300)
+    for mean, scale in zip(np.ravel(f.mean()), scales):
+        if abs(mean) * f.spec.L ** (f.spec.n / 2) > tol * scale:
+            raise ValueError(
+                f"riesz_potential requires negligible mean: mean = {mean:.3e}, "
+                f"tolerance {tol:.1e} * ||f||_2 = {tol * scale:.3e}"
+            )
     return _apply_builtin(f, "riesz_potential", s)
 
 
 def mean_projected(f: GridFunction) -> tuple[GridFunction, float]:
-    """Subtract the mean; returns (projected function, removed mass)."""
+    """Subtract the mean; returns (projected function, removed mass).  A
+    stack has its row means subtracted and removes their array."""
     mean = f.mean()
-    return GridFunction(f.spec, f.values - mean), mean
+    shift = np.reshape(mean, np.shape(mean) + (1,) * f.spec.n)
+    return GridFunction(f.spec, f.values - shift), mean

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extension import ExtensionField, TLevels, _field_levels, extend_field
-from .grid import (GridFunction, GridSpec, spectral_apply, spectral_forward,
-                   spectral_gradient, spectral_synthesis)
+from .grid import (GridFunction, GridSpec, _per_row, _rows, spectral_apply,
+                   spectral_forward, spectral_gradient, spectral_synthesis)
 from .multiplier_ops import frac_laplacian
 from .singular_ops import _offsets
 
@@ -158,6 +158,12 @@ def _oscillations(padded: np.ndarray, ball: np.ndarray, centers: np.ndarray,
     return np.abs(cells - means[:, None]).sum(axis=1) / count
 
 
+def _root(total, p: float):
+    """total ** (1/p) by scalar pow, as one function's norm (not array pow)."""
+    return _per_row(np.reshape([t ** (1 / p) for t in np.ravel(total)],
+                               np.shape(total)))
+
+
 def _decimate(arr: np.ndarray, stride: int) -> np.ndarray:
     if stride == 1:
         return arr
@@ -170,13 +176,14 @@ def _decimate(arr: np.ndarray, stride: int) -> np.ndarray:
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
-    """L^p norm as a Riemann sum with cell volume h^n; p = inf is max |f|."""
+    """L^p norm as a Riemann sum with cell volume h^n; p = inf is max |f|.
+    A stack gives one norm per row."""
     if not (p >= 1):
         raise ValueError(f"exponent p must lie in [1, inf], got {p}")
-    a = np.abs(f.values)
+    a = np.abs(_rows(f.spec, f.values))
     if math.isinf(p):
-        return float(np.max(a))
-    return float((np.sum(a**p) * f.spec.cell_volume) ** (1 / p))
+        return _per_row(np.max(a, axis=-1))
+    return _root(np.sum(a**p, axis=-1) * f.spec.cell_volume, p)
 
 
 def lorentz_norm(f: GridFunction, e: LorentzExponents) -> float:
@@ -185,18 +192,20 @@ def lorentz_norm(f: GridFunction, e: LorentzExponents) -> float:
     |f| sorted descending defines the step function f* with steps of measure
     h^n; the integral of (t^(1/p) f*(t))^q dt/t is evaluated in closed form
     per step, so the result is exact for the step function and invariant
-    under permutations of the cell values.
+    under permutations of the cell values.  A stack gives one norm per row.
     """
     if math.isinf(e.p):
         return lp_norm(f, _INF)
-    vals = np.sort(np.abs(f.values).ravel())[::-1]
+    vals = np.sort(np.abs(_rows(f.spec, f.values)), axis=-1)[..., ::-1]
     cell = f.spec.cell_volume
-    edges = np.arange(len(vals) + 1, dtype=float) * cell
+    edges = np.arange(vals.shape[-1] + 1, dtype=float) * cell
     if math.isinf(e.q):
-        return float(np.max(vals * edges[1:] ** (1 / e.p)))
+        return _per_row(np.max(vals * edges[1:] ** (1 / e.p), axis=-1))
     p, q = e.p, e.q
     pieces = (p / q) * (edges[1:] ** (q / p) - edges[:-1] ** (q / p))
-    return float(np.sum(vals**q * pieces) ** (1 / q))
+    # row by row: a whole reversed stack takes a pow loop that rounds apart
+    powers = [row**q for row in vals.reshape(-1, vals.shape[-1])]
+    return _root(np.sum(np.reshape(powers, vals.shape) * pieces, axis=-1), q)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +214,8 @@ def lorentz_norm(f: GridFunction, e: LorentzExponents) -> float:
 
 def slobodeckij_seminorm(f: GridFunction, nu: float, p: float) -> float:
     """Gagliardo double integral (II |f(x)-f(y)|^p / |x-y|^(n+nu p))^(1/p)
-    with the periodic minimum-image metric; diagonal cells excluded."""
+    with the periodic minimum-image metric; diagonal cells excluded.  A
+    stack gives one seminorm per row."""
     if not (0 < nu < 1):
         raise ValueError(f"smoothness nu must lie in (0, 1), got {nu}")
     if not (1 <= p < _INF):
@@ -215,6 +225,9 @@ def slobodeckij_seminorm(f: GridFunction, nu: float, p: float) -> float:
         raise ValueError("slobodeckij_seminorm in 2-D requires N <= 96")
     if spec.n == 1 and spec.N > 4096:
         raise ValueError("slobodeckij_seminorm in 1-D requires N <= 4096")
+    if f.values.ndim > spec.n:
+        return np.array([slobodeckij_seminorm(GridFunction(spec, v), nu, p)
+                         for v in f.values])
     offsets, dist = _offsets(spec)
     v = f.values
     acc = 0.0
@@ -239,7 +252,11 @@ def bmo_seminorm(f: GridFunction, tents: TentFamily | None = None) -> float:
 
     The result is ``_bmo_pruned``, memoised per process in an LRU of 1024
     floats keyed by the grid, the family and a blake2b digest of the values'
-    bytes, so estimates that share a test function search it once."""
+    bytes, so estimates that share a test function search it once.  The
+    rows of a stack are looked up in turn."""
+    if f.values.ndim > f.spec.n:
+        return np.array([bmo_seminorm(GridFunction(f.spec, v), tents)
+                         for v in f.values])
     tents = tents if tents is not None else TentFamily.standard(f.spec)
     key = (f.spec, tents,
            hashlib.blake2b(f.values.tobytes(), digest_size=32).digest())
@@ -289,7 +306,8 @@ def _bmo_pruned(f: GridFunction, tents: TentFamily | None = None) -> float:
         """Largest oscillation over the flat (radius, center) pairs."""
         radius, center = np.divmod(block, len(geo.centers))
         top = 0.0
-        for i in np.unique(radius):
+        # the radii present, ascending (np.unique would import numpy.ma)
+        for i in np.flatnonzero(np.bincount(radius)):
             cs = center[radius == i]
             step = max(1, _GATHER_CELLS // int(cnt[i]))
             for lo in range(0, len(cs), step):

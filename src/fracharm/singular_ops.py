@@ -72,8 +72,9 @@ def _offsets(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _circulant_apply(spec: GridSpec, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_y w(y) v(x - y) for weights w in _offsets order, as the multiplier
-    fftn(w) through spectral_apply.  Summed in longdouble: these kernels are
-    large against the result, which in float64 loses up to 3e-13 of sup."""
+    fftn(w) through spectral_apply, so leading axes of v are a stack.
+    Summed in longdouble: these kernels are large against the result, which
+    in float64 loses up to 3e-13 of sup."""
     wl = np.asarray(w, np.longdouble).reshape(spec.shape)
     return spectral_apply(spec, np.longdouble(v), np.fft.fftn(wl)).astype(float)
 

@@ -261,7 +261,8 @@ def test_run_path_loads_no_scipy(tmp_path):
     # of it costs every command about 0.3 s.  chanillo and crw-bmo reach the
     # Riesz-potential quadrature and the symbol, the run writes the decay
     # profile and boundary trace, and ops-check reaches the 1-D periodized
-    # (Hurwitz-zeta) weights.
+    # (Hurwitz-zeta) weights.  Nor is numpy.ma loaded, which a bare
+    # np.unique imports (about 15 ms); the BMO search reaches np.unique.
     import os
     import subprocess
     import sys
@@ -274,7 +275,8 @@ def test_run_path_loads_no_scipy(tmp_path):
     code = (
         "import sys, fracharm.cli\n"
         "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy')\n"
+        "                  or m == 'numpy.ma' or m.startswith('numpy.ma.'))\n"
         "print(loaded())\n"
         f"rc = fracharm.cli.main(['run', {path!r}])\n"
         "print(rc, loaded())\n"

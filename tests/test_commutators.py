@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -13,7 +14,8 @@ from fracharm import (CATALOG, EstimateDescriptor, GridFunction, GridSpec,
                       l2_norm, leibniz_defect, make_function, make_tlevels,
                       mean_projected, riesz_potential_commutator,
                       standard_family, verify_estimate)
-from fracharm.commutators import _dilated_about
+from fracharm.commutators import _dilated_about, _evaluate_family
+from fracharm.multiplier_ops import riesz_potential
 
 
 def _bandlimited(spec, seed, max_k=6):
@@ -383,3 +385,141 @@ def test_dilation_remaps_centres_about_midpoint_and_the_rest_about_origin():
             want /= np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-12
 
+
+def _evaluate_family_per_sample(d, family, spec, meta, zero_rhs_tol):
+    # _evaluate_family one sample at a time, as it was before it evaluated
+    # each family as one stack; the oracle of the stacked evaluation
+    evaluate = CATALOG[d.id]["evaluate"]
+    values = []
+    for i, tup in enumerate(family):
+        if len(tup) != d.arity:
+            raise ValueError(
+                f"estimate {d.id} needs {d.arity} functions per sample, "
+                f"got {len(tup)}")
+        funcs = tuple(make_function(t, spec) for t in tup)
+        lhs, rhs = evaluate(spec, funcs, d.params, meta)
+        if not (np.isfinite(lhs) and np.isfinite(rhs)):
+            raise ArithmeticError(
+                f"estimate {d.id} sample {i} produced a non-finite value")
+        values.append((lhs, rhs))
+    rhs_scale = max(rhs for _, rhs in values)
+    if not rhs_scale > 0:
+        raise ArithmeticError(
+            f"estimate {d.id}: degenerate family, every sample has a zero "
+            f"right-hand side on this grid")
+    samples, zeros = [], []
+    for i, (lhs, rhs) in enumerate(values):
+        if rhs <= zero_rhs_tol * rhs_scale:
+            zeros.append({"index": i, "lhs": lhs, "rhs": rhs})
+        else:
+            samples.append({"index": i, "lhs": lhs, "rhs": rhs,
+                            "ratio": lhs / rhs})
+    return samples, zeros, max(lhs for lhs, _ in values)
+
+
+def _both_evaluations(d, family, spec):
+    # (samples, zeros, lhs_scale, metadata) of the stacked evaluation and of
+    # its per-sample oracle
+    out = []
+    for evaluate in (_evaluate_family, _evaluate_family_per_sample):
+        meta: dict = {}
+        out.append((*evaluate(d, family, spec, meta, 1e-11), meta))
+    return out
+
+
+_ORACLE_SPECS = (GridSpec(n=1, N=256, L=1.0), GridSpec(n=2, N=32, L=1.0))
+
+
+@pytest.mark.parametrize("eid,spec", [
+    pytest.param(eid, spec, id=f"{eid}-{spec.n}d-{spec.N}")
+    for spec in _ORACLE_SPECS for eid in sorted(CATALOG)
+    if spec.n in CATALOG[eid].get("dims", (1, 2))])
+def test_stacked_family_equals_per_sample_oracle(eid, spec):
+    # 1/q = 1/p - s/n fixes chanillo's q per dimension
+    d = EstimateDescriptor(eid, {"q": 2.0} if eid == "chanillo" and spec.n == 2
+                           else {})
+    family = standard_family(d.arity, spec)
+    # a constant multiplier gives sample 3 a zero right-hand side: every
+    # right-hand side has a factor in phi's oscillation or derivative
+    family[3] = (TestFunctionDescriptor(kind="constant", amplitude=2.0),
+                 *family[3][1:])
+    # the band of N=32 holds the dilation lambda = 2 of no band-limited
+    # member; jacobian-sobolev's Slobodeckij sums are slow, so it checks the
+    # undilated family only
+    lams = (1.0, 0.5) if spec.n == 2 else (1.0, 0.5, 2.0)
+    for lam in lams[:1] if eid == "jacobian-sobolev" else lams:
+        fam = [tuple(_dilated_about(t, lam, spec) for t in tup)
+               for tup in family]
+        stacked, oracle = _both_evaluations(d, fam, spec)
+        # bit for bit (a float's JSON text round-trips it), metadata key
+        # order included
+        assert json.dumps(stacked) == json.dumps(oracle)
+        assert [z["index"] for z in stacked[1]] == [3]
+    assert stacked[0] and stacked[2] > 0
+
+
+def test_stacked_family_failures_name_the_per_sample_cause():
+    spec = SPEC1
+    d = EstimateDescriptor(id="crw-bmo")
+    family = standard_family(2, spec, n_members=10)
+    const = TestFunctionDescriptor(kind="constant", amplitude=2.0)
+    huge = replace(family[6][1], amplitude=1e200)
+    cases = (
+        # an arity mismatch in a late sample is found before any evaluation
+        (ValueError, "needs 2 functions per sample, got 1",
+         family[:7] + [family[7][:1]] + family[8:]),
+        # |f|^p of samples 6 and 8 overflows to inf in the L^p norms
+        (ArithmeticError, "sample 6 produced a non-finite value",
+         [(a, huge if i in (6, 8) else b) for i, (a, b) in enumerate(family)]),
+        # constant multipliers have a zero BMO norm
+        (ArithmeticError, "degenerate family",
+         [(const, b) for _, b in family]),
+    )
+    for error, words, fam in cases:
+        messages = []
+        for evaluate in (_evaluate_family, _evaluate_family_per_sample):
+            with np.errstate(over="ignore"), pytest.raises(error) as info:
+                evaluate(d, fam, spec, {}, 1e-11)
+            messages.append(str(info.value))
+        assert words in messages[0]
+        assert messages[0] == messages[1]
+
+
+def test_riesz_potential_of_a_stack_reports_the_first_row_with_a_mean():
+    family = standard_family(1, SPEC1, n_members=6)
+    rows = [make_function(t, SPEC1) for (t,) in family]
+    # rows 0 and 1 are projected, rows 2 on keep their mean
+    rows[:2] = [mean_projected(f)[0] for f in rows[:2]]
+    stack = GridFunction(SPEC1, np.stack([f.values for f in rows]))
+    with pytest.raises(ValueError, match="negligible mean") as info:
+        riesz_potential(stack, 0.5)
+    with pytest.raises(ValueError) as first:
+        riesz_potential(rows[2], 0.5)
+    assert str(info.value) == str(first.value)
+    projected = GridFunction(SPEC1, stack.values[:2])
+    assert np.array_equal(
+        riesz_potential(projected, 0.5).values,
+        np.stack([riesz_potential(f, 0.5).values for f in rows[:2]]))
+
+
+@pytest.mark.parametrize("eid", ["leibniz-lorentz", "double-comm-1d",
+                                 "crw-lorentz"])
+def test_family_makes_as_many_transforms_at_any_size(eid, monkeypatch):
+    # one forward transform per operator per family, not per sample
+    d = EstimateDescriptor(id=eid)
+    real_rfftn = np.fft.rfftn
+    forward = []
+
+    def counting_rfftn(*args, **kwargs):
+        forward.append(1)
+        return real_rfftn(*args, **kwargs)
+
+    counts = []
+    for members in (8, 20):
+        family = standard_family(d.arity, SPEC1, n_members=members)
+        forward.clear()
+        monkeypatch.setattr(np.fft, "rfftn", counting_rfftn)
+        _evaluate_family(d, family, SPEC1, {}, 1e-11)
+        monkeypatch.undo()
+        counts.append(len(forward))
+    assert counts[0] == counts[1] > 0

@@ -40,12 +40,20 @@ def test_grid_function_shape_check():
         GridFunction(spec, np.zeros(17))
     g = GridFunction(spec, np.zeros(256))
     assert g.values.shape == (16, 16)
+    # leading axes in front of the grid shape make a stack of functions
+    assert GridFunction(spec, np.zeros((3, 16, 16))).values.shape == (3, 16, 16)
+    for values in (np.zeros((3, 17)), np.zeros((3, 256)), np.zeros((3, 16, 17))):
+        with pytest.raises(ValueError, match="entries"):
+            GridFunction(spec, values)
+    with pytest.raises(ValueError, match="finite"):
+        GridFunction(spec, np.stack([np.zeros((16, 16)), np.full((16, 16), np.nan)]))
 
 
 def test_grid_function_rejects_complex_values():
     # casting would drop the imaginary part with only a ComplexWarning
     spec = GridSpec(n=1, N=16, L=1.0)
-    for values in (np.ones(16) + 1j, np.ones(16, dtype=complex), [1j] * 16):
+    for values in (np.ones(16) + 1j, np.ones(16, dtype=complex), [1j] * 16,
+                   np.ones((3, 16), dtype=complex)):
         with pytest.raises(ValueError, match="real"):
             GridFunction(spec, values)
 
@@ -186,6 +194,13 @@ def test_spectral_gradient_2d_mixed():
     ey = -4 * np.pi * np.sin(2 * np.pi * X) * np.sin(4 * np.pi * Y)
     assert np.max(np.abs(gx.values - ex)) <= 1e-9
     assert np.max(np.abs(gy.values - ey)) <= 1e-9
+    # a stack's gradient components are the stacks of the rows' components
+    stack = GridFunction(spec, np.stack([f.values, f.values.T, 2 * f.values]))
+    grads = spectral_gradient(stack)
+    rows = [spectral_gradient(GridFunction(spec, v)) for v in stack.values]
+    for j in range(2):
+        assert np.array_equal(grads[j].values,
+                              np.stack([r[j].values for r in rows]))
 
 
 @pytest.mark.parametrize("kind,kwargs", [

@@ -121,6 +121,34 @@ def test_lorentz_holder_duality_bound():
         assert lhs <= rhs * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("n,N", [(1, 128), (2, 16)])
+def test_norms_of_a_stack_are_the_row_norms(n, N):
+    # bit for bit, at the exponents of the tests above, on 32 rows (numpy's
+    # array pow rounds about 5% of roots differently from its scalar pow);
+    # rows 1 and 2 are sorted both ways, and the last is constant, 0 then 3
+    cases = ([(lp_norm, (p,)) for p in (1.0, 1.5, 2.0, 3.0, 4.0, np.inf)]
+             + [(lorentz_norm, (LorentzExponents(p, q),)) for p, q in
+                ((2.0, 1.0), (2.0, 2.0), (4.0, 1.5), (2.0, np.inf),
+                 (1.5, 1.5), (3.0, 3.0), (3.0, 1.5), (np.inf, np.inf))]
+             + [(l2_norm, ()), (bmo_seminorm, ()),
+                (slobodeckij_seminorm, (0.5, 2.0))])
+    spec = GridSpec(n=n, N=N, L=2.0)
+    v = np.random.default_rng(11).standard_normal((32,) + spec.shape)
+    v[1] = np.sort(v[1], axis=None).reshape(spec.shape)
+    v[2] = np.sort(v[2], axis=None)[::-1].reshape(spec.shape)
+    for last in (0.0, 3.0):
+        v[-1] = last
+        stack = GridFunction(spec, v)
+        rows = [GridFunction(spec, row) for row in v]
+        for norm, args in cases:
+            got = norm(stack, *args)
+            want = [norm(row, *args) for row in rows]
+            assert all(isinstance(w, float) for w in want)
+            assert got.shape == (32,)
+            assert got.tobytes() == np.array(want).tobytes(), (norm, args)
+    assert np.array_equal(stack.mean(), [row.mean() for row in rows])
+
+
 @pytest.mark.parametrize("nu,p", [(0.3, 2.0), (0.5, 2.0), (0.7, 3.0)])
 def test_slobodeckij_dilation_homogeneity(nu, p):
     # shrinking the function and the torus together by lambda rescales the
