@@ -164,9 +164,8 @@ def hardy_duality_check(phi: GridFunction, f: GridFunction, g: GridFunction,
 
     A zero RHS (constant g) gives 0 if the LHS is at most 1e-12 of the
     pairing without cancellation, int |(-Delta)^{s/2} H_s(phi,f) . g|."""
-    prm = {"s": s, "p": p, "q": q}
-    _validate_hardy_duality(prm)
-    lhs, rhs = _eval_hardy_duality(phi.spec, (phi, f, g), prm, {})
+    d = EstimateDescriptor("hardy-duality", {"s": s, "p": p, "q": q})
+    lhs, rhs = _eval_hardy_duality(phi.spec, (phi, f, g), d.params, {})
     if rhs == 0.0:
         scale = np.sum(np.abs(_hardy_integrand(phi, f, g, s))) * phi.spec.cell_volume
         return 0.0 if lhs <= 1e-12 * scale else _INF
@@ -181,44 +180,20 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0)
 
 
-def _validate_crw_bmo(p: dict) -> None:
-    if not (1 < p["p"] < _INF):
-        raise ValueError("crw-bmo requires p in (1, inf)")
+def _range_ends(text: str, params: dict) -> tuple[float, bool, float, bool]:
+    """(lo, lo_closed, hi, hi_closed) of a declared range such as
+    "p in (1, inf)", "sigma in [s, 1)", whose end names another parameter,
+    or "q > 1", which reaches inf."""
+    if " > " in text:
+        return float(text.split(" > ")[1]), False, _INF, True
+    ends = text.rsplit(" in ", 1)[1]
+    lo, hi = (params[e] if e in params else float(e)
+              for e in ends[1:-1].split(", "))
+    return lo, ends[0] == "[", hi, ends[-1] == "]"
 
 
-def _validate_crw_lorentz(p: dict) -> None:
-    if not (0 <= p["sigma"] < 1):
-        raise ValueError("crw-lorentz requires sigma in [0, 1)")
-    if not _close(1 / p["p1"] + 1 / p["p2"], 1 / p["p"]):
-        raise ValueError("crw-lorentz requires 1/p1 + 1/p2 = 1/p")
-    if not _close(1 / p["q1"] + 1 / p["q2"], 1 / p["p"]):
-        raise ValueError("crw-lorentz requires 1/q1 + 1/q2 = 1/p")
-    for k in ("p", "p1", "p2", "q1", "q2"):
-        if not (1 < p[k] < _INF):
-            raise ValueError(f"crw-lorentz requires {k} in (1, inf)")
-
-
-def _validate_fl_comm(p: dict) -> None:
-    if not (0 < p["s"] < 1):
-        raise ValueError("fl-comm-lorentz requires s in (0, 1)")
-    if not (p["s"] <= p["sigma"] < 1):
-        raise ValueError("fl-comm-lorentz requires sigma in [s, 1)")
-    if not _close(1 / p["q1"] + 1 / p["q2"], 1 / p["p"]):
-        raise ValueError("fl-comm-lorentz requires 1/q1 + 1/q2 = 1/p")
-    for k in ("p", "q1", "q2"):
-        if not (1 < p[k] < _INF):
-            raise ValueError(f"fl-comm-lorentz requires {k} in (1, inf)")
-
-
-def _validate_chanillo(p: dict) -> None:
-    if not (0 < p["s"] < 1):
-        raise ValueError("chanillo requires s in (0, 1)")
-    if not (1 < p["p"] < _INF):
-        raise ValueError("chanillo requires p in (1, inf)")
-    # admissibility is dimension-dependent; _check_chanillo_grid checks
-    # 1/q = 1/p - s/n against the grid
-    if not (p["q"] > 1):
-        raise ValueError("chanillo requires q > 1")
+def _exponents(*keys: str) -> dict:
+    return {k: f"{k} in (1, inf)" for k in keys}
 
 
 def _check_chanillo_grid(p: dict, spec: GridSpec) -> None:
@@ -228,61 +203,10 @@ def _check_chanillo_grid(p: dict, spec: GridSpec) -> None:
             f"s={p['s']}, n={spec.n}")
 
 
-def _validate_leibniz_lorentz(p: dict) -> None:
-    if not (0 < p["s"] <= 1):
-        raise ValueError("leibniz-lorentz requires s in (0, 1]")
-    if not (0 < p["sigma"] < p["s"]):
-        raise ValueError("leibniz-lorentz requires sigma in (0, s)")
-    for k in ("p1", "p2", "q1", "q2"):
-        if not (1 < p[k] < _INF):
-            raise ValueError(f"leibniz-lorentz requires {k} in (1, inf)")
-    if not (1 / p["p1"] + 1 / p["p2"] < 1):
-        raise ValueError("leibniz-lorentz requires target p = (1/p1 + 1/p2)^-1 > 1")
-
-
-def _validate_leibniz_bmo(p: dict) -> None:
-    if not (0 < p["s"] <= 1):
-        raise ValueError("leibniz-bmo requires s in (0, 1]")
-    if not (1 < p["p"] < _INF):
-        raise ValueError("leibniz-bmo requires p in (1, inf)")
-
-
-def _validate_double_comm(p: dict) -> None:
-    if not (0 < p["s1"] < 1 and 0 < p["s2"] < 1):
-        raise ValueError("double-comm-1d requires s1, s2 in (0, 1)")
-    if not _close(p["s1"] + p["s2"], 1.0):
-        raise ValueError("double-comm-1d requires s1 + s2 = 1")
-    if not _close(1 / p["p1"] + 1 / p["p2"], 1.0):
-        raise ValueError("double-comm-1d requires 1/p1 + 1/p2 = 1")
-    for k in ("p1", "p2", "q1", "q2"):
-        if not (1 < p[k] < _INF):
-            raise ValueError(f"double-comm-1d requires {k} in (1, inf)")
-
-
-def _validate_jacobian_sobolev(p: dict) -> None:
-    ss = (p["s0"], p["s1"], p["s2"])
-    if any(not (0 < s < 1) for s in ss):
-        raise ValueError("jacobian-sobolev requires each s_i in (0, 1)")
-    if not _close(sum(ss), 2.0):
-        raise ValueError("jacobian-sobolev requires s0 + s1 + s2 = 2")
-    for k in ("p0", "p1", "p2"):
-        if not (1 < p[k] < _INF):
-            raise ValueError(f"jacobian-sobolev requires {k} in (1, inf)")
-    if not _close(1 / p["p0"] + 1 / p["p1"] + 1 / p["p2"], 1.0):
-        raise ValueError("jacobian-sobolev requires 1/p0 + 1/p1 + 1/p2 = 1")
-
-
 def _check_jacobian_sobolev_grid(p: dict, spec: GridSpec) -> None:
     # the Slobodeckij double sums of the right-hand side
     if spec.N > 96:
         raise ValueError(f"jacobian-sobolev requires N <= 96, got N = {spec.N}")
-
-
-def _validate_hardy_duality(p: dict) -> None:
-    if not (0 < p["s"] <= 1):
-        raise ValueError("hardy-duality requires s in (0, 1]")
-    if not (1 < p["p"] < _INF and 1 < p["q"] < _INF):
-        raise ValueError("hardy-duality requires p, q in (1, inf)")
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +248,6 @@ def _eval_fl_comm(spec, funcs, prm, meta):
 def _eval_chanillo(spec, funcs, prm, meta):
     phi, u = funcs
     s, p, q = prm["s"], prm["p"], prm["q"]
-    _check_chanillo_grid(prm, spec)
     # The truncated whole-space kernel realizes the potential on data with
     # nonzero mean, so the commutator stays dilation-covariant for localized
     # inputs; the spectral route would need a mean projection whose constant
@@ -406,30 +329,44 @@ def _eval_hardy_duality(spec, funcs, prm, meta):
     return lhs, rhs
 
 
+# "ranges" give each parameter its interval, as the message that refuses it;
+# "relations" pair a message with its predicate.  EstimateDescriptor checks
+# every range first, so no relation divides by an inadmissible value.
 CATALOG = {
     "crw-bmo": {
         "arity": 2,
         "defaults": {"p": 2.0},
-        "validate": _validate_crw_bmo,
+        "ranges": _exponents("p"),
         "evaluate": _eval_crw_bmo,
     },
     "crw-lorentz": {
         "arity": 2,
         "defaults": {"sigma": 0.5, "p": 2.0, "p1": 4.0, "q1": 4.0,
                      "p2": 4.0, "q2": 4.0},
-        "validate": _validate_crw_lorentz,
+        "ranges": {"sigma": "sigma in [0, 1)",
+                   **_exponents("p", "p1", "p2", "q1", "q2")},
+        "relations": (
+            ("1/p1 + 1/p2 = 1/p",
+             lambda p: _close(1 / p["p1"] + 1 / p["p2"], 1 / p["p"])),
+            ("1/q1 + 1/q2 = 1/p",
+             lambda p: _close(1 / p["q1"] + 1 / p["q2"], 1 / p["p"]))),
         "evaluate": _eval_crw_lorentz,
     },
     "fl-comm-lorentz": {
         "arity": 2,
         "defaults": {"s": 0.5, "sigma": 0.75, "p": 2.0, "q1": 4.0, "q2": 4.0},
-        "validate": _validate_fl_comm,
+        "ranges": {"s": "s in (0, 1)", "sigma": "sigma in [s, 1)",
+                   **_exponents("p", "q1", "q2")},
+        "relations": (
+            ("1/q1 + 1/q2 = 1/p",
+             lambda p: _close(1 / p["q1"] + 1 / p["q2"], 1 / p["p"])),),
         "evaluate": _eval_fl_comm,
     },
     "chanillo": {
         "arity": 2,
         "defaults": {"s": 0.5, "p": 4.0 / 3.0, "q": 4.0},
-        "validate": _validate_chanillo,
+        # 1/q = 1/p - s/n depends on the dimension, so check_grid holds it
+        "ranges": {"s": "s in (0, 1)", **_exponents("p"), "q": "q > 1"},
         "evaluate": _eval_chanillo,
         "check_grid": _check_chanillo_grid,
     },
@@ -437,20 +374,28 @@ CATALOG = {
         "arity": 2,
         "defaults": {"s": 0.8, "sigma": 0.4, "p1": 4.0, "q1": 4.0,
                      "p2": 4.0, "q2": 4.0},
-        "validate": _validate_leibniz_lorentz,
+        "ranges": {"s": "s in (0, 1]", "sigma": "sigma in (0, s)",
+                   **_exponents("p1", "p2", "q1", "q2")},
+        "relations": (("target p = (1/p1 + 1/p2)^-1 > 1",
+                       lambda p: 1 / p["p1"] + 1 / p["p2"] < 1),),
         "evaluate": _eval_leibniz_lorentz,
     },
     "leibniz-bmo": {
         "arity": 2,
         "defaults": {"s": 0.5, "p": 2.0},
-        "validate": _validate_leibniz_bmo,
+        "ranges": {"s": "s in (0, 1]", **_exponents("p")},
         "evaluate": _eval_leibniz_bmo,
     },
     "double-comm-1d": {
         "arity": 2,
         "defaults": {"s1": 0.5, "s2": 0.5, "p1": 2.0, "q1": 2.0,
                      "p2": 2.0, "q2": 2.0},
-        "validate": _validate_double_comm,
+        "ranges": {**dict.fromkeys(("s1", "s2"), "s1, s2 in (0, 1)"),
+                   **_exponents("p1", "p2", "q1", "q2")},
+        "relations": (
+            ("s1 + s2 = 1", lambda p: _close(p["s1"] + p["s2"], 1.0)),
+            ("1/p1 + 1/p2 = 1",
+             lambda p: _close(1 / p["p1"] + 1 / p["p2"], 1.0))),
         "evaluate": _eval_double_comm,
         "dims": (1,),
     },
@@ -464,7 +409,13 @@ CATALOG = {
         "arity": 3,
         "defaults": {"s0": 2.0 / 3.0, "s1": 2.0 / 3.0, "s2": 2.0 / 3.0,
                      "p0": 3.0, "p1": 3.0, "p2": 3.0},
-        "validate": _validate_jacobian_sobolev,
+        "ranges": {**dict.fromkeys(("s0", "s1", "s2"), "each s_i in (0, 1)"),
+                   **_exponents("p0", "p1", "p2")},
+        "relations": (
+            ("s0 + s1 + s2 = 2",
+             lambda p: _close(p["s0"] + p["s1"] + p["s2"], 2.0)),
+            ("1/p0 + 1/p1 + 1/p2 = 1",
+             lambda p: _close(1 / p["p0"] + 1 / p["p1"] + 1 / p["p2"], 1.0))),
         "evaluate": _eval_jacobian_sobolev,
         "check_grid": _check_jacobian_sobolev_grid,
         "dims": (2,),
@@ -472,7 +423,8 @@ CATALOG = {
     "hardy-duality": {
         "arity": 3,
         "defaults": {"s": 0.5, "p": 2.0, "q": 2.0},
-        "validate": _validate_hardy_duality,
+        "ranges": {"s": "s in (0, 1]",
+                   **dict.fromkeys(("p", "q"), "p, q in (1, inf)")},
         "evaluate": _eval_hardy_duality,
     },
 }
@@ -499,8 +451,15 @@ class EstimateDescriptor:
                 raise ValueError(f"parameter {key!r} of {self.id} must be a "
                                  f"real number, got {value!r}")
         merged = {**entry["defaults"], **self.params}
-        if "validate" in entry:
-            entry["validate"](merged)
+        for key, text in entry.get("ranges", {}).items():
+            lo, lo_closed, hi, hi_closed = _range_ends(text, merged)
+            x = merged[key]
+            if not ((lo <= x if lo_closed else lo < x)
+                    and (x <= hi if hi_closed else x < hi)):
+                raise ValueError(f"{self.id} requires {text}")
+        for text, holds in entry.get("relations", ()):
+            if not holds(merged):
+                raise ValueError(f"{self.id} requires {text}")
         object.__setattr__(self, "params", merged)
 
     @property

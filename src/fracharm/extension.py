@@ -254,7 +254,7 @@ class ExtensionField:
     F has shape (M, *grid); dF_dt likewise when present; dF_dx is a tuple of
     spec.n per-axis arrays of the same shape.  harmonicity holds the relative
     s-harmonicity residual of the M - 2 interior levels, which extend_field
-    records whenever it computes dF_dt.  A field from extend_field is
+    defers whenever it computes dF_dt.  A field from extend_field is
     deferred: level_values streams it and stores nothing, its first read
     synthesizes and keeps it, and carries, repr and == (identity) skip it."""
 
@@ -264,7 +264,7 @@ class ExtensionField:
     F: np.ndarray = _Field()
     dF_dt: np.ndarray | None = _Field()
     dF_dx: tuple[np.ndarray, ...] | None = _Field()
-    harmonicity: np.ndarray | None = None
+    harmonicity: np.ndarray | None = _Field()
 
     def __post_init__(self) -> None:
         want = (self.levels.M, *self.spec.shape)
@@ -278,7 +278,7 @@ class ExtensionField:
         for arr in (F, dF_dt, *(dF_dx if isinstance(dF_dx, tuple) else ())):
             if not isinstance(arr, functools.partial | None) and np.shape(arr) != want:
                 raise ValueError(f"a field has shape {np.shape(arr)}, expected {want}")
-        if (self.harmonicity is not None
+        if (self._state("harmonicity") == "held"
                 and np.shape(self.harmonicity) != (self.levels.M - 2,)):
             raise ValueError("harmonicity needs one value per interior level")
 
@@ -400,6 +400,8 @@ def _levels(spec: GridSpec, coeffs: np.ndarray, radial, fields: tuple[str, ...]
 
 def _synthesize(F: ExtensionField, name: str):
     """The deferred field name of every level, into one array."""
+    if name == "harmonicity":  # not levels: the partial gives the residuals
+        return F.__dict__[name]()
     axes = F.spec.n if name == "dF_dx" else 1
     out = np.empty((axes, F.levels.M, *F.spec.shape))
     for i, level in enumerate(F.level_values(name)):
@@ -437,8 +439,8 @@ def extend_field(f: GridFunction, s: float, levels: TLevels,
     fields (t from the differentiated symbol, x spectrally), each synthesized
     on its first read (see ExtensionField) from one forward transform and one
     symbol evaluation per level on the distinct |xi|.  With dF/dt it also
-    records the s-harmonicity residual of every interior level (see
-    s_harmonicity_residual) from these values."""
+    defers the s-harmonicity residual of every interior level (see
+    s_harmonicity_residual) to its first read, from these values."""
     spec = f.spec
     coeffs = spectral_forward(spec, f.values)
     radial = list(_radial_symbols(spec, symbol or PoissonSymbol(s), levels,
@@ -446,8 +448,8 @@ def extend_field(f: GridFunction, s: float, levels: TLevels,
     fields = {name: functools.partial(_levels, spec, coeffs, radial, (key,))
               for name, key in (("F", "F"), ("dF_dt", "t"), ("dF_dx", "x"))
               if key == "F" or key in with_derivatives}
-    harmonicity = None
-    if "t" in with_derivatives:
+
+    def residuals() -> np.ndarray:
         # the residual's sums in units of the period, t / L and L |xi|,
         # which makes it dimensionless and keeps every period in range
         layout = _radial_layout(spec)
@@ -456,10 +458,11 @@ def extend_field(f: GridFunction, s: float, levels: TLevels,
                       * _radial_power(layout, coeffs, layout.grad_weight))
         lap = (2 * np.pi * spec.L * layout.radii) ** 2
         taus = levels.ts / spec.L
-        harmonicity = np.array([_harmonicity(
+        return np.array([_harmonicity(
             taus, i, s, [spec.L * tdm for _, tdm in radial[i - 1: i + 2]],
             radial[i][0], lap, power, grad_power)
             for i in range(1, levels.M - 1)])
+    harmonicity = functools.partial(residuals) if "t" in with_derivatives else None
     return ExtensionField(spec=spec, s=s, levels=levels,
                           harmonicity=harmonicity, **fields)
 
@@ -534,9 +537,9 @@ def s_harmonicity_residual(F: ExtensionField) -> list[tuple[float, float]]:
     when the field carries it.  It is taken in units of the period (t / L
     and L |xi|), so it is dimensionless, L times the quotient in units of
     length, and a configuration reads the same at every period.  Every term
-    is a radial multiplier of f^, so extend_field records the L2 norms by
-    Parseval from its symbol values, and no field is synthesized for them; a
-    field built without extend_field carries none."""
+    is a radial multiplier of f^, so the first read takes the L2 norms by
+    Parseval from extend_field's symbol values, and no field is synthesized
+    for them; a field built without extend_field carries none."""
     if not F.carries("dF_dt"):
         raise ValueError("extension field must carry the t-derivative")
     if F.harmonicity is None:

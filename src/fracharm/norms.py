@@ -181,9 +181,13 @@ def lp_norm(f: GridFunction, p: float) -> float:
     if not (p >= 1):
         raise ValueError(f"exponent p must lie in [1, inf], got {p}")
     a = np.abs(_rows(f.spec, f.values))
+    top = np.max(a, axis=-1)
     if math.isinf(p):
-        return _per_row(np.max(a, axis=-1))
-    return _root(np.sum(a**p, axis=-1) * f.spec.cell_volume, p)
+        return _per_row(top)
+    # max|f| h^(n/p) (sum (|f|/max|f|)^p)^(1/p): no period or p overflows
+    a = a / np.where(top > 0, top, 1.0)[..., None]
+    return (_per_row(top) * f.spec.cell_volume ** (1 / p)
+            * _root(np.sum(a**p, axis=-1), p))
 
 
 def lorentz_norm(f: GridFunction, e: LorentzExponents) -> float:
@@ -197,15 +201,18 @@ def lorentz_norm(f: GridFunction, e: LorentzExponents) -> float:
     if math.isinf(e.p):
         return lp_norm(f, _INF)
     vals = np.sort(np.abs(_rows(f.spec, f.values)), axis=-1)[..., ::-1]
-    cell = f.spec.cell_volume
-    edges = np.arange(vals.shape[-1] + 1, dtype=float) * cell
+    top = vals[..., 0]
+    vals = vals / np.where(top > 0, top, 1.0)[..., None]  # as in lp_norm
+    scale = _per_row(top) * f.spec.cell_volume ** (1 / e.p)
+    edges = np.arange(vals.shape[-1] + 1, dtype=float)  # in cells
     if math.isinf(e.q):
-        return _per_row(np.max(vals * edges[1:] ** (1 / e.p), axis=-1))
+        return scale * _per_row(np.max(vals * edges[1:] ** (1 / e.p), axis=-1))
     p, q = e.p, e.q
     pieces = (p / q) * (edges[1:] ** (q / p) - edges[:-1] ** (q / p))
     # row by row: a whole reversed stack takes a pow loop that rounds apart
     powers = [row**q for row in vals.reshape(-1, vals.shape[-1])]
-    return _root(np.sum(np.reshape(powers, vals.shape) * pieces, axis=-1), q)
+    return scale * _root(np.sum(np.reshape(powers, vals.shape) * pieces,
+                                axis=-1), q)
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +235,17 @@ def slobodeckij_seminorm(f: GridFunction, nu: float, p: float) -> float:
     if f.values.ndim > spec.n:
         return np.array([slobodeckij_seminorm(GridFunction(spec, v), nu, p)
                          for v in f.values])
-    offsets, dist = _offsets(spec)
-    v = f.values
+    top = float(np.max(np.abs(f.values)))  # in units of max|f| and h
+    v = f.values / (top if top > 0 else 1.0)
     acc = 0.0
-    for off, d in zip(offsets, dist):
+    for off in _offsets(spec)[0]:
+        d = math.hypot(*off)
         if d == 0.0:
             continue
         shift = [-int(o) for o in off]
         diff = np.roll(v, shift=shift, axis=tuple(range(spec.n))) - v
         acc += float(np.sum(np.abs(diff) ** p)) * d ** (-(spec.n + nu * p))
-    return (acc * spec.cell_volume**2) ** (1 / p)
+    return top * spec.h ** (spec.n / p - nu) * acc ** (1 / p)
 
 
 # Bound on the entries of the bmo_seminorm memo; each holds one float and a

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fracharm import cli
 from fracharm.cli import ConfigError, main, parse_config
+from fracharm.commutators import CATALOG, _range_ends
 
 
 def _write_config(path, **kwargs):
@@ -339,17 +340,39 @@ def test_tiny_period_gives_the_unit_period_verdict(tmp_path, capsys):
 
 
 def test_huge_period_runs_like_the_unit_period(tmp_path):
-    # the boundary-trace diagnostics are scale-free: no spurious degeneracy
-    # and the same extrapolated constant
-    cs = []
-    for L in (1.0, 1e150):
-        out = tmp_path / f"L{L:g}"
-        path = _write_config(tmp_path / "cfg.json",
-                             grid={"n": 1, "N": 64, "L": L}, out=str(out))
-        assert main(["run", path]) == 0
-        head = (out / "boundary_trace.txt").read_text().splitlines()[0]
-        cs.append(float(head.split("=")[1]))
-    assert cs[1] == pytest.approx(cs[0], rel=0, abs=1e-12)
+    # the estimates are dilation-invariant and the norms scale-safe, so every
+    # estimate the grid admits gives its L = 1 verdict at any period; the
+    # boundary-trace diagnostics are scale-free: no spurious degeneracy and
+    # the same extrapolated constant.  All estimates share one run per period.
+    for n in (1, 2):
+        estimates = [{"id": eid, "params": {"q": 2.0} if eid == "chanillo"
+                      and n == 2 else {}} for eid in sorted(CATALOG)
+                     if n in CATALOG[eid].get("dims", (1, 2))
+                     and eid != "jacobian-sobolev"]
+        assert len(estimates) == 8
+        runs = {}
+        for L in (1.0, 1e-100, 1e150):
+            out = tmp_path / f"{n}d-L{L:g}"
+            path = _write_config(tmp_path / "cfg.json",
+                                 grid={"n": n, "N": 64, "L": L},
+                                 estimates=estimates, out=str(out))
+            rc = main(["run", path])
+            assert rc in (0, 1), (n, L)
+            trace = (out / "boundary_trace.txt").read_text().splitlines()
+            runs[L] = (rc, float(trace[0].split("=")[1]),
+                       {e["id"]: json.loads((out / f"{e['id']}.json")
+                                            .read_text()) for e in estimates})
+        rc0, c0, reports0 = runs.pop(1.0)
+        for L, (rc, c, reports) in runs.items():
+            assert rc == rc0, (n, L)
+            assert c == pytest.approx(c0, rel=0, abs=1e-12)
+            for eid, report in reports.items():
+                report0 = reports0[eid]
+                assert report["pass"] == report0["pass"], (n, L, eid)
+                for key in ("fitted_constant", "validation_max_ratio",
+                            "dilation_stability"):
+                    assert abs(report[key] - report0[key]) <= 1e-12 * max(
+                        abs(report0[key]), 1.0), (n, L, eid, key)
 
 
 def test_run_rejects_grids_below_the_family_band(tmp_path, capsys):
@@ -401,6 +424,15 @@ def test_non_numeric_estimate_parameter_exits_two(tmp_path, capsys):
     # an integer is a real number
     cfg = parse_config({"estimates": [{"id": "crw-bmo", "params": {"p": 3}}]})
     assert cfg.estimates[0].params["p"] == 3
+    # a zero exponent is refused by its range before 1/p1 + 1/p2 = 1/p
+    # divides by it
+    path = _write_config(tmp_path / "cfg.json",
+                         estimates=[{"id": "crw-lorentz",
+                                     "params": {"p1": 0}}])
+    assert main(["run", path, "--out", str(tmp_path / "reports")]) == 2
+    _assert_one_config_error_line(capsys,
+                                  "estimates[0]: crw-lorentz requires p1 in")
+    assert not (tmp_path / "reports").exists()
 
 
 def test_jacobian_sobolev_outside_its_range_exits_two(tmp_path, capsys):
@@ -531,3 +563,38 @@ def test_run_exit_codes_never_raise(invocation):
         finally:
             os.chdir(cwd)
     assert rc in (0, 1, 2, 3)
+
+
+@st.composite
+def _declared_parameters(draw):
+    """(estimate id, parameters): one or two parameters of an estimate, each
+    drawn from its declared range's ends, one ulp either side of them, or a
+    value far outside."""
+    eid = draw(st.sampled_from(sorted(e for e in CATALOG
+                                      if CATALOG[e]["defaults"])))
+    ranges = CATALOG[eid]["ranges"]
+    merged = dict(CATALOG[eid]["defaults"])
+    params = {}
+    for key in draw(st.lists(st.sampled_from(list(ranges)), min_size=1,
+                             max_size=2, unique=True)):
+        lo, _, hi, _ = _range_ends(ranges[key], merged)
+        near = [float(np.nextafter(e, d)) for e in (lo, hi)
+                for d in (-_INF, _INF)]
+        merged[key] = params[key] = draw(st.sampled_from(
+            [lo, hi, *near, 0.0, -1.0, 1e-300, 1e300, _NAN, _INF]))
+    return eid, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(_declared_parameters(), st.sampled_from([1, 2]))
+def test_parse_config_accepts_or_refuses_every_declared_parameter(case, n):
+    eid, params = case
+    data = {"grid": {"n": n, "N": 64},
+            "estimates": [{"id": eid, "params": params}]}
+    try:
+        cfg = parse_config(data)
+    except ConfigError as exc:
+        # refused by a declared range or relation, or by the grid
+        assert str(exc).startswith(f"estimates[0]: {eid} requires ")
+        return
+    assert cfg.estimates[0].params == {**CATALOG[eid]["defaults"], **params}

@@ -253,6 +253,106 @@ def test_estimate_descriptor_validation():
         EstimateDescriptor(id="double-comm-1d", params={"s1": 0.5, "s2": 0.7})
 
 
+_INF = float("inf")
+_BELOW_0, _ABOVE_1 = np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)
+# (estimate, parameters, the text after "<estimate> requires "): per range
+# end and per relation a parameter set that breaks that check, alone where
+# the other checks allow it and otherwise first in both the old and the
+# declared order; double-comm-1d's 1/p1 + 1/p2 = 1 ties p2's ends to p1's,
+# so p2 has no rows
+_VALIDATION_MESSAGES = [
+    ("crw-bmo", {"p": 1.0}, "p in (1, inf)"),
+    ("crw-bmo", {"p": _INF}, "p in (1, inf)"),
+    ("crw-lorentz", {"sigma": _BELOW_0}, "sigma in [0, 1)"),
+    ("crw-lorentz", {"sigma": 1.0}, "sigma in [0, 1)"),
+    ("crw-lorentz", {"p": 1.0, "p1": 2.0, "p2": 2.0, "q1": 2.0, "q2": 2.0},
+     "p in (1, inf)"),
+    ("crw-lorentz", {"p": _INF, "p1": 1e300, "p2": 1e300, "q1": 1e300,
+                     "q2": 1e300}, "p in (1, inf)"),
+    ("crw-lorentz", {"p1": _INF, "p2": 2.0}, "p1 in (1, inf)"),
+    ("crw-lorentz", {"p2": _INF, "p1": 2.0}, "p2 in (1, inf)"),
+    ("crw-lorentz", {"q1": _INF, "q2": 2.0}, "q1 in (1, inf)"),
+    ("crw-lorentz", {"q2": _INF, "q1": 2.0}, "q2 in (1, inf)"),
+    ("crw-lorentz", {"p1": 3.0}, "1/p1 + 1/p2 = 1/p"),
+    ("crw-lorentz", {"q1": 3.0}, "1/q1 + 1/q2 = 1/p"),
+    ("fl-comm-lorentz", {"s": 0.0}, "s in (0, 1)"),
+    ("fl-comm-lorentz", {"s": 1.0}, "s in (0, 1)"),
+    ("fl-comm-lorentz", {"sigma": np.nextafter(0.5, 0.0)}, "sigma in [s, 1)"),
+    ("fl-comm-lorentz", {"sigma": 1.0}, "sigma in [s, 1)"),
+    ("fl-comm-lorentz", {"p": 1.0, "q1": 2.0, "q2": 2.0}, "p in (1, inf)"),
+    ("fl-comm-lorentz", {"p": _INF, "q1": 1e300, "q2": 1e300},
+     "p in (1, inf)"),
+    ("fl-comm-lorentz", {"q1": _INF, "q2": 2.0}, "q1 in (1, inf)"),
+    ("fl-comm-lorentz", {"q2": _INF, "q1": 2.0}, "q2 in (1, inf)"),
+    ("fl-comm-lorentz", {"q1": 3.0}, "1/q1 + 1/q2 = 1/p"),
+    ("chanillo", {"s": 0.0}, "s in (0, 1)"),
+    ("chanillo", {"s": 1.0}, "s in (0, 1)"),
+    ("chanillo", {"p": 1.0}, "p in (1, inf)"),
+    ("chanillo", {"p": _INF}, "p in (1, inf)"),
+    ("chanillo", {"q": 1.0}, "q > 1"),
+    ("leibniz-lorentz", {"s": 0.0}, "s in (0, 1]"),
+    ("leibniz-lorentz", {"s": _ABOVE_1}, "s in (0, 1]"),
+    ("leibniz-lorentz", {"sigma": 0.0}, "sigma in (0, s)"),
+    ("leibniz-lorentz", {"sigma": 0.8}, "sigma in (0, s)"),
+    ("leibniz-lorentz", {"p1": 1.0}, "p1 in (1, inf)"),
+    ("leibniz-lorentz", {"p1": _INF}, "p1 in (1, inf)"),
+    ("leibniz-lorentz", {"p2": 1.0}, "p2 in (1, inf)"),
+    ("leibniz-lorentz", {"p2": _INF}, "p2 in (1, inf)"),
+    ("leibniz-lorentz", {"q1": 1.0}, "q1 in (1, inf)"),
+    ("leibniz-lorentz", {"q1": _INF}, "q1 in (1, inf)"),
+    ("leibniz-lorentz", {"q2": 1.0}, "q2 in (1, inf)"),
+    ("leibniz-lorentz", {"q2": _INF}, "q2 in (1, inf)"),
+    ("leibniz-lorentz", {"p1": 2.0, "p2": 2.0},
+     "target p = (1/p1 + 1/p2)^-1 > 1"),
+    ("leibniz-bmo", {"s": 0.0}, "s in (0, 1]"),
+    ("leibniz-bmo", {"s": _ABOVE_1}, "s in (0, 1]"),
+    ("leibniz-bmo", {"p": 1.0}, "p in (1, inf)"),
+    ("leibniz-bmo", {"p": _INF}, "p in (1, inf)"),
+    ("double-comm-1d", {"s1": 0.0, "s2": 1.0}, "s1, s2 in (0, 1)"),
+    ("double-comm-1d", {"s1": 1.0, "s2": 0.0}, "s1, s2 in (0, 1)"),
+    ("double-comm-1d", {"s2": 0.0}, "s1, s2 in (0, 1)"),
+    ("double-comm-1d", {"s2": 1.0}, "s1, s2 in (0, 1)"),
+    ("double-comm-1d", {"p1": 1.0, "p2": _INF}, "p1 in (1, inf)"),
+    ("double-comm-1d", {"p1": _INF, "p2": 1.0}, "p1 in (1, inf)"),
+    ("double-comm-1d", {"q1": 1.0}, "q1 in (1, inf)"),
+    ("double-comm-1d", {"q1": _INF}, "q1 in (1, inf)"),
+    ("double-comm-1d", {"q2": 1.0}, "q2 in (1, inf)"),
+    ("double-comm-1d", {"q2": _INF}, "q2 in (1, inf)"),
+    ("double-comm-1d", {"s1": 0.4}, "s1 + s2 = 1"),
+    ("double-comm-1d", {"p1": 3.0}, "1/p1 + 1/p2 = 1"),
+    ("jacobian-sobolev", {"s0": 0.0}, "each s_i in (0, 1)"),
+    ("jacobian-sobolev", {"s1": 1.0}, "each s_i in (0, 1)"),
+    ("jacobian-sobolev", {"p0": 1.0}, "p0 in (1, inf)"),
+    ("jacobian-sobolev", {"p0": _INF, "p1": 2.0, "p2": 2.0}, "p0 in (1, inf)"),
+    ("jacobian-sobolev", {"p1": 1.0}, "p1 in (1, inf)"),
+    ("jacobian-sobolev", {"p1": _INF, "p0": 2.0, "p2": 2.0}, "p1 in (1, inf)"),
+    ("jacobian-sobolev", {"p2": 1.0}, "p2 in (1, inf)"),
+    ("jacobian-sobolev", {"p2": _INF, "p0": 2.0, "p1": 2.0}, "p2 in (1, inf)"),
+    ("jacobian-sobolev", {"s0": 0.5}, "s0 + s1 + s2 = 2"),
+    ("jacobian-sobolev", {"p0": 2.0}, "1/p0 + 1/p1 + 1/p2 = 1"),
+    ("hardy-duality", {"s": 0.0}, "s in (0, 1]"),
+    ("hardy-duality", {"s": _ABOVE_1}, "s in (0, 1]"),
+    ("hardy-duality", {"p": 1.0}, "p, q in (1, inf)"),
+    ("hardy-duality", {"p": _INF}, "p, q in (1, inf)"),
+    ("hardy-duality", {"q": 1.0}, "p, q in (1, inf)"),
+    ("hardy-duality", {"q": _INF}, "p, q in (1, inf)"),
+    # a zero exponent is out of range before any relation divides by it
+    ("crw-lorentz", {"p1": 0.0}, "p1 in (1, inf)"),
+    ("crw-lorentz", {"p": 0.0}, "p in (1, inf)"),
+    ("fl-comm-lorentz", {"q1": 0.0}, "q1 in (1, inf)"),
+    ("double-comm-1d", {"p1": 0.0}, "p1 in (1, inf)"),
+]
+
+
+def test_every_validation_message_is_pinned():
+    assert {eid for eid, _, _ in _VALIDATION_MESSAGES} == {
+        eid for eid, entry in CATALOG.items() if entry["defaults"]}
+    for eid, params, words in _VALIDATION_MESSAGES:
+        with pytest.raises(ValueError) as info:
+            EstimateDescriptor(eid, params)
+        assert str(info.value) == f"{eid} requires {words}", (eid, params)
+
+
 def test_jacobian_sobolev_evaluates_on_the_family():
     # the catalogue's evaluate on two members of the 2-D family, a bump and
     # a band-limited one; a 20-member verify_estimate is too slow for Tier-1
@@ -274,6 +374,15 @@ def test_jacobian_sobolev_evaluates_on_the_family():
         # det(grad u) integrates to zero, so a constant phi pairs to zero
         zero, _ = evaluate(spec, (const_phi, u1, u2), d.params, {})
         assert zero <= 1e-12 * lhs
+        # both sides are dilation-invariant at the default exponents, and
+        # the Slobodeckij sums are scale-safe, so no period overflows them
+        for L in (1e-100, 1e150):
+            spec_L = GridSpec(n=2, N=32, L=L)
+            funcs = [make_function(t, spec_L)
+                     for t in standard_family(d.arity, spec_L)[i]]
+            lhs_L, rhs_L = evaluate(spec_L, funcs, d.params, {})
+            for x, x0 in ((lhs_L, lhs), (rhs_L, rhs)):
+                assert abs(x - x0) <= 1e-12 * max(abs(x0), 1.0), (i, L)
     with pytest.raises(ValueError, match="s0 \\+ s1 \\+ s2 = 2"):
         EstimateDescriptor(id="jacobian-sobolev", params={"s0": 0.5})
     with pytest.raises(ValueError, match="1/p0 \\+ 1/p1 \\+ 1/p2 = 1"):
@@ -352,6 +461,8 @@ def test_verify_estimate_zero_cuts_are_relative():
 def test_catalog_entries_are_well_formed():
     for eid, entry in CATALOG.items():
         assert entry["arity"] in (2, 3)
+        # every parameter has a declared range, and the defaults pass them
+        assert entry.get("ranges", {}).keys() == entry["defaults"].keys()
         d = EstimateDescriptor(id=eid)
         assert d.params.keys() == entry["defaults"].keys()
 
@@ -458,17 +569,22 @@ def test_stacked_family_equals_per_sample_oracle(eid, spec):
     assert stacked[0] and stacked[2] > 0
 
 
-def test_stacked_family_failures_name_the_per_sample_cause():
+def test_stacked_family_failures_name_the_per_sample_cause(monkeypatch):
     spec = SPEC1
     d = EstimateDescriptor(id="crw-bmo")
     family = standard_family(2, spec, n_members=10)
     const = TestFunctionDescriptor(kind="constant", amplitude=2.0)
     huge = replace(family[6][1], amplitude=1e200)
+    # the norms are scale-safe, so an evaluator that squares both sides
+    # makes the overflow: (1e200)^2 is inf
+    unsquared = CATALOG["crw-bmo"]["evaluate"]
+    monkeypatch.setitem(CATALOG["crw-bmo"], "evaluate", lambda *args: tuple(
+        np.square(side) for side in unsquared(*args)))
     cases = (
         # an arity mismatch in a late sample is found before any evaluation
         (ValueError, "needs 2 functions per sample, got 1",
          family[:7] + [family[7][:1]] + family[8:]),
-        # |f|^p of samples 6 and 8 overflows to inf in the L^p norms
+        # both sides of samples 6 and 8 overflow to inf
         (ArithmeticError, "sample 6 produced a non-finite value",
          [(a, huge if i in (6, 8) else b) for i, (a, b) in enumerate(family)]),
         # constant multipliers have a zero BMO norm

@@ -390,7 +390,7 @@ def test_extension_field_repr_and_equality_synthesize_nothing(monkeypatch):
     assert F != G and F == F
     assert calls == []
     assert all(isinstance(F.__dict__[k], functools.partial)
-               for k in ("F", "dF_dt", "dF_dx"))
+               for k in ("F", "dF_dt", "dF_dx", "harmonicity"))
     assert all(F.carries(k) for k in ("F", "dF_dt", "dF_dx"))
     held = extend_field(f, 0.5, lv, with_derivatives=())
     held.F

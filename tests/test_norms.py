@@ -352,6 +352,23 @@ def test_space_functional_validation():
                          derivative="dx")
 
 
+def test_space_functional_dt_computes_no_harmonicity(monkeypatch):
+    # extend_field defers the s-harmonicity residual to its first read,
+    # which space_functional never makes
+    spec = GridSpec(n=1, N=64, L=1.0)
+    f = _bump(spec, radius=0.2)
+    lv = make_tlevels(spec)
+    calls = []
+    monkeypatch.setattr(extension, "_harmonicity",
+                        lambda *args: calls.append(args) or 0.0)
+    for kind in ("besov", "triebel"):
+        space_functional(f, kind, 0.2, 1.0, 2.0, 2.0, 0.5, lv,
+                         derivative="dt")
+    assert calls == []
+    extension.s_harmonicity_residual(extension.extend_field(f, 0.5, lv))
+    assert len(calls) == lv.M - 2
+
+
 def test_space_functional_is_homogeneous_in_amplitude():
     spec = GridSpec(n=1, N=128, L=1.0)
     f = _bump(spec, radius=0.15)
