@@ -239,8 +239,9 @@ class _Field:
 
     def __get__(self, obj, objtype=None):
         value = None if obj is None else obj.__dict__[self.name]
-        if isinstance(value, functools.partial):
-            value = obj.__dict__[self.name] = _synthesize(obj, self.name)
+        if isinstance(value, functools.partial):  # levels, or the residuals
+            value = obj.__dict__[self.name] = (
+                _synthesize(obj, self.name) if value.func is _levels else value())
         return value
 
     def __set__(self, obj, value) -> None:
@@ -400,8 +401,6 @@ def _levels(spec: GridSpec, coeffs: np.ndarray, radial, fields: tuple[str, ...]
 
 def _synthesize(F: ExtensionField, name: str):
     """The deferred field name of every level, into one array."""
-    if name == "harmonicity":  # not levels: the partial gives the residuals
-        return F.__dict__[name]()
     axes = F.spec.n if name == "dF_dx" else 1
     out = np.empty((axes, F.levels.M, *F.spec.shape))
     for i, level in enumerate(F.level_values(name)):
@@ -432,6 +431,22 @@ def _harmonicity(ts: np.ndarray, i: int, s: float, tdm: list[np.ndarray],
     return norm / max(scale, 1e-300)
 
 
+def _residuals(spec: GridSpec, coeffs: np.ndarray, radial, levels: TLevels,
+               s: float, with_x: bool) -> np.ndarray:
+    """_harmonicity at every interior level, the x-gradient in the scale if
+    with_x, in units of the period (t / L, L |xi|): dimensionless at any L."""
+    layout = _radial_layout(spec)
+    power = _radial_power(layout, coeffs, layout.weight)
+    grad_power = (None if not with_x else spec.L**2
+                  * _radial_power(layout, coeffs, layout.grad_weight))
+    lap = (2 * np.pi * spec.L * layout.radii) ** 2
+    taus = levels.ts / spec.L
+    return np.array([_harmonicity(
+        taus, i, s, [spec.L * tdm for _, tdm in radial[i - 1: i + 2]],
+        radial[i][0], lap, power, grad_power)
+        for i in range(1, levels.M - 1)])
+
+
 def extend_field(f: GridFunction, s: float, levels: TLevels,
                  with_derivatives: tuple[str, ...] = ("t", "x"),
                  symbol: PoissonSymbol | None = None) -> ExtensionField:
@@ -448,23 +463,10 @@ def extend_field(f: GridFunction, s: float, levels: TLevels,
     fields = {name: functools.partial(_levels, spec, coeffs, radial, (key,))
               for name, key in (("F", "F"), ("dF_dt", "t"), ("dF_dx", "x"))
               if key == "F" or key in with_derivatives}
-
-    def residuals() -> np.ndarray:
-        # the residual's sums in units of the period, t / L and L |xi|,
-        # which makes it dimensionless and keeps every period in range
-        layout = _radial_layout(spec)
-        power = _radial_power(layout, coeffs, layout.weight)
-        grad_power = (None if "x" not in with_derivatives else spec.L**2
-                      * _radial_power(layout, coeffs, layout.grad_weight))
-        lap = (2 * np.pi * spec.L * layout.radii) ** 2
-        taus = levels.ts / spec.L
-        return np.array([_harmonicity(
-            taus, i, s, [spec.L * tdm for _, tdm in radial[i - 1: i + 2]],
-            radial[i][0], lap, power, grad_power)
-            for i in range(1, levels.M - 1)])
-    harmonicity = functools.partial(residuals) if "t" in with_derivatives else None
-    return ExtensionField(spec=spec, s=s, levels=levels,
-                          harmonicity=harmonicity, **fields)
+    if "t" in with_derivatives:
+        fields["harmonicity"] = functools.partial(
+            _residuals, spec, coeffs, radial, levels, s, "x" in with_derivatives)
+    return ExtensionField(spec=spec, s=s, levels=levels, **fields)
 
 
 @dataclass(frozen=True)

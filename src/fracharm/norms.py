@@ -203,8 +203,9 @@ def lorentz_norm(f: GridFunction, e: LorentzExponents) -> float:
     vals = np.sort(np.abs(_rows(f.spec, f.values)), axis=-1)[..., ::-1]
     top = vals[..., 0]
     vals = vals / np.where(top > 0, top, 1.0)[..., None]  # as in lp_norm
-    scale = _per_row(top) * f.spec.cell_volume ** (1 / e.p)
-    edges = np.arange(vals.shape[-1] + 1, dtype=float)  # in cells
+    # edges as fractions of the row (measure L^n): no period or q/p overflows
+    scale = _per_row(top) * f.spec.L ** (f.spec.n / e.p)
+    edges = np.arange(vals.shape[-1] + 1) / vals.shape[-1]
     if math.isinf(e.q):
         return scale * _per_row(np.max(vals * edges[1:] ** (1 / e.p), axis=-1))
     p, q = e.p, e.q

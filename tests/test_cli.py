@@ -363,6 +363,7 @@ def test_huge_period_runs_like_the_unit_period(tmp_path):
                        {e["id"]: json.loads((out / f"{e['id']}.json")
                                             .read_text()) for e in estimates})
         rc0, c0, reports0 = runs.pop(1.0)
+        assert reports0["crw-bmo"]["pass"], n
         for L, (rc, c, reports) in runs.items():
             assert rc == rc0, (n, L)
             assert c == pytest.approx(c0, rel=0, abs=1e-12)
@@ -373,6 +374,31 @@ def test_huge_period_runs_like_the_unit_period(tmp_path):
                             "dilation_stability"):
                     assert abs(report[key] - report0[key]) <= 1e-12 * max(
                         abs(report0[key]), 1.0), (n, L, eid, key)
+
+
+def test_large_exponent_quotient_runs_at_every_period(tmp_path):
+    # Lorentz step edges in units of the cell would reach N^(q/p), about
+    # 2^1330 for q/p = 133 at N = 1024, and make the norm NaN at any period
+    estimates = [{"id": "hardy-duality", "params": {"p": 1.5, "q": 200.0}},
+                 {"id": "crw-lorentz", "params": {
+                     "p1": 3.0, "p2": 6.0, "q1": 400.0,
+                     "q2": 1 / (0.5 - 1 / 400)}}]
+    runs = {}
+    for L in (1.0, 1e150):
+        out = tmp_path / f"L{L:g}"
+        path = _write_config(tmp_path / "cfg.json",
+                             grid={"n": 1, "N": 1024, "L": L},
+                             estimates=estimates, out=str(out))
+        assert main(["run", path]) == 0, L
+        runs[L] = {e["id"]: json.loads((out / f"{e['id']}.json").read_text())
+                   for e in estimates}
+    for eid, report0 in runs[1.0].items():
+        report = runs[1e150][eid]
+        assert report["pass"] == report0["pass"], eid
+        for key in ("fitted_constant", "validation_max_ratio",
+                    "dilation_stability"):
+            assert abs(report[key] - report0[key]) <= 1e-12 * max(
+                abs(report0[key]), 1.0), (eid, key)
 
 
 def test_run_rejects_grids_below_the_family_band(tmp_path, capsys):
