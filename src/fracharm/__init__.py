@@ -14,8 +14,8 @@ from .extension import (BoundaryTraceResult, ExtensionField, PoissonSymbol,
                         extend_field, get_symbol, make_tlevels,
                         s_harmonicity_residual, s_poisson_symbol)
 from .grid import (GridFunction, GridSpec, Spectrum, TestFunctionDescriptor,
-                   fft_forward, fft_inverse, hermitian_asymmetry,
-                   make_function, spectral_apply, spectral_gradient)
+                   fft_forward, hermitian_asymmetry, make_function,
+                   spectral_apply, spectral_gradient)
 from .multiplier_ops import (SymbolDescriptor, apply_symbol, frac_laplacian,
                              l2_norm, mean_projected, riesz_potential,
                              riesz_transform)

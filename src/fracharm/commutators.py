@@ -322,7 +322,9 @@ def _eval_hardy_duality(spec, funcs, prm, meta):
     phi, f, g = funcs
     s, p, q = prm["s"], prm["p"], prm["q"]
     lhs = abs(_integral(spec, _hardy_integrand(phi, f, g, s)))
-    pc, qc = p / (p - 1), q / (q - 1)
+    # for p above about 1e16 the conjugate rounds to 1.0; the float above 1
+    # is the one nearest 1 + 1/(p - 1)
+    pc, qc = max(p / (p - 1), math.nextafter(1.0, 2.0)), q / (q - 1)
     rhs = (lorentz_norm(frac_laplacian(phi, s), LorentzExponents(p, q))
            * lorentz_norm(frac_laplacian(f, s), LorentzExponents(pc, qc))
            * bmo_seminorm(g))

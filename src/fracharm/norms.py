@@ -18,7 +18,6 @@ import functools
 import hashlib
 import math
 from collections import OrderedDict
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,29 +82,33 @@ class TentFamily:
 # Ball machinery (shared by BMO, maximal function, cones, and tents)
 
 
-def _ball_kernel(spec: GridSpec, r: float) -> tuple[np.ndarray, int]:
-    """Indicator of the open ball {|y| < r} around the origin and its cell
-    count."""
-    mask = _offsets(spec)[1].reshape(spec.shape) < r
-    return mask.astype(float), int(np.count_nonzero(mask))
+def _balls(spec: GridSpec, counts):
+    """Yield, for each cell count c in counts, the indicator of grid shape
+    of the ball of c cells around the origin: the c offsets nearest it, in
+    whole distance shells.  An open ball {|y| < r} and a closed ball
+    {|y| <= r} are the balls of their cell counts."""
+    dist = _offsets(spec)[1].reshape(spec.shape)
+    shells = np.sort(dist, axis=None)
+    for c in counts:
+        yield (dist <= shells[c - 1]).astype(float)
 
 
-def _open_ball_spectra(spec: GridSpec) -> Callable[[float], np.ndarray]:
-    """A function giving the spectrum np.fft.fftn of the indicator of the
-    open ball {|y| < radius}, radius > 0, from _ball_kernel.  The ball is
-    fixed by its cell count, so each distinct ball is transformed once per
-    returned function; only the real-FFT half is kept."""
+def _open_ball_spectra(spec: GridSpec, radii_per_level):
+    """Yield, level by level, the real-FFT half spectra of the open balls
+    {|y| < r} for the radii r > 0 of that level.  Each distinct ball is
+    transformed once, and held only until the last level that uses it."""
     dist = np.sort(_offsets(spec)[1])
-    spectra: dict[int, np.ndarray] = {}
-
-    def spectrum(radius: float) -> np.ndarray:
-        cnt = int(np.searchsorted(dist, radius))  # cells with |y| < radius
-        if cnt not in spectra:
-            kernel, _ = _ball_kernel(spec, radius)
-            spectra[cnt] = np.fft.fftn(kernel)[..., : spec.N // 2 + 1].copy()
-        return spectra[cnt]
-
-    return spectrum
+    counts = [np.searchsorted(dist, radii).tolist()  # cells with |y| < r
+              for radii in radii_per_level]
+    last = {c: i for i, level in enumerate(counts) for c in level}
+    balls = _balls(spec, last)  # in the order of first use
+    held: dict[int, np.ndarray] = {}
+    for i, level in enumerate(counts):
+        for c in level:
+            if c not in held:
+                held[c] = spectral_forward(spec, next(balls))
+        yield [held[c] for c in level]
+        held = {c: b for c, b in held.items() if last[c] > i}
 
 
 # Cells one gather of the BMO search holds (256 KB of float64 values and as
@@ -132,17 +135,17 @@ class _BallGeometry:
 def _ball_geometry(tents: TentFamily) -> _BallGeometry:
     spec = tents.spec
     offsets, dist = _offsets(spec)
-    inside = np.stack([dist <= r * (1 + 1e-12) for r in tents.radii])
-    kernels = inside.reshape((-1,) + spec.shape).astype(float)
-    axes = tuple(range(-spec.n, 0))
-    spectrum = np.fft.fftn(kernels, axes=axes)[..., : spec.N // 2 + 1].copy()
+    counts = np.searchsorted(  # cells with |y| <= r (1 + 1e-12)
+        np.sort(dist), np.multiply(tents.radii, 1 + 1e-12), side="right")
+    kernels = np.stack(list(_balls(spec, counts)))
+    spectrum = spectral_forward(spec, kernels)
     # the minimum-image offset y of a centre x is the flat index of x + y
     place = (2 * spec.N) ** np.arange(spec.n - 1, -1, -1)
-    balls = tuple((offsets[m] + spec.N // 2) @ place for m in inside)
+    balls = tuple((offsets[m.ravel() > 0] + spec.N // 2) @ place
+                  for m in kernels)
     centers = np.indices((len(range(0, spec.N, tents.center_stride)),)
                          * spec.n).reshape(spec.n, -1).T
     centers = (centers * tents.center_stride) @ place
-    counts = inside.sum(axis=1)
     for arr in (counts, spectrum, *balls, centers):
         arr.flags.writeable = False
     return _BallGeometry(counts=counts, spectrum=spectrum, offsets=balls,
@@ -457,15 +460,16 @@ def square_function(F: ExtensionField, mode: str = "regular",
         raise ValueError(
             f"mode must be 'regular' or 'nontangential', got {mode!r}")
     spec, ts = F.spec, F.levels.ts
-    ball_spectrum = _open_ball_spectra(spec) if mode != "regular" else None
+    wlog, levels = F.levels.log_trapezoid_weights(), _field_levels(F, selector)
     s2 = np.zeros(spec.shape)
     # one level at a time, summed in level order
-    for t, tw, w, G in zip(ts, ts**weight, F.levels.log_trapezoid_weights(),
-                           _field_levels(F, selector)):
-        if mode == "regular":
+    if mode == "regular":
+        for tw, w, G in zip(ts**weight, wlog, levels):
             s2 += w * (tw * G) ** 2
-        else:
-            cone = spectral_apply(spec, G**2, ball_spectrum(t))
+    else:
+        balls = _open_ball_spectra(spec, ts[:, None])
+        for t, w, G, (ball,) in zip(ts, wlog, levels, balls):
+            cone = spectral_apply(spec, G**2, ball)
             s2 += w * t ** (2 * weight - spec.n) * cone * spec.cell_volume
     return GridFunction(spec, np.sqrt(np.maximum(s2, 0.0)))
 
@@ -477,21 +481,22 @@ def carleson_sup(F: ExtensionField, weight: float = 1.0,
     (|B|^(-1) int_T t^w |G|^2 dy dt)^(1/2).  Level by level, |G|^2 is
     transformed forward once if some radius exceeds t, and added to the
     accumulator of each such radius; each distinct ball {|y| < r - t} is
-    transformed once."""
+    transformed once, and held until its last level."""
     spec = F.spec
     tents = tents if tents is not None else TentFamily.standard(spec)
     ts = F.levels.ts
-    ball_spectrum = _open_ball_spectra(spec)
     accs = np.zeros((len(tents.radii), *spec.shape))
-    # the levels ascend, so those below the largest radius come first
+    # the levels ascend, so those below the largest radius come first; the
+    # radii ascend, so those above t are the last ones
     below = ts[ts < tents.radii[-1]]
-    for t, w, G in zip(below, F.levels.log_trapezoid_weights(),
-                       _field_levels(F, selector)):
+    balls = _open_ball_spectra(spec, [[r - t for r in tents.radii if t < r]
+                                      for t in below])
+    for t, w, G, level in zip(below, F.levels.log_trapezoid_weights(),
+                              _field_levels(F, selector), balls):
         g2_hat = spectral_forward(spec, G**2)
-        for r, acc in zip(tents.radii, accs):
-            if t < r:
-                acc += w * t ** (1 + weight) * spectral_synthesis(
-                    spec, g2_hat, ball_spectrum(r - t))
+        for acc, ball in zip(accs[-len(level):], level):
+            acc += w * t ** (1 + weight) * spectral_synthesis(spec, g2_hat,
+                                                              ball)
     # a positive factor commutes with the max, and sqrt with max over radii
     top = max(float(np.max(_decimate(acc, tents.center_stride)))
               * (spec.cell_volume / (cnt * spec.cell_volume))

@@ -401,6 +401,24 @@ def test_large_exponent_quotient_runs_at_every_period(tmp_path):
                 abs(report0[key]), 1.0), (eid, key)
 
 
+def test_huge_primary_exponent_gives_a_verdict(tmp_path):
+    # for p above about 1e16 the conjugate p/(p-1) rounds to 1.0, which the
+    # Lorentz exponents reject; the float above 1 stands in for it
+    stability = {}
+    for p in (1e15, 1e17, 1e300):
+        out = tmp_path / f"p{p:g}"
+        path = _write_config(tmp_path / "cfg.json",
+                             grid={"n": 1, "N": 1024, "L": 1.0}, seed=1000,
+                             estimates=[{"id": "hardy-duality",
+                                         "params": {"p": p}}], out=str(out))
+        assert main(["run", path]) == 0, p
+        report = json.loads((out / "hardy-duality.json").read_text())
+        assert report["pass"], p
+        stability[p] = report["dilation_stability"]
+    for p in (1e17, 1e300):
+        assert abs(stability[p] - stability[1e15]) <= 1e-14, p
+
+
 def test_run_rejects_grids_below_the_family_band(tmp_path, capsys):
     # the band-limited members reach mode 6 * 2 * 2 = 24 under the harness
     # dilations, which needs 24 <= N/2 - 1

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +23,13 @@ def _ball_sum(spec, values, kernel):
     even indicator on the grid, or a stack of them."""
     axes = tuple(range(-spec.n, 0))
     return spectral_apply(spec, values, np.fft.fftn(kernel, axes=axes))
+
+
+def _open_ball_sum(spec, values, r):
+    """Sum over the open ball {|y| < r} at each center, with the real-FFT
+    spectrum of the ball's own indicator."""
+    mask = norms._offsets(spec)[1].reshape(spec.shape) < r
+    return spectral_apply(spec, values, np.fft.rfftn(mask.astype(float)))
 
 
 def _bmo_direct(f, tents=None):
@@ -522,17 +531,19 @@ _READERS = {  # name: (reader, fields it reads, bound in fields)
         lambda F: square_function(F, "regular", 1.0, "gradient"), 1, 1.0),
     "decay-k1": (lambda F: decay_profile(F, k=1), 1, 1.0),
     "nontangential": (
-        lambda F: square_function(F, "nontangential", 1.0, "dt"), 1, 1.5),
-    "carleson": (carleson_sup, 1, 4.0),
-    "tent-pairing": (tent_pairing_bound_check, 2, 4.0),
+        lambda F: square_function(F, "nontangential", 1.0, "dt"), 1, 0.9),
+    "carleson": (carleson_sup, 1, 1.7),
+    "tent-pairing": (tent_pairing_bound_check, 2, 1.7),
 }
 
 
 @pytest.mark.parametrize("name", list(_READERS))
 def test_extension_readers_hold_no_stacked_field(name):
     # the readers reduce a field level by level: with extend_field they stay
-    # within a field of memory (1.5 with the nontangential ball spectra, 4
-    # with those of the tents), where the stacked route took 2.1 to 7.8
+    # within a field of memory, where the stacked route took 2.1 to 7.8.
+    # The ball spectra are held only until their last level: the
+    # nontangential square function peaks at 0.64 fields and the tents at
+    # 1.45, so their bounds are those peaks plus a quarter field
     reader, arity, bound = _READERS[name]
     spec = GridSpec(n=2, N=128, L=1.0)
     lv = make_tlevels(spec, M=32)
@@ -597,9 +608,8 @@ def _carleson_per_pair(F, weight, selector, tents):
         for i, t in enumerate(ts):
             if t >= r:
                 continue
-            kernel, _ = norms._ball_kernel(spec, r - t)
-            acc += wlog[i] * t ** (1 + weight) * _ball_sum(
-                spec, g2[i], kernel)
+            acc += wlog[i] * t ** (1 + weight) * _open_ball_sum(
+                spec, g2[i], r - t)
         acc *= spec.cell_volume / measure
         top = float(np.max(norms._decimate(acc, tents.center_stride)))
         best = max(best, math.sqrt(max(top, 0.0)))
@@ -618,32 +628,24 @@ def test_carleson_sup_transforms_once_and_equals_per_pair_loop(n, N,
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
-    kernels = []
-    real_fftn = np.fft.fftn
-
-    def counting_fftn(*args, **kwargs):
-        kernels.append(1)
-        return real_fftn(*args, **kwargs)
-
     monkeypatch.setattr(np.fft, "rfftn", counting)
-    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
     ts = F.levels.ts
+    dist = norms._offsets(spec)[1]
     for selector, tents in (("gradient", TentFamily.standard(spec)),
                             ("dt", TentFamily.standard(spec, center_stride=2))):
         norms._ball_geometry(tents)  # its ball spectra are cached per family
         calls.clear()
-        kernels.clear()
         got = carleson_sup(F, 1.0, selector, tents)
         # one transform per level below the largest radius and none above:
         # 24 of 32 levels at 1-D N=256, 22 of 32 at 2-D N=32
         below = int(np.count_nonzero(ts < tents.radii[-1]))
-        assert calls == [spec.shape] * below
         assert below == {1: 24, 2: 22}[n]
-        # one transform per distinct ball {|y| < r - t}: 51 of 128 pairs at
+        # and one per distinct ball {|y| < r - t}: 51 of 128 pairs at
         # 1-D N=256, 36 of 80 at 2-D N=32
-        balls = [norms._ball_kernel(spec, r - t)[1]
+        balls = [int(np.count_nonzero(dist < r - t))
                  for r in tents.radii for t in ts if t < r]
-        assert len(kernels) == len(set(balls)) < len(balls)
+        assert (len(set(balls)), len(balls)) == {1: (51, 128), 2: (36, 80)}[n]
+        assert calls == [spec.shape] * (below + len(set(balls)))
         assert got == _carleson_per_pair(F, 1.0, selector, tents)
 
 
@@ -655,8 +657,7 @@ def _nontangential_per_level(F, weight, selector):
     ts, wlog = F.levels.ts, F.levels.log_trapezoid_weights()
     s2 = np.zeros(spec.shape)
     for i, t in enumerate(ts):
-        kernel, _ = norms._ball_kernel(spec, t)
-        cone = _ball_sum(spec, G[i] ** 2, kernel)
+        cone = _open_ball_sum(spec, G[i] ** 2, t)
         s2 += wlog[i] * t ** (2 * weight - spec.n) * cone * spec.cell_volume
     return np.sqrt(np.maximum(s2, 0.0))
 
@@ -665,27 +666,57 @@ def _nontangential_per_level(F, weight, selector):
 def test_nontangential_square_transforms_each_ball_once(n, N, monkeypatch):
     spec = GridSpec(n=n, N=N, L=1.0)
     F = extend_field(_bump(spec, radius=0.2), 0.5, make_tlevels(spec, M=32))
-    kernels = []
-    real_fftn = np.fft.fftn
+    calls = []
+    real = np.fft.rfftn
 
-    def counting_fftn(*args, **kwargs):
-        kernels.append(1)
-        return real_fftn(*args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+    monkeypatch.setattr(np.fft, "rfftn", counting)
     got = square_function(F, "nontangential", 1.0, "gradient").values
     monkeypatch.undo()
-    balls = {norms._ball_kernel(spec, t)[1] for t in F.levels.ts}
-    assert len(kernels) == len(balls) < F.levels.M
+    # one transform of |G|^2 per level, and one per distinct ball {|y| < t}
+    dist = norms._offsets(spec)[1]
+    balls = {int(np.count_nonzero(dist < t)) for t in F.levels.ts}
+    assert len(balls) < F.levels.M
+    assert calls == [spec.shape] * (F.levels.M + len(balls))
     assert np.array_equal(got, _nontangential_per_level(F, 1.0, "gradient"))
     # a radius equal to a lattice distance leaves that shell out of the
     # open ball, and the spectrum stays that of the ball's own indicator
-    ball_spectrum = norms._open_ball_spectra(spec)
-    dist = np.unique(norms._offsets(spec)[1])[:6]
-    for r in sorted([*dist[1:], *(dist[1:] + dist[:-1]) / 2]):
-        kernel, _ = norms._ball_kernel(spec, r)
-        assert np.array_equal(ball_spectrum(r),
-                              np.fft.fftn(kernel)[..., : spec.N // 2 + 1])
+    shells = np.unique(dist)[:6]
+    radii = sorted([*shells[1:], *(shells[1:] + shells[:-1]) / 2])
+    (spectra,) = norms._open_ball_spectra(spec, [radii])
+    for r, spectrum in zip(radii, spectra):
+        mask = dist.reshape(spec.shape) < r
+        assert np.array_equal(spectrum, np.fft.rfftn(mask.astype(float)))
+
+
+def test_ball_spectra_are_held_until_their_last_level(monkeypatch):
+    # each distinct ball is transformed at its first level and dropped
+    # after its last one, so the spectra held stay those still to be read
+    spec = GridSpec(n=1, N=64, L=1.0)
+    h = spec.h
+    radii_per_level = [[0.5 * h, 2.5 * h], [2.5 * h], [1.5 * h, 2.6 * h],
+                       [1.5 * h], [0.6 * h]]
+    live = []
+    real = norms.spectral_forward
+
+    def tracking(spec_, values):
+        out = real(spec_, values)
+        live.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(norms, "spectral_forward", tracking)
+    held = []
+    for level in norms._open_ball_spectra(spec, radii_per_level):
+        del level
+        gc.collect()
+        held.append(sum(ref() is not None for ref in live))
+    # the balls of 1, 5 and 3 cells (2.5 h and 2.6 h make the same ball,
+    # 0.5 h and 0.6 h too), last read at levels 4, 2 and 3
+    assert len(live) == 3
+    assert held == [2, 2, 3, 2, 1]
 
 
 def test_tent_pairing_bound_check(monkeypatch):
