@@ -379,7 +379,9 @@ CATALOG = {
         "ranges": {"s": "s in (0, 1]", "sigma": "sigma in (0, s)",
                    **_exponents("p1", "p2", "q1", "q2")},
         "relations": (("target p = (1/p1 + 1/p2)^-1 > 1",
-                       lambda p: 1 / p["p1"] + 1 / p["p2"] < 1),),
+                       lambda p: 1 / p["p1"] + 1 / p["p2"] < 1),
+                      ("target q = (1/q1 + 1/q2)^-1 >= 1",
+                       lambda p: 1 / p["q1"] + 1 / p["q2"] <= 1)),
         "evaluate": _eval_leibniz_lorentz,
     },
     "leibniz-bmo": {

@@ -17,8 +17,8 @@ integral representation (_kve).
 Fields come from one forward transform of the boundary values (one function
 or a stack); each level gathers its multipliers onto the real-FFT half
 lattice from one symbol evaluation on the distinct |xi|.  extend_field
-defers each field (see ExtensionField), and _field_levels reads a field
-component level by level.
+returns an ExtensionField, which synthesizes each field on its first read,
+and _field_levels reads a field component level by level.
 
 The diagnostics (the s-harmonicity residual and the boundary trace) compare
 radial multipliers of f^, so their L2 norms and inner products are sums over
@@ -127,8 +127,7 @@ class PoissonSymbol:
 
     def eval_m_dm(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(eval_m(r), eval_dm(r)) from one shared evaluation."""
-        m, dm = self._eval(r)
-        return m, dm
+        return tuple(self._eval(r))
 
     def _eval(self, r: np.ndarray, m: bool = True,
               dm: bool = True) -> list[np.ndarray]:
@@ -231,80 +230,69 @@ def make_tlevels(spec: GridSpec, t_min: float | None = None,
     return TLevels(np.geomspace(t_min, t_max, M))
 
 
-class _Field:
-    """A field of ExtensionField; a first read synthesizes a deferred one."""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, objtype=None):
-        value = None if obj is None else obj.__dict__[self.name]
-        if isinstance(value, functools.partial):  # levels, or the residuals
-            value = obj.__dict__[self.name] = (
-                _synthesize(obj, self.name) if value.func is _levels else value())
-        return value
-
-    def __set__(self, obj, value) -> None:
-        obj.__dict__[self.name] = value
-
-
 @dataclass(frozen=True, repr=False, eq=False)
 class ExtensionField:
-    """Values of F(x,t) = P^s_t f(x) and optional derivative fields.
+    """F(x,t) = P^s_t f(x) and the derivative fields extend_field was asked
+    for, from the half spectrum coeffs of f and radial, per level m and
+    |xi| m' on the distinct |xi|.
 
-    F has shape (M, *grid); dF_dt likewise when present; dF_dx is a tuple of
-    spec.n per-axis arrays of the same shape.  harmonicity holds the relative
-    s-harmonicity residual of the M - 2 interior levels, which extend_field
-    defers whenever it computes dF_dt.  A field from extend_field is
-    deferred: level_values streams it and stores nothing, its first read
-    synthesizes and keeps it, and carries, repr and == (identity) skip it."""
+    F and dF_dt have shape (M, *grid), dF_dx is a tuple of spec.n such
+    arrays, and harmonicity holds the relative s-harmonicity residual of the
+    M - 2 interior levels, present with dF_dt.  Each is None when absent,
+    else computed on its first read and kept.  level_values streams a field
+    not yet read and keeps nothing; carries, repr and == (identity) compute
+    nothing."""
 
     spec: GridSpec
     s: float
     levels: TLevels
-    F: np.ndarray = _Field()
-    dF_dt: np.ndarray | None = _Field()
-    dF_dx: tuple[np.ndarray, ...] | None = _Field()
-    harmonicity: np.ndarray | None = _Field()
-
-    def __post_init__(self) -> None:
-        want = (self.levels.M, *self.spec.shape)
-        F, dF_dt, dF_dx = (self.__dict__[k] for k in ("F", "dF_dt", "dF_dx"))
-        if F is None:
-            raise TypeError("ExtensionField needs the field F")
-        if self._state("dF_dx") == "held":
-            if not isinstance(dF_dx, (tuple, list)) or len(dF_dx) != self.spec.n:
-                raise ValueError(f"dF_dx needs {self.spec.n} arrays, one per axis")
-            dF_dx = self.__dict__["dF_dx"] = tuple(dF_dx)
-        for arr in (F, dF_dt, *(dF_dx if isinstance(dF_dx, tuple) else ())):
-            if not isinstance(arr, functools.partial | None) and np.shape(arr) != want:
-                raise ValueError(f"a field has shape {np.shape(arr)}, expected {want}")
-        if (self._state("harmonicity") == "held"
-                and np.shape(self.harmonicity) != (self.levels.M - 2,)):
-            raise ValueError("harmonicity needs one value per interior level")
-
-    def _state(self, name: str) -> str:
-        value = self.__dict__[name]
-        return ("absent" if value is None else "deferred"
-                if isinstance(value, functools.partial) else "held")
+    coeffs: np.ndarray
+    radial: list[tuple[np.ndarray, np.ndarray | None]]
+    fields: tuple[str, ...]
 
     def __repr__(self) -> str:
-        states = (f"{k}={self._state(k)}" for k in ("F", "dF_dt", "dF_dx"))
+        states = (k + ("=absent" if not self.carries(k) else "=held"
+                       if k in self.__dict__ else "=deferred")
+                  for k in ("F", "dF_dt", "dF_dx"))
         return (f"ExtensionField({self.spec}, s={self.s}, shape="
                 f"{(self.levels.M, *self.spec.shape)}, {', '.join(states)})")
 
     def carries(self, name: str) -> bool:
         """Whether the field name ("F", "dF_dt" or "dF_dx") is present."""
-        return self.__dict__[name] is not None
+        return name in self.fields
 
     def level_values(self, name: str) -> Iterator:
         """The present field name level by level, a level of dF_dx being its
-        n axes: held slices, or a deferred field synthesized level by level."""
-        value = self.__dict__[name]
-        if isinstance(value, functools.partial):  # the stream of _levels
-            levels = value()
-            return levels if name == "dF_dx" else (lvl[0] for lvl in levels)
-        return zip(*value) if name == "dF_dx" else iter(value)
+        n axes: slices of a field already read, else synthesized per level."""
+        if not self.carries(name):
+            raise ValueError(f"the extension field carries no {name}")
+        if name in self.__dict__:
+            value = self.__dict__[name]
+            return zip(*value) if name == "dF_dx" else iter(value)
+        key = {"F": "F", "dF_dt": "t", "dF_dx": "x"}[name]
+        levels = _levels(self.spec, self.coeffs, self.radial, (key,))
+        return levels if name == "dF_dx" else (lvl[0] for lvl in levels)
+
+    def _whole(self, name: str):
+        """The field name of every level in one array, None if absent."""
+        if not self.carries(name):
+            return None
+        out = np.empty((self.spec.n if name == "dF_dx" else 1, self.levels.M,
+                        *self.spec.shape))
+        for i, level in enumerate(self.level_values(name)):
+            out[:, i] = level
+        return tuple(out) if name == "dF_dx" else out[0]
+
+    F = functools.cached_property(lambda self: self._whole("F"))
+    dF_dt = functools.cached_property(lambda self: self._whole("dF_dt"))
+    dF_dx = functools.cached_property(lambda self: self._whole("dF_dx"))
+
+    @functools.cached_property
+    def harmonicity(self) -> np.ndarray | None:
+        if not self.carries("dF_dt"):
+            return None
+        return _residuals(self.spec, self.coeffs, self.radial, self.levels,
+                          self.s, self.carries("dF_dx"))
 
 
 _SELECTORS = ("value", "dt", "dx", "gradient")
@@ -399,15 +387,6 @@ def _levels(spec: GridSpec, coeffs: np.ndarray, radial, fields: tuple[str, ...]
             np.concatenate(parts, dtype=complex), stack))
 
 
-def _synthesize(F: ExtensionField, name: str):
-    """The deferred field name of every level, into one array."""
-    axes = F.spec.n if name == "dF_dx" else 1
-    out = np.empty((axes, F.levels.M, *F.spec.shape))
-    for i, level in enumerate(F.level_values(name)):
-        out[:, i] = level
-    return tuple(out) if name == "dF_dx" else out[0]
-
-
 def _harmonicity(ts: np.ndarray, i: int, s: float, tdm: list[np.ndarray],
                  m: np.ndarray, lap: np.ndarray, power: np.ndarray,
                  grad_power: np.ndarray | None) -> float:
@@ -453,20 +432,16 @@ def extend_field(f: GridFunction, s: float, levels: TLevels,
     """F(.,t) = m_s(t|xi|) f^(xi) on every level, plus requested derivative
     fields (t from the differentiated symbol, x spectrally), each synthesized
     on its first read (see ExtensionField) from one forward transform and one
-    symbol evaluation per level on the distinct |xi|.  With dF/dt it also
-    defers the s-harmonicity residual of every interior level (see
-    s_harmonicity_residual) to its first read, from these values."""
+    symbol evaluation per level on the distinct |xi|.  With dF/dt the field
+    also carries the s-harmonicity residual of every interior level (see
+    s_harmonicity_residual), computed on its first read from these values."""
     spec = f.spec
     coeffs = spectral_forward(spec, f.values)
     radial = list(_radial_symbols(spec, symbol or PoissonSymbol(s), levels,
                                   "t" in with_derivatives))
-    fields = {name: functools.partial(_levels, spec, coeffs, radial, (key,))
-              for name, key in (("F", "F"), ("dF_dt", "t"), ("dF_dx", "x"))
-              if key == "F" or key in with_derivatives}
-    if "t" in with_derivatives:
-        fields["harmonicity"] = functools.partial(
-            _residuals, spec, coeffs, radial, levels, s, "x" in with_derivatives)
-    return ExtensionField(spec=spec, s=s, levels=levels, **fields)
+    fields = ("F", *(name for name, key in (("dF_dt", "t"), ("dF_dx", "x"))
+                     if key in with_derivatives))
+    return ExtensionField(spec, s, levels, coeffs, radial, fields)
 
 
 @dataclass(frozen=True)
@@ -494,9 +469,8 @@ def boundary_limit_check(f: GridFunction, s: float,
     well scaled for any period."""
     spec = f.spec
     small_ts = np.asarray(small_ts, dtype=float)
-    if np.any(small_ts < spec.h / 4 * (1 - 1e-12)) or np.any(
-        small_ts > 8 * spec.h * (1 + 1e-12)
-    ):
+    if (np.any(small_ts < spec.h / 4 * (1 - 1e-12))
+            or np.any(small_ts > 8 * spec.h * (1 + 1e-12))):
         raise ValueError("small_ts must lie within [h/4, 8h]")
     layout = _radial_layout(spec)
     power = _radial_power(layout, spectral_forward(spec, f.values),
@@ -522,10 +496,8 @@ def boundary_limit_check(f: GridFunction, s: float,
     u = small_ts / spec.h
     basis = np.stack([np.ones_like(u), u ** (2 - s), u**2], axis=1)
     sol, *_ = np.linalg.lstsq(basis, c_ts, rcond=None)
-    return BoundaryTraceResult(
-        c=float(sol[0]), small_ts=small_ts, c_ts=c_ts,
-        residuals=np.array(residuals),
-    )
+    return BoundaryTraceResult(c=float(sol[0]), small_ts=small_ts, c_ts=c_ts,
+                               residuals=np.array(residuals))
 
 
 def s_harmonicity_residual(F: ExtensionField) -> list[tuple[float, float]]:
@@ -541,12 +513,9 @@ def s_harmonicity_residual(F: ExtensionField) -> list[tuple[float, float]]:
     length, and a configuration reads the same at every period.  Every term
     is a radial multiplier of f^, so the first read takes the L2 norms by
     Parseval from extend_field's symbol values, and no field is synthesized
-    for them; a field built without extend_field carries none."""
+    for them."""
     if not F.carries("dF_dt"):
         raise ValueError("extension field must carry the t-derivative")
-    if F.harmonicity is None:
-        raise ValueError("the s-harmonicity residual is recorded by "
-                         "extend_field, and this field carries none")
     return [(float(t), float(r))
             for t, r in zip(F.levels.ts[1:-1], F.harmonicity)]
 

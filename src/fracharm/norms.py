@@ -131,12 +131,17 @@ class _BallGeometry:
     centers: np.ndarray
 
 
+def _closed_counts(tents: TentFamily) -> np.ndarray:
+    """Cell counts of the closed balls, |y| <= r (1 + 1e-12) per radius r."""
+    return np.searchsorted(np.sort(_offsets(tents.spec)[1]),
+                           np.multiply(tents.radii, 1 + 1e-12), side="right")
+
+
 @functools.lru_cache(maxsize=8)
 def _ball_geometry(tents: TentFamily) -> _BallGeometry:
     spec = tents.spec
-    offsets, dist = _offsets(spec)
-    counts = np.searchsorted(  # cells with |y| <= r (1 + 1e-12)
-        np.sort(dist), np.multiply(tents.radii, 1 + 1e-12), side="right")
+    offsets = _offsets(spec)[0]
+    counts = _closed_counts(tents)
     kernels = np.stack(list(_balls(spec, counts)))
     spectrum = spectral_forward(spec, kernels)
     # the minimum-image offset y of a centre x is the flat index of x + y
@@ -212,11 +217,23 @@ def lorentz_norm(f: GridFunction, e: LorentzExponents) -> float:
     if math.isinf(e.q):
         return scale * _per_row(np.max(vals * edges[1:] ** (1 / e.p), axis=-1))
     p, q = e.p, e.q
-    pieces = (p / q) * (edges[1:] ** (q / p) - edges[:-1] ** (q / p))
-    # row by row: a whole reversed stack takes a pow loop that rounds apart
-    powers = [row**q for row in vals.reshape(-1, vals.shape[-1])]
-    return scale * _root(np.sum(np.reshape(powers, vals.shape) * pieces,
-                                axis=-1), q)
+    # (p/q)^(1/q) times the q-th root of sum_k f*_k^q (e_(k+1)^(q/p) -
+    # e_k^(q/p)), as exp(m + log sum_k exp(q (u_k - m)) / q) with u_k the
+    # log of term k over q and m the largest: in the log domain with the
+    # largest term factored out (Blanchard, Higham and Mary, IMA J. Numer.
+    # Anal. 2021), so that no q underflows or overflows the sum.  The log of
+    # a step's weight is log e_(k+1)^(q/p) + log1p(-(k / (k + 1))^(q/p)).
+    with np.errstate(divide="ignore", over="ignore"):
+        log_piece = np.log(edges[1:]) / p + np.log(-np.expm1(
+            -(q / p) * np.log1p(1 / np.arange(vals.shape[-1])))) / q
+        roots = []
+        for row in vals.reshape(-1, vals.shape[-1]):  # one function's sums
+            u = np.log(row) + log_piece
+            m = np.max(u)
+            roots.append(0.0 if m == -_INF else math.exp(
+                m + math.log(np.sum(np.exp(q * (u - m)))) / q))
+    return scale * (p / q) ** (1 / q) * _per_row(np.reshape(roots,
+                                                            vals.shape[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +517,7 @@ def carleson_sup(F: ExtensionField, weight: float = 1.0,
     # a positive factor commutes with the max, and sqrt with max over radii
     top = max(float(np.max(_decimate(acc, tents.center_stride)))
               * (spec.cell_volume / (cnt * spec.cell_volume))
-              for acc, cnt in zip(accs, _ball_geometry(tents).counts))
+              for acc, cnt in zip(accs, _closed_counts(tents)))
     return math.sqrt(max(top, 0.0))
 
 

@@ -419,6 +419,23 @@ def test_huge_primary_exponent_gives_a_verdict(tmp_path):
         assert abs(stability[p] - stability[1e15]) <= 1e-14, p
 
 
+def test_huge_secondary_exponent_gives_the_verdict_of_q_200(tmp_path):
+    # f*^q times a step's weight underflows for q in the hundreds; summed in
+    # the log domain, the norm tends to its L^(p,inf) value and the verdict
+    # stays that of q = 200
+    verdicts = {}
+    for q in (200.0, 400.0, 800.0, 1e300):
+        out = tmp_path / f"q{q:g}"
+        path = _write_config(tmp_path / "cfg.json",
+                             grid={"n": 1, "N": 1024, "L": 1.0}, seed=1000,
+                             estimates=[{"id": "hardy-duality",
+                                         "params": {"q": q}}], out=str(out))
+        assert main(["run", path]) == 0, q
+        report = json.loads((out / "hardy-duality.json").read_text())
+        verdicts[q] = report["pass"]
+    assert set(verdicts.values()) == {verdicts[200.0]}
+
+
 def test_run_rejects_grids_below_the_family_band(tmp_path, capsys):
     # the band-limited members reach mode 6 * 2 * 2 = 24 under the harness
     # dilations, which needs 24 <= N/2 - 1
@@ -627,6 +644,27 @@ def _declared_parameters(draw):
         merged[key] = params[key] = draw(st.sampled_from(
             [lo, hi, *near, 0.0, -1.0, 1e-300, 1e300, _NAN, _INF]))
     return eid, params
+
+
+@settings(max_examples=40, deadline=None)
+@given(_declared_parameters())
+def test_run_exit_codes_never_raise_at_declared_parameters(tmp_path_factory,
+                                                           case):
+    # the sibling of test_run_exit_codes_never_raise with the estimate's
+    # parameters at and around its declared ranges: parse_config refuses a
+    # value (exit 2), or the run gives a verdict (0 or 1) or a numerical
+    # error (3), never a traceback
+    eid, params = case
+    tmp = tmp_path_factory.mktemp("run")
+    path = _write_config(tmp / "cfg.json", estimates=[{"id": eid,
+                                                       "params": params}],
+                         out=str(tmp / "reports"))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(["run", path])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 @settings(max_examples=200, deadline=None)

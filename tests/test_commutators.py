@@ -304,6 +304,8 @@ _VALIDATION_MESSAGES = [
     ("leibniz-lorentz", {"q2": _INF}, "q2 in (1, inf)"),
     ("leibniz-lorentz", {"p1": 2.0, "p2": 2.0},
      "target p = (1/p1 + 1/p2)^-1 > 1"),
+    ("leibniz-lorentz", {"q1": _ABOVE_1},
+     "target q = (1/q1 + 1/q2)^-1 >= 1"),
     ("leibniz-bmo", {"s": 0.0}, "s in (0, 1]"),
     ("leibniz-bmo", {"s": _ABOVE_1}, "s in (0, 1]"),
     ("leibniz-bmo", {"p": 1.0}, "p in (1, inf)"),

@@ -1,4 +1,3 @@
-import functools
 import math
 import tracemalloc
 import warnings
@@ -9,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import gamma, kv, kve
 
 import fracharm.extension
-from fracharm import (ExtensionField, GridFunction, GridSpec, PoissonSymbol,
+from fracharm import (GridFunction, GridSpec, PoissonSymbol,
                       TLevels,
                       TestFunctionDescriptor, boundary_limit_check,
                       decay_profile, extend_field, frac_laplacian, get_symbol,
@@ -389,25 +388,16 @@ def test_extension_field_repr_and_equality_synthesize_nothing(monkeypatch):
     assert "(16, 64, 64)" in text
     assert F != G and F == F
     assert calls == []
-    assert all(isinstance(F.__dict__[k], functools.partial)
-               for k in ("F", "dF_dt", "dF_dx", "harmonicity"))
+    # nothing is computed or kept before its first read
+    assert not {"F", "dF_dt", "dF_dx", "harmonicity"} & F.__dict__.keys()
     assert all(F.carries(k) for k in ("F", "dF_dt", "dF_dx"))
     held = extend_field(f, 0.5, lv, with_derivatives=())
     held.F
     assert "F=held" in repr(held) and "dF_dx=absent" in repr(held)
-
-
-def test_extension_field_checks_dF_dx():
-    # dF_dx is one array per axis, each of the field's shape, kept as a tuple
-    spec = GridSpec(n=2, N=32, L=1.0)
-    lv = make_tlevels(spec, M=16)
-    A = np.ones((lv.M, *spec.shape))
-    for dF_dx in ([A, A[:, :1, :]], (A,), (A, A, A), [np.ones((16, 32))]):
-        with pytest.raises(ValueError):
-            ExtensionField(spec=spec, s=0.5, levels=lv, F=A, dF_dx=dF_dx)
-    F = ExtensionField(spec=spec, s=0.5, levels=lv, F=A, dF_dx=[A, 2 * A])
-    assert isinstance(F.dF_dx, tuple) and len(F.dF_dx) == spec.n
-    assert [len(level) for level in F.level_values("dF_dx")] == [2] * lv.M
+    # an absent field reads None and cannot be streamed
+    assert held.dF_dx is None
+    with pytest.raises(ValueError, match="carries no dF_dx"):
+        held.level_values("dF_dx")
 
 
 def test_tlevels_validation():
@@ -603,6 +593,10 @@ def test_s_harmonicity_residual_needs_dt_field():
     F = extend_field(f, 0.5, lv, with_derivatives=())
     with pytest.raises(ValueError):
         s_harmonicity_residual(F)
+    assert F.harmonicity is None
+    # a field with dF/dt always carries its residual, one per interior level
+    F = extend_field(f, 0.5, lv, with_derivatives=("t",))
+    assert F.harmonicity.shape == (lv.M - 2,)
 
 
 def _harmonicity_by_arrays(F):
@@ -755,21 +749,6 @@ def test_s_harmonicity_residual_meets_extended_precision_route():
     got = np.array([r for _, r in s_harmonicity_residual(
         extend_field(f, 0.5, lv, with_derivatives=("t",)))])
     assert np.max(np.abs(got - want) / want) <= 1e-13
-
-
-def test_s_harmonicity_residual_needs_extend_field():
-    spec = GridSpec(n=1, N=32, L=1.0)
-    f = GridFunction(spec, np.cos(2 * np.pi * spec.coords()[0]))
-    lv = TLevels(np.geomspace(0.05, 0.5, 8))
-    F = extend_field(f, 0.5, lv, with_derivatives=("t",))
-    assert F.harmonicity.shape == (lv.M - 2,)
-    by_hand = ExtensionField(spec=spec, s=0.5, levels=lv, F=F.F,
-                             dF_dt=F.dF_dt)
-    with pytest.raises(ValueError, match="extend_field"):
-        s_harmonicity_residual(by_hand)
-    with pytest.raises(ValueError, match="interior level"):
-        ExtensionField(spec=spec, s=0.5, levels=lv, F=F.F, dF_dt=F.dF_dt,
-                       harmonicity=F.harmonicity[1:])
 
 
 def test_decay_profile_decays_at_large_times():

@@ -130,6 +130,25 @@ def test_lorentz_holder_duality_bound():
         assert lhs <= rhs * (1 + 1e-12)
 
 
+_EXPONENTS = (1 + 2**-52, 2.0, 400.0, 1e300, np.inf)
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in _EXPONENTS
+                                 for q in _EXPONENTS  # L^(inf,inf) alone
+                                 if math.isfinite(p) or math.isinf(q)])
+def test_lorentz_norm_is_finite_positive_and_homogeneous(p, q):
+    # f*^q and a step's weight both underflow for large q, and the weights
+    # for q/p tiny; summed in the log domain every norm is a positive float
+    e = LorentzExponents(p, q)
+    for spec in (GridSpec(n=1, N=128, L=1.0), GridSpec(n=2, N=16, L=3.0)):
+        v = np.random.default_rng(5).standard_normal(spec.shape)
+        a = lorentz_norm(GridFunction(spec, v), e)
+        assert math.isfinite(a) and a > 0, (spec.n, p, q, a)
+        for c in (3.0, 1e-200, 1e200):
+            b = lorentz_norm(GridFunction(spec, c * v), e)
+            assert b == pytest.approx(c * a, rel=1e-13), (spec.n, p, q, c)
+
+
 @pytest.mark.parametrize("n,N", [(1, 128), (2, 16)])
 def test_norms_of_a_stack_are_the_row_norms(n, N):
     # bit for bit, at the exponents of the tests above, on 32 rows (numpy's
@@ -633,7 +652,6 @@ def test_carleson_sup_transforms_once_and_equals_per_pair_loop(n, N,
     dist = norms._offsets(spec)[1]
     for selector, tents in (("gradient", TentFamily.standard(spec)),
                             ("dt", TentFamily.standard(spec, center_stride=2))):
-        norms._ball_geometry(tents)  # its ball spectra are cached per family
         calls.clear()
         got = carleson_sup(F, 1.0, selector, tents)
         # one transform per level below the largest radius and none above:
@@ -647,6 +665,18 @@ def test_carleson_sup_transforms_once_and_equals_per_pair_loop(n, N,
         assert (len(set(balls)), len(balls)) == {1: (51, 128), 2: (36, 80)}[n]
         assert calls == [spec.shape] * (below + len(set(balls)))
         assert got == _carleson_per_pair(F, 1.0, selector, tents)
+
+
+def test_carleson_sup_builds_no_ball_geometry():
+    # it reads the closed balls' cell counts alone, so an extension-only
+    # caller builds none of the BMO's ball spectra and gather offsets
+    spec = GridSpec(n=2, N=32, L=1.0)
+    F = extend_field(_bump(spec, radius=0.2), 0.5, make_tlevels(spec, M=16))
+    tents = TentFamily(spec, radii=(0.07, 0.15, 0.4), center_stride=3)
+    before = norms._ball_geometry.cache_info()
+    got = carleson_sup(F, 1.0, "gradient", tents)
+    assert norms._ball_geometry.cache_info() == before
+    assert got == _carleson_per_pair(F, 1.0, "gradient", tents)
 
 
 def _nontangential_per_level(F, weight, selector):
