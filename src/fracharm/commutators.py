@@ -31,8 +31,8 @@ from .grid import (GridFunction, GridSpec, TestFunctionDescriptor, _per_row,
                    _rows, make_function, spectral_forward, spectral_gradient)
 from .multiplier_ops import (frac_laplacian, l2_norm, mean_projected,
                              riesz_potential, riesz_transform)
-from .norms import (LorentzExponents, bmo_seminorm, lorentz_norm, lp_norm,
-                    slobodeckij_seminorm)
+from .norms import (_SLOBODECKIJ_MAX_N, LorentzExponents, bmo_seminorm,
+                    lorentz_norm, lp_norm, slobodeckij_seminorm)
 from .singular_ops import QuadratureConfig, riesz_potential_quadrature
 
 _INF = float("inf")
@@ -205,8 +205,9 @@ def _check_chanillo_grid(p: dict, spec: GridSpec) -> None:
 
 def _check_jacobian_sobolev_grid(p: dict, spec: GridSpec) -> None:
     # the Slobodeckij double sums of the right-hand side
-    if spec.N > 96:
-        raise ValueError(f"jacobian-sobolev requires N <= 96, got N = {spec.N}")
+    if spec.N > (cap := _SLOBODECKIJ_MAX_N[spec.n]):
+        raise ValueError(
+            f"jacobian-sobolev requires N <= {cap}, got N = {spec.N}")
 
 
 # ---------------------------------------------------------------------------

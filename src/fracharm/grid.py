@@ -71,14 +71,6 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return (self.N,) * self.n
 
-    def coords(self) -> list[np.ndarray]:
-        """Coordinate arrays of full grid shape, one per axis."""
-        if self.n == 1:
-            return [np.arange(self.N) * self.h]
-        x = np.arange(self.N) * self.h
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        return [X, Y]
-
     def wavenumbers(self) -> list[np.ndarray]:
         """Integer frequency arrays k_j of full grid shape."""
         k1 = np.fft.fftfreq(self.N) * self.N

@@ -166,17 +166,26 @@ def _oscillations(padded: np.ndarray, ball: np.ndarray, centers: np.ndarray,
     return np.abs(cells - means[:, None]).sum(axis=1) / count
 
 
-def _root(total, p: float):
-    """total ** (1/p) by scalar pow, as one function's norm (not array pow)."""
-    return _per_row(np.reshape([t ** (1 / p) for t in np.ravel(total)],
-                               np.shape(total)))
+def _scalar(fn, x):
+    """fn of each entry by scalar arithmetic, as one function's norm takes
+    it: numpy's array pow, log and exp round some values differently."""
+    return _per_row(np.reshape([fn(t) for t in np.ravel(x)], np.shape(x)))
 
 
-def _decimate(arr: np.ndarray, stride: int) -> np.ndarray:
-    if stride == 1:
-        return arr
-    sl = (slice(None, None, stride),) * arr.ndim
-    return arr[sl]
+def _log_lq(u: np.ndarray, q: float):
+    """log (sum_k e^(q u_k))^(1/q) over the last axis, row by row, with the
+    largest term factored out (log-sum-exp: Blanchard, Higham and Mary, IMA
+    J. Numer. Anal. 2021), so that no q underflows or overflows the sum.
+    q = inf gives max u, and a row of -inf gives -inf."""
+    m = np.max(u, axis=-1)
+    if math.isinf(q):
+        return m
+    terms = u - np.where(m > -_INF, m, 0.0)[..., None]
+    with np.errstate(over="ignore"):
+        np.exp(np.multiply(terms, q, out=terms), out=terms)
+    # a row's sum is at least its largest term, 1, unless the row is -inf
+    return m + _scalar(lambda t: math.log(t) if t else -_INF,
+                       np.sum(terms, axis=-1)) / q
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +204,7 @@ def lp_norm(f: GridFunction, p: float) -> float:
     # max|f| h^(n/p) (sum (|f|/max|f|)^p)^(1/p): no period or p overflows
     a = a / np.where(top > 0, top, 1.0)[..., None]
     return (_per_row(top) * f.spec.cell_volume ** (1 / p)
-            * _root(np.sum(a**p, axis=-1), p))
+            * _scalar(lambda t: t ** (1 / p), np.sum(a**p, axis=-1)))
 
 
 def lorentz_norm(f: GridFunction, e: LorentzExponents) -> float:
@@ -218,26 +227,48 @@ def lorentz_norm(f: GridFunction, e: LorentzExponents) -> float:
         return scale * _per_row(np.max(vals * edges[1:] ** (1 / e.p), axis=-1))
     p, q = e.p, e.q
     # (p/q)^(1/q) times the q-th root of sum_k f*_k^q (e_(k+1)^(q/p) -
-    # e_k^(q/p)), as exp(m + log sum_k exp(q (u_k - m)) / q) with u_k the
-    # log of term k over q and m the largest: in the log domain with the
-    # largest term factored out (Blanchard, Higham and Mary, IMA J. Numer.
-    # Anal. 2021), so that no q underflows or overflows the sum.  The log of
-    # a step's weight is log e_(k+1)^(q/p) + log1p(-(k / (k + 1))^(q/p)).
+    # e_k^(q/p)); the log of a step's weight over q is log e_(k+1)^(1/p) +
+    # log1p(-(k / (k + 1))^(q/p)) / q, so that no edge power underflows
     with np.errstate(divide="ignore", over="ignore"):
         log_piece = np.log(edges[1:]) / p + np.log(-np.expm1(
             -(q / p) * np.log1p(1 / np.arange(vals.shape[-1])))) / q
-        roots = []
-        for row in vals.reshape(-1, vals.shape[-1]):  # one function's sums
-            u = np.log(row) + log_piece
-            m = np.max(u)
-            roots.append(0.0 if m == -_INF else math.exp(
-                m + math.log(np.sum(np.exp(q * (u - m)))) / q))
-    return scale * (p / q) ** (1 / q) * _per_row(np.reshape(roots,
-                                                            vals.shape[:-1]))
+        u = np.log(vals, out=vals)  # in place, as every row is held at once
+    u += log_piece
+    return scale * (p / q) ** (1 / q) * _scalar(math.exp, _log_lq(u, q))
 
 
 # ---------------------------------------------------------------------------
 # Smoothness seminorms
+
+
+# The largest N of slobodeckij_seminorm per dimension, which sums N^(2n) / 2
+_SLOBODECKIJ_MAX_N = {1: 4096, 2: 96}
+
+
+def _pair_seminorm(f: GridFunction, nu: float, q: float):
+    """The l^q norm over pairs of cells x != y, with the minimum-image
+    metric, of |f(x) - f(y)| / d(x,y)^(n/q + nu), times h^(2n/q); a stack
+    gives one value per row.  The norm over the cells of each offset y is a
+    term of the norm over the offsets, both in the log domain and in units
+    of max|f| and of cells.  y and -y give equal terms, so one of each pair
+    is visited, and counted twice unless y = -y."""
+    spec = f.spec
+    top = np.max(np.abs(_rows(spec, f.values)), axis=-1)
+    v = f.values / np.where(top > 0, top, 1.0)[(...,) + (None,) * spec.n]
+    offsets = _offsets(spec)[0]
+    mirror = np.ravel_multi_index(tuple(-offsets.T % spec.N), spec.shape)
+    terms = []
+    with np.errstate(divide="ignore"):
+        for i, (off, j) in enumerate(zip(offsets, mirror)):
+            if i == 0 or j < i:  # the diagonal, or the mirror was visited
+                continue
+            diff = np.abs(np.roll(v, tuple(-off), tuple(range(-spec.n, 0))) - v)
+            terms.append(_log_lq(np.log(_rows(spec, diff)), q)
+                         - (spec.n / q + nu) * math.log(math.hypot(*off))
+                         + (math.log(2) / q if j > i else 0.0))
+    total = _log_lq(np.stack(terms, axis=-1), q)
+    return (_per_row(top) * spec.h ** (spec.n / q - nu)
+            * _scalar(math.exp, total))
 
 
 def slobodeckij_seminorm(f: GridFunction, nu: float, p: float) -> float:
@@ -248,25 +279,10 @@ def slobodeckij_seminorm(f: GridFunction, nu: float, p: float) -> float:
         raise ValueError(f"smoothness nu must lie in (0, 1), got {nu}")
     if not (1 <= p < _INF):
         raise ValueError(f"exponent p must lie in [1, inf), got {p}")
-    spec = f.spec
-    if spec.n == 2 and spec.N > 96:
-        raise ValueError("slobodeckij_seminorm in 2-D requires N <= 96")
-    if spec.n == 1 and spec.N > 4096:
-        raise ValueError("slobodeckij_seminorm in 1-D requires N <= 4096")
-    if f.values.ndim > spec.n:
-        return np.array([slobodeckij_seminorm(GridFunction(spec, v), nu, p)
-                         for v in f.values])
-    top = float(np.max(np.abs(f.values)))  # in units of max|f| and h
-    v = f.values / (top if top > 0 else 1.0)
-    acc = 0.0
-    for off in _offsets(spec)[0]:
-        d = math.hypot(*off)
-        if d == 0.0:
-            continue
-        shift = [-int(o) for o in off]
-        diff = np.roll(v, shift=shift, axis=tuple(range(spec.n))) - v
-        acc += float(np.sum(np.abs(diff) ** p)) * d ** (-(spec.n + nu * p))
-    return top * spec.h ** (spec.n / p - nu) * acc ** (1 / p)
+    if f.spec.N > (cap := _SLOBODECKIJ_MAX_N[f.spec.n]):
+        raise ValueError(
+            f"slobodeckij_seminorm in {f.spec.n}-D requires N <= {cap}")
+    return _pair_seminorm(f, nu, p)
 
 
 # Bound on the entries of the bmo_seminorm memo; each holds one float and a
@@ -362,24 +378,14 @@ def _bmo_pruned(f: GridFunction, tents: TentFamily | None = None) -> float:
 
 def holder_seminorm(f: GridFunction, nu: float) -> float:
     """Hoelder seminorm: sup pairs |f(x)-f(y)| / d(x,y)^nu for nu < 1;
-    for nu = 1 the Lipschitz bound sup |grad f| with the spectral gradient."""
+    for nu = 1 the Lipschitz bound sup |grad f| with the spectral gradient.
+    A stack gives one seminorm per row."""
     if not (0 < nu <= 1):
         raise ValueError(f"smoothness nu must lie in (0, 1], got {nu}")
-    spec = f.spec
     if nu == 1.0:
-        grads = spectral_gradient(f)
-        mag = np.sqrt(sum(g.values**2 for g in grads))
-        return float(np.max(mag))
-    offsets, dist = _offsets(spec)
-    v = f.values
-    best = 0.0
-    for off, d in zip(offsets, dist):
-        if d == 0.0:
-            continue
-        diff = np.roll(v, shift=[-int(o) for o in off],
-                       axis=tuple(range(spec.n))) - v
-        best = max(best, float(np.max(np.abs(diff))) / d**nu)
-    return best
+        mag = np.sqrt(sum(g.values**2 for g in spectral_gradient(f)))
+        return _per_row(np.max(_rows(f.spec, mag), axis=-1))
+    return _pair_seminorm(f, nu, _INF)
 
 
 def maximal_function(f: GridFunction,
@@ -448,9 +454,8 @@ def space_functional(f: GridFunction, kind: str, alpha: float, beta: float,
     if kind == "besov":
         vals = np.array([tw * lp_norm(GridFunction(spec, G), p)
                          for _, tw, G in terms])
-        if math.isinf(q):
-            return float(np.max(vals))
-        return float(np.sum(wlog * vals**q) ** (1 / q))
+        with np.errstate(divide="ignore"):
+            return math.exp(_log_lq(np.log(vals) + np.log(wlog) / q, q))
 
     # the pointwise L^q(dt/t) integral, summed in level order
     inner = np.zeros(spec.shape)
@@ -515,7 +520,8 @@ def carleson_sup(F: ExtensionField, weight: float = 1.0,
             acc += w * t ** (1 + weight) * spectral_synthesis(spec, g2_hat,
                                                               ball)
     # a positive factor commutes with the max, and sqrt with max over radii
-    top = max(float(np.max(_decimate(acc, tents.center_stride)))
+    centers = (slice(None, None, tents.center_stride),) * spec.n
+    top = max(float(np.max(acc[centers]))
               * (spec.cell_volume / (cnt * spec.cell_volume))
               for acc, cnt in zip(accs, _closed_counts(tents)))
     return math.sqrt(max(top, 0.0))

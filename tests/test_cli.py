@@ -626,24 +626,42 @@ def test_run_exit_codes_never_raise(invocation):
     assert rc in (0, 1, 2, 3)
 
 
+def _declared_values(lo, hi):
+    """A declared range's ends, one ulp either side of them, and values far
+    outside it."""
+    near = [float(np.nextafter(e, d)) for e in (lo, hi) for d in (-_INF, _INF)]
+    return [lo, hi, *near, 0.0, -1.0, 1e-300, 1e300, _NAN, _INF]
+
+
+_PARAMETRIZED = sorted(e for e in CATALOG if CATALOG[e]["defaults"])
+
+
 @st.composite
 def _declared_parameters(draw):
     """(estimate id, parameters): one or two parameters of an estimate, each
-    drawn from its declared range's ends, one ulp either side of them, or a
-    value far outside."""
-    eid = draw(st.sampled_from(sorted(e for e in CATALOG
-                                      if CATALOG[e]["defaults"])))
+    drawn from _declared_values of its declared range."""
+    eid = draw(st.sampled_from(_PARAMETRIZED))
     ranges = CATALOG[eid]["ranges"]
     merged = dict(CATALOG[eid]["defaults"])
     params = {}
     for key in draw(st.lists(st.sampled_from(list(ranges)), min_size=1,
                              max_size=2, unique=True)):
         lo, _, hi, _ = _range_ends(ranges[key], merged)
-        near = [float(np.nextafter(e, d)) for e in (lo, hi)
-                for d in (-_INF, _INF)]
         merged[key] = params[key] = draw(st.sampled_from(
-            [lo, hi, *near, 0.0, -1.0, 1e-300, 1e300, _NAN, _INF]))
+            _declared_values(lo, hi)))
     return eid, params
+
+
+def _run_declared(tmp, eid, params):
+    """Exit code and stderr of fracharm run on one estimate at 1-D N=64."""
+    path = _write_config(tmp / "cfg.json", estimates=[{"id": eid,
+                                                       "params": params}],
+                         out=str(tmp / "reports"))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(["run", path])
+    return rc, err.getvalue()
 
 
 @settings(max_examples=40, deadline=None)
@@ -654,17 +672,26 @@ def test_run_exit_codes_never_raise_at_declared_parameters(tmp_path_factory,
     # parameters at and around its declared ranges: parse_config refuses a
     # value (exit 2), or the run gives a verdict (0 or 1) or a numerical
     # error (3), never a traceback
-    eid, params = case
-    tmp = tmp_path_factory.mktemp("run")
-    path = _write_config(tmp / "cfg.json", estimates=[{"id": eid,
-                                                       "params": params}],
-                         out=str(tmp / "reports"))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        rc = main(["run", path])
+    rc, err = _run_declared(tmp_path_factory.mktemp("run"), *case)
     assert rc in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+_SINGLE_KEY_CASES = [
+    (eid, key, value) for eid in _PARAMETRIZED
+    for key, text in CATALOG[eid]["ranges"].items()
+    for value in _declared_values(
+        *_range_ends(text, dict(CATALOG[eid]["defaults"]))[::2])]
+
+
+@pytest.mark.parametrize("eid,key,value", _SINGLE_KEY_CASES)
+def test_run_exit_codes_never_raise_at_each_declared_value(tmp_path, eid,
+                                                           key, value):
+    # every single-key draw of _declared_parameters, which the 40 examples
+    # above meet only by chance (456 runs, about 3 s in all)
+    rc, err = _run_declared(tmp_path, eid, {key: value})
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err
 
 
 @settings(max_examples=200, deadline=None)

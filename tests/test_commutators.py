@@ -16,6 +16,7 @@ from fracharm import (CATALOG, EstimateDescriptor, GridFunction, GridSpec,
                       standard_family, verify_estimate)
 from fracharm.commutators import _dilated_about, _evaluate_family
 from fracharm.multiplier_ops import riesz_potential
+from grid_helpers import coords
 
 
 def _bandlimited(spec, seed, max_k=6):
@@ -481,7 +482,7 @@ def test_dilation_remaps_centres_about_midpoint_and_the_rest_about_origin():
     assert d.dilate == lam
     assert _dilated_about(replace(bump, translate=()), lam, spec).translate == ()
     # centre-less members become x -> f(lam x), a dilation about the origin
-    x = spec.coords()[0]
+    x = coords(spec)[0]
     for member in (TestFunctionDescriptor(kind="sine", kvec=(3,)),
                    TestFunctionDescriptor(kind="sine", kvec=(3,),
                                           translate=(0.3,)),

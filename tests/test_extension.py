@@ -15,6 +15,7 @@ from fracharm import (GridFunction, GridSpec, PoissonSymbol,
                       make_function, make_tlevels,
                       s_harmonicity_residual, s_poisson_symbol, spectral_apply,
                       spectral_gradient)
+from grid_helpers import coords
 
 
 def _same_bits(a, b):
@@ -440,7 +441,7 @@ def test_log_trapezoid_weights_integrate_dt_over_t():
 def test_extend_field_s1_matches_exact_mode_decay():
     spec = GridSpec(n=1, N=128, L=1.0)
     k = 3
-    x = spec.coords()[0]
+    x = coords(spec)[0]
     f = GridFunction(spec, np.sin(2 * np.pi * k * x))
     lv = TLevels(np.geomspace(0.01, 0.5, 20))
     F = extend_field(f, 1.0, lv)
@@ -588,7 +589,7 @@ def test_s_harmonicity_residual_is_small():
 
 def test_s_harmonicity_residual_needs_dt_field():
     spec = GridSpec(n=1, N=32, L=1.0)
-    f = GridFunction(spec, np.cos(2 * np.pi * spec.coords()[0]))
+    f = GridFunction(spec, np.cos(2 * np.pi * coords(spec)[0]))
     lv = TLevels(np.geomspace(0.05, 0.5, 8))
     F = extend_field(f, 0.5, lv, with_derivatives=())
     with pytest.raises(ValueError):

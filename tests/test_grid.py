@@ -13,6 +13,7 @@ from fracharm import (EstimateDescriptor, GridFunction, GridSpec,
                       make_function, spectral_apply, spectral_gradient,
                       standard_family, verify_estimate)
 from fracharm.grid import Spectrum
+from grid_helpers import coords, mention_sites
 
 
 def _fft_inverse(S: Spectrum) -> GridFunction:
@@ -27,7 +28,7 @@ def test_spec_geometry(n, N, L):
     assert spec.h == pytest.approx(L / N)
     assert spec.cell_volume == pytest.approx((L / N) ** n)
     assert spec.shape == (N,) * n
-    for axis, x in enumerate(spec.coords()):
+    for axis, x in enumerate(coords(spec)):
         assert x.shape == spec.shape
         assert np.all(np.take(x, 0, axis=axis) == 0.0)
         assert np.take(x, -1, axis=axis) == pytest.approx(
@@ -94,7 +95,7 @@ def test_fft_roundtrip_and_parseval(n, N):
 
 def test_forward_convention_single_mode():
     spec = GridSpec(n=1, N=32, L=1.0)
-    x = spec.coords()[0]
+    x = coords(spec)[0]
     f = GridFunction(spec, np.cos(2 * np.pi * 3 * x))
     c = fft_forward(f).coeffs
     assert c[3] == pytest.approx(0.5)
@@ -135,42 +136,17 @@ def test_spectral_apply_matches_complex_fft(n, N):
         check(g, riesz, values)
 
 
-def _transform_sites(names: set[str]) -> set[tuple[str, str]]:
-    """(module, function) of every mention in the package of a numpy.fft
-    function in names: a call, an alias or an import.  The module prefix of
-    a dotted name such as np.fft.rfftn is not a mention of fft."""
-    sites = set()
-    for path in sorted(Path(fracharm.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
-        prefixes = {id(node.value) for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute)}
-        for node in ast.walk(tree):
-            if id(node) in prefixes:
-                continue
-            found = {getattr(node, "attr", None), getattr(node, "id", None)}
-            found |= {a.name for a in getattr(node, "names", ())
-                      if isinstance(a, ast.alias)}
-            if not found & names:
-                continue
-            owners = [f for f in funcs
-                      if f.lineno <= node.lineno <= f.end_lineno]
-            owner = max(owners, key=lambda f: f.lineno, default=None)
-            sites.add((path.stem, owner.name if owner else "<module>"))
-    return sites
-
-
 def test_inverse_transforms_only_in_spectral_path():
     # every synthesis goes through grid.spectral_synthesis
     inverse = {"ifft", "ifft2", "ifftn", "irfft", "irfft2", "irfftn"}
-    assert _transform_sites(inverse) == {("grid", "spectral_synthesis")}
+    assert mention_sites(inverse) == {("grid", "spectral_synthesis")}
 
 
 def test_forward_transforms_only_in_spectral_path():
     # every forward transform goes through grid.spectral_forward;
     # fft_forward stays for the benchmark's tracer, which reports it by name
     forward = {"fft", "fftn", "fft2", "rfft", "rfft2", "rfftn"}
-    assert _transform_sites(forward) == {("grid", "spectral_forward"),
+    assert mention_sites(forward) == {("grid", "spectral_forward"),
                                          ("grid", "fft_forward")}
 
 
@@ -194,7 +170,7 @@ def test_package_imports_no_scipy():
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_spectral_gradient_on_sine(k):
     spec = GridSpec(n=1, N=128, L=2.0)
-    x = spec.coords()[0]
+    x = coords(spec)[0]
     f = GridFunction(spec, np.sin(2 * np.pi * k * x / spec.L))
     (g,) = spectral_gradient(f)
     exact = (2 * np.pi * k / spec.L) * np.cos(2 * np.pi * k * x / spec.L)
@@ -203,7 +179,7 @@ def test_spectral_gradient_on_sine(k):
 
 def test_spectral_gradient_2d_mixed():
     spec = GridSpec(n=2, N=32, L=1.0)
-    X, Y = spec.coords()
+    X, Y = coords(spec)
     f = GridFunction(spec, np.sin(2 * np.pi * X) * np.cos(4 * np.pi * Y))
     gx, gy = spectral_gradient(f)
     ex = 2 * np.pi * np.cos(2 * np.pi * X) * np.cos(4 * np.pi * Y)
@@ -247,16 +223,16 @@ def test_make_function_deterministic():
 
 def _full_grid_values(desc, spec):
     """Bumps, gaussians and sines sampled from the full-grid coordinates of
-    spec.coords(): the oracle of make_function's per-axis sampling."""
-    lam, coords = desc.dilate, spec.coords()
+    coords(spec), the oracle of make_function's per-axis sampling."""
+    lam, axes = desc.dilate, coords(spec)
     tau = desc.translate if desc.translate else (0.0,) * spec.n
     if desc.kind == "sine":
         kl = [round(lam * k) for k in desc.kvec]
-        phase = sum(k * (x - t) for k, x, t in zip(kl, coords, tau))
+        phase = sum(k * (x - t) for k, x, t in zip(kl, axes, tau))
         return desc.amplitude * np.sin(2 * np.pi * phase / spec.L)
     d = []
     for j in range(spec.n):
-        dj = coords[j] - desc.center[j] - tau[j]
+        dj = axes[j] - desc.center[j] - tau[j]
         d.append((dj + spec.L / 2) % spec.L - spec.L / 2)
     if desc.kind == "gaussian":
         r2 = sum((lam * dj) ** 2 for dj in d)
@@ -391,7 +367,7 @@ def test_bump_support_and_positivity():
     d = TestFunctionDescriptor(kind="smooth-bump", center=(0.5,), radius=0.2,
                                amplitude=2.0)
     f = make_function(d, spec).values
-    x = spec.coords()[0]
+    x = coords(spec)[0]
     outside = np.abs(x - 0.5) >= 0.2
     assert np.all(f[outside] == 0.0)
     assert np.all(f >= 0.0)
@@ -402,7 +378,7 @@ def test_dilate_shrinks_support_about_center():
     spec = GridSpec(n=1, N=256, L=1.0)
     d = TestFunctionDescriptor(kind="smooth-bump", center=(0.5,), radius=0.2)
     f2 = make_function(d.dilated(2.0), spec).values
-    x = spec.coords()[0]
+    x = coords(spec)[0]
     assert np.all(f2[np.abs(x - 0.5) >= 0.1] == 0.0)
     assert f2[np.argmin(np.abs(x - 0.5))] == pytest.approx(1.0, rel=1e-12)
 

@@ -10,6 +10,7 @@ from fracharm import (GridFunction, GridSpec, SymbolDescriptor,
                       l2_norm, make_function, mean_projected, riesz_potential,
                       riesz_transform)
 from fracharm.multiplier_ops import _builtin_multiplier, _multiplier_array
+from grid_helpers import coords
 
 
 def _bandlimited(spec, seed=3, max_k=8):
@@ -22,7 +23,7 @@ def _bandlimited(spec, seed=3, max_k=8):
 @pytest.mark.parametrize("s", [0.3, 1.0, 1.7])
 def test_frac_laplacian_on_sine(k, s):
     spec = GridSpec(n=1, N=128, L=2.0)
-    x = spec.coords()[0]
+    x = coords(spec)[0]
     f = GridFunction(spec, np.sin(2 * np.pi * k * x / spec.L))
     g = frac_laplacian(f, s)
     exact = (2 * np.pi * k / spec.L) ** s * f.values
@@ -31,7 +32,7 @@ def test_frac_laplacian_on_sine(k, s):
 
 def test_hilbert_of_sine_is_minus_cosine():
     spec = GridSpec(n=1, N=64, L=1.0)
-    x = spec.coords()[0]
+    x = coords(spec)[0]
     f = GridFunction(spec, np.sin(2 * np.pi * 3 * x))
     h = riesz_transform(f, 1)
     assert np.max(np.abs(h.values + np.cos(2 * np.pi * 3 * x))) <= 1e-12
@@ -94,7 +95,7 @@ def test_overflowing_symbol_is_an_error_not_a_warning():
     # (2 pi |xi|)^1000 overflows at every nonzero mode: with warnings as
     # errors the "not finite" ValueError is still what surfaces
     spec = GridSpec(n=1, N=16, L=1.0)
-    f = GridFunction(spec, np.sin(2 * np.pi * spec.coords()[0]))
+    f = GridFunction(spec, np.sin(2 * np.pi * coords(spec)[0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not finite"):
@@ -115,7 +116,7 @@ def test_frac_laplacian_rejects_nonpositive_order():
 def test_nyquist_energy_is_handled():
     # odd symbols must vanish on the Nyquist row for the output to be real
     spec = GridSpec(n=1, N=32, L=1.0)
-    x = spec.coords()[0]
+    x = coords(spec)[0]
     f = GridFunction(spec, np.cos(2 * np.pi * 16 * x))  # pure Nyquist mode
     h = riesz_transform(f, 1)
     assert np.max(np.abs(h.values)) <= 1e-12

@@ -16,6 +16,7 @@ from fracharm import (GridFunction, GridSpec, LorentzExponents, TLevels,
                       square_function, standard_family,
                       spectral_apply, tent_pairing_bound_check)
 from fracharm import extension, norms
+from grid_helpers import coords, mention_sites
 
 
 def _ball_sum(spec, values, kernel):
@@ -53,8 +54,8 @@ def _bmo_direct(f, tents=None):
             osc += np.abs(np.roll(v, shift=[-int(o) for o in off], axis=axes)
                           - mean)
         osc /= cnt
-        best = max(best, float(np.max(norms._decimate(osc,
-                                                      tents.center_stride))))
+        centers = (slice(None, None, tents.center_stride),) * spec.n
+        best = max(best, float(np.max(osc[centers])))
     return best
 
 
@@ -149,6 +150,22 @@ def test_lorentz_norm_is_finite_positive_and_homogeneous(p, q):
             assert b == pytest.approx(c * a, rel=1e-13), (spec.n, p, q, c)
 
 
+@pytest.mark.parametrize("p", [p for p in _EXPONENTS if math.isfinite(p)])
+@pytest.mark.parametrize("nu", [0.01, 0.5, 0.99])
+def test_pair_seminorms_are_finite_positive_and_homogeneous(p, nu):
+    # |f(x) - f(y)|^p overflows and the distance weights underflow for large
+    # p; summed in the log domain every seminorm is a positive float
+    for spec in (GridSpec(n=1, N=128, L=1.0), GridSpec(n=2, N=16, L=3.0)):
+        v = np.random.default_rng(5).standard_normal(spec.shape)
+        for norm, args in ((slobodeckij_seminorm, (nu, p)),
+                           (holder_seminorm, (nu,))):
+            a = norm(GridFunction(spec, v), *args)
+            assert math.isfinite(a) and a > 0, (norm, spec.n, p, nu, a)
+            for c in (3.0, 1e-200, 1e200):
+                b = norm(GridFunction(spec, c * v), *args)
+                assert b == pytest.approx(c * a, rel=1e-13), (norm, spec.n, c)
+
+
 @pytest.mark.parametrize("n,N", [(1, 128), (2, 16)])
 def test_norms_of_a_stack_are_the_row_norms(n, N):
     # bit for bit, at the exponents of the tests above, on 32 rows (numpy's
@@ -159,7 +176,9 @@ def test_norms_of_a_stack_are_the_row_norms(n, N):
                 ((2.0, 1.0), (2.0, 2.0), (4.0, 1.5), (2.0, np.inf),
                  (1.5, 1.5), (3.0, 3.0), (3.0, 1.5), (np.inf, np.inf))]
              + [(l2_norm, ()), (bmo_seminorm, ()),
-                (slobodeckij_seminorm, (0.5, 2.0))])
+                (slobodeckij_seminorm, (0.5, 2.0)),
+                (slobodeckij_seminorm, (0.3, 1100.0)),
+                (holder_seminorm, (0.5,)), (holder_seminorm, (1.0,))])
     spec = GridSpec(n=n, N=N, L=2.0)
     v = np.random.default_rng(11).standard_normal((32,) + spec.shape)
     v[1] = np.sort(v[1], axis=None).reshape(spec.shape)
@@ -201,6 +220,72 @@ def test_slobodeckij_validation():
     big = GridSpec(n=2, N=128, L=1.0)
     with pytest.raises(ValueError, match="N <= 96"):
         slobodeckij_seminorm(GridFunction(big, np.zeros(big.shape)), 0.5, 2.0)
+
+
+def _slobodeckij_roll(f, nu, p):
+    """The Gagliardo double sum by one full-grid roll per offset, in units
+    of max|f| and h: the test oracle of ``slobodeckij_seminorm``."""
+    spec = f.spec
+    top = float(np.max(np.abs(f.values)))
+    v = f.values / (top if top > 0 else 1.0)
+    acc = 0.0
+    for off in norms._offsets(spec)[0]:
+        d = math.hypot(*off)
+        if d == 0.0:
+            continue
+        diff = np.roll(v, shift=[-int(o) for o in off],
+                       axis=tuple(range(spec.n))) - v
+        acc += float(np.sum(np.abs(diff) ** p)) * d ** (-(spec.n + nu * p))
+    return top * spec.h ** (spec.n / p - nu) * acc ** (1 / p)
+
+
+def _holder_roll(f, nu):
+    """The sup of |f(x) - f(y)| / d(x,y)^nu by one full-grid roll per
+    offset: the test oracle of ``holder_seminorm`` for nu < 1."""
+    spec = f.spec
+    best = 0.0
+    for off, d in zip(*norms._offsets(spec)):
+        if d == 0.0:
+            continue
+        diff = np.roll(f.values, shift=[-int(o) for o in off],
+                       axis=tuple(range(spec.n))) - f.values
+        best = max(best, float(np.max(np.abs(diff))) / d**nu)
+    return best
+
+
+@pytest.mark.parametrize("n,N", [(1, 256), (2, 16), (2, 32)])
+def test_pair_seminorms_equal_the_roll_loops(n, N):
+    # the pair kernel visits one offset of each +-y pair, in the log domain
+    spec = GridSpec(n=n, N=N, L=1.7)
+    rows = np.stack([np.random.default_rng(2).standard_normal(spec.shape),
+                     _bump(spec, radius=0.4).values])
+    stack = GridFunction(spec, rows)
+    for nu in (0.3, 0.5, 0.9):
+        want = [_holder_roll(GridFunction(spec, v), nu) for v in rows]
+        assert holder_seminorm(stack, nu) == pytest.approx(want, rel=1e-13)
+        for p in (1.0, 1.5, 2.0, 3.0, 7.5):
+            want = [_slobodeckij_roll(GridFunction(spec, v), nu, p)
+                    for v in rows]
+            assert slobodeckij_seminorm(stack, nu, p) == pytest.approx(
+                want, rel=1e-13, abs=0.0), (nu, p)
+
+
+def test_slobodeckij_of_a_sine_at_large_exponents():
+    # 2^p overflowed above p = 1024 and the distance weights underflowed
+    # below it; the seminorm tends to the Hoelder seminorm as p grows
+    spec = GridSpec(n=1, N=64, L=1.0)
+    f = GridFunction(spec, np.sin(2 * np.pi * coords(spec)[0]))
+    for p in (900.0, 1100.0):
+        value = slobodeckij_seminorm(f, 0.5, p)
+        assert math.isfinite(value) and value > 0, (p, value)
+    assert slobodeckij_seminorm(f, 0.5, 1e300) == pytest.approx(
+        holder_seminorm(f, 0.5), rel=1e-13)
+
+
+def test_one_pair_loop_in_norms():
+    # the Slobodeckij and Hoelder seminorms share the one loop over offsets
+    rolls = {site for site in mention_sites({"roll"}) if site[0] == "norms"}
+    assert rolls == {("norms", "_pair_seminorm")}
 
 
 def test_bmo_of_constant_is_zero_and_bounded_by_sup():
@@ -322,7 +407,7 @@ def test_bmo_monotone_under_family_enrichment():
 
 def test_holder_seminorm_sine():
     spec = GridSpec(n=1, N=256, L=1.0)
-    x = spec.coords()[0]
+    x = coords(spec)[0]
     f = GridFunction(spec, np.sin(2 * np.pi * 3 * x))
     # nu = 1 is the Lipschitz constant, max |f'| = 2 pi 3
     assert holder_seminorm(f, 1.0) == pytest.approx(6 * np.pi, rel=1e-10)
@@ -420,6 +505,19 @@ def test_space_functional_besov_qinf_is_sup_over_levels():
     assert v_inf <= v_2 * np.sqrt(np.sum(lv.log_trapezoid_weights()))
 
 
+def test_space_functional_besov_at_huge_q_is_near_the_sup():
+    # w_t vals_t^q underflowed to 0 for a huge q; in the log domain the sum
+    # tends to the sup over the levels
+    spec = GridSpec(n=1, N=256, L=1.0)
+    f = make_function(TestFunctionDescriptor(
+        kind="gaussian", center=(0.5,), width=0.06), spec)
+    lv = make_tlevels(spec)
+    v_inf = space_functional(f, "besov", 0.3, 1.0, 2.0, np.inf, 1.0, lv)
+    v_huge = space_functional(f, "besov", 0.3, 1.0, 2.0, 1e300, 1.0, lv)
+    assert math.isfinite(v_huge)
+    assert v_huge == pytest.approx(v_inf, rel=1e-3)
+
+
 @pytest.mark.parametrize("derivative,alpha,beta,field",
                          [("frac-laplacian", 0.3, 0.6, "F"),
                           ("dt", 0.2, 1.0, "dt"), ("dx", 0.4, 1.0, "dx")])
@@ -451,17 +549,21 @@ def test_space_functional_streams_only_its_field(derivative, alpha, beta,
          "dx": np.sqrt(sum(gj**2 for gj in F.dF_dx))}[field]
     ts, wlog = lv.ts, lv.log_trapezoid_weights()
     wt = ts ** ((beta if field == "F" else 1.0) - alpha)
-    besov = np.sum(wlog * (wt * [lp_norm(GridFunction(spec, Gi), 2.0)
-                                 for Gi in G]) ** 2.0) ** 0.5
+    vals = wt * [lp_norm(GridFunction(spec, Gi), 2.0) for Gi in G]
+
+    def besov(q):  # the log-domain l^q(dt/t) sum of the level norms
+        return math.exp(norms._log_lq(np.log(vals) + np.log(wlog) / q, q))
+
     weighted = (wt.reshape(-1, 1, 1) * np.abs(G)) ** 2.0
     inner = np.tensordot(wlog, weighted, axes=(0, 0)) ** 0.5
-    assert got["besov"] == float(besov)
+    assert got["besov"] == besov(2.0)
+    assert got["besov"] == pytest.approx(np.sum(wlog * vals**2.0) ** 0.5,
+                                         rel=1e-14)
     assert got["triebel"] == lp_norm(GridFunction(spec, inner), 2.0)
     # q = inf: the sup over the levels of the stacked field, bit for bit
-    sup_besov = np.max(wt * [lp_norm(GridFunction(spec, Gi), 2.0)
-                             for Gi in G])
+    assert besov(np.inf) == pytest.approx(np.max(vals), rel=1e-14)
     sup_inner = np.max(wt.reshape(-1, 1, 1) * np.abs(G), axis=0)
-    for kind, want in (("besov", float(sup_besov)),
+    for kind, want in (("besov", besov(np.inf)),
                        ("triebel", lp_norm(GridFunction(spec, sup_inner),
                                            2.0))):
         assert space_functional(f, kind, alpha, beta, 2.0, np.inf, 0.5, lv,
@@ -499,7 +601,7 @@ def test_square_function_littlewood_paley_identity():
     # for s = 1, int_0^inf (t |dF/dt|)^2 dt/t = ||f||_2^2 / 4 mode by mode,
     # so the regular square function with weight 1 satisfies ||S||_2 = ||f||_2/2
     spec = GridSpec(n=1, N=128, L=1.0)
-    x = spec.coords()[0]
+    x = coords(spec)[0]
     f = GridFunction(spec, np.sin(2 * np.pi * 2 * x))
     lv = TLevels(np.geomspace(1e-4, 4.0, 300))
     F = extend_field(f, 1.0, lv)
@@ -630,7 +732,8 @@ def _carleson_per_pair(F, weight, selector, tents):
             acc += wlog[i] * t ** (1 + weight) * _open_ball_sum(
                 spec, g2[i], r - t)
         acc *= spec.cell_volume / measure
-        top = float(np.max(norms._decimate(acc, tents.center_stride)))
+        top = float(np.max(acc[(slice(None, None, tents.center_stride),)
+                               * spec.n]))
         best = max(best, math.sqrt(max(top, 0.0)))
     return best
 

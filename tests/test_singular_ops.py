@@ -12,6 +12,7 @@ from fracharm import (GridFunction, GridSpec, QuadratureConfig,
                       riesz_potential_constant, riesz_potential_quadrature,
                       riesz_transform)
 from fracharm.singular_ops import _offsets, _periodized_weights
+from grid_helpers import coords
 
 PERIODIZED = QuadratureConfig(treat_as_compact=False)
 needs_extended = pytest.mark.skipif(
@@ -117,7 +118,7 @@ def test_quadrature_rejects_bad_parameters():
 
 def test_hilbert_quadrature_matches_multiplier():
     spec = GridSpec(n=1, N=1024, L=1.0)
-    x = spec.coords()[0]
+    x = coords(spec)[0]
     cos = GridFunction(spec, np.cos(2 * np.pi * 2 * x))
     err_cos = np.max(np.abs(
         hilbert_pv_quadrature(cos).values - riesz_transform(cos, 1).values))
