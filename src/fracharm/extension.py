@@ -47,6 +47,9 @@ _BESSEL_CUTOFF = 1400.0
 # The trapezoid nodes of _kve reach u_max with x (cosh u_max - 1) >= _KV_TAIL
 # for every x of a bucket, where the integrand has fallen by e^-38 < 4e-17.
 _KV_TAIL = 38.0
+# Cells of one exp grid of _kve (128 KB of float64): a larger bucket of x is
+# evaluated in chunks of whole rows, one row per x
+_KV_CELLS = 2**14
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,26 +82,32 @@ def _kve_rule(k: int, nus: tuple[float, ...]
 
 def _kve(nus: tuple[float, ...], x: np.ndarray,
          log: bool = False) -> list[np.ndarray]:
-    """e^x K_nu(x), or its logarithm if log, at x > 0 for each nu in nus,
-    0 < nu <= 1.  The logarithm stays finite where the value overflows.
+    """e^x K_nu(x), or its logarithm if log, at each x > 0 of the 1-D array
+    x for each nu in nus, 0 < nu <= 1.  The logarithm stays finite where the
+    value overflows.
 
     The trapezoid rule on e^x K_nu(x) = int_0^inf exp(-x (cosh u - 1))
     cosh(nu u) du converges exponentially in the step (Trefethen and
     Weideman, SIAM Review 2014); with the nodes of _kve_rule it agrees with
     the exact value to about 1e-15 relative.  Each dyadic bucket of x costs
-    one exp grid, which the orders share.  Every value depends on its own x
-    alone, whatever else x holds."""
+    one exp grid, which the orders share, taken in chunks of at most
+    _KV_CELLS cells.  Every value depends on its own x alone, whatever else
+    x holds."""
     k = np.frexp(x)[1] - 1
     outs = [np.empty(x.shape) for _ in nus]
     # a bare np.unique would import numpy.ma (about 15 ms)
     for kb in np.unique(k, return_inverse=True)[0]:
-        sel = k == kb
+        bucket = np.flatnonzero(k == kb)
         q, c, W = _kve_rule(int(kb), nus)
-        grid = np.exp(np.multiply.outer(np.ldexp(x[sel], q), -c))
-        for out, w in zip(outs, W):
-            # a row sum of the contiguous grid, summed pairwise, per x
-            v = (grid * w).sum(axis=1)
-            out[sel] = np.log(v) + q * math.log(2) if log else np.ldexp(v, q)
+        step = max(1, _KV_CELLS // c.size)
+        for lo in range(0, bucket.size, step):
+            sel = bucket[lo:lo + step]
+            grid = np.exp(np.multiply.outer(np.ldexp(x[sel], q), -c))
+            for out, w in zip(outs, W):
+                # a row sum of the contiguous grid, summed pairwise, per x
+                v = (grid * w).sum(axis=1)
+                out[sel] = (np.log(v) + q * math.log(2) if log
+                            else np.ldexp(v, q))
     return outs
 
 
@@ -434,8 +443,13 @@ def extend_field(f: GridFunction, s: float, levels: TLevels,
     on its first read (see ExtensionField) from one forward transform and one
     symbol evaluation per level on the distinct |xi|.  With dF/dt the field
     also carries the s-harmonicity residual of every interior level (see
-    s_harmonicity_residual), computed on its first read from these values."""
+    s_harmonicity_residual), computed on its first read from these values.
+    The levels must top out at or below 4L, as make_tlevels makes them for
+    f's grid; levels made for a larger period raise ValueError."""
     spec = f.spec
+    if not levels.ts[-1] <= 4 * spec.L * (1 + 1e-12):
+        raise ValueError(f"top level {levels.ts[-1]} above 4L = {4 * spec.L} "
+                         f"of the grid: the levels were made for another grid")
     coeffs = spectral_forward(spec, f.values)
     radial = list(_radial_symbols(spec, symbol or PoissonSymbol(s), levels,
                                   "t" in with_derivatives))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -189,19 +190,50 @@ def fft_forward(f: GridFunction) -> Spectrum:
     return Spectrum(f.spec, coeffs)
 
 
+# Real cells one transform call takes (512 KB of float64 samples): a larger
+# stack is transformed in blocks along its first axis, so its temporaries
+# (the product with the multiplier, numpy's complex intermediate) stay
+# block-sized.  Each row's 1-D transforms are the same pocketfft calls in a
+# block as in the whole stack, so the values are bit-identical.
+_FFT_CELLS = 2**16
+
+
+def _blocks(spec: GridSpec, real: np.ndarray, *arrays: np.ndarray):
+    """Blocks of the real samples real and of the arrays that go with them,
+    along real's first axis, each of as many rows as keep it within
+    _FFT_CELLS cells, and at least one: views, an array that broadcasts
+    along that axis whole.  A single function is one block."""
+    rows = (max(1, _FFT_CELLS // math.prod(real.shape[1:]))
+            if real.ndim > spec.n else len(real))
+    for i in range(0, len(real), rows):
+        yield tuple(a[i:i + rows] if a.ndim == real.ndim and len(a) > 1 else a
+                    for a in (real, *arrays))
+
+
 def spectral_forward(spec: GridSpec, values: np.ndarray) -> np.ndarray:
     """Real-FFT half spectrum of values over their last n axes, the forward
-    half of spectral_apply; leading axes are a stack."""
-    return np.fft.rfftn(values, axes=tuple(range(-spec.n, 0)))
+    half of spectral_apply; leading axes are a stack, transformed in blocks
+    of at most _FFT_CELLS cells, in the precision of values."""
+    out = np.empty(values.shape[:-1] + (spec.N // 2 + 1,),
+                   dtype=np.result_type(values, 1j))
+    for v, o in _blocks(spec, values, out):
+        np.fft.rfftn(v, axes=tuple(range(-spec.n, 0)), out=o)
+    return out
 
 
 def spectral_synthesis(spec: GridSpec, coeffs: np.ndarray,
                        mult: np.ndarray) -> np.ndarray:
     """Real samples of the multiplier mult applied to a half spectrum coeffs
     from spectral_forward, the synthesis half of spectral_apply.  mult is
-    taken as in spectral_apply, and leading axes broadcast."""
-    return np.fft.irfftn(coeffs * mult[..., : spec.N // 2 + 1],
-                         s=spec.shape, axes=tuple(range(-spec.n, 0)))
+    taken as in spectral_apply, and leading axes broadcast; the stack is
+    multiplied and transformed in blocks of at most _FFT_CELLS cells."""
+    mult = mult[..., : spec.N // 2 + 1]
+    out = np.empty(np.broadcast(coeffs, mult).shape[:-1] + (spec.N,),
+                   dtype=np.finfo(np.result_type(coeffs, mult)).dtype)
+    for o, c, m in _blocks(spec, out, coeffs, mult):
+        np.fft.irfftn(c * m, s=spec.shape, axes=tuple(range(-spec.n, 0)),
+                      out=o)
+    return out
 
 
 def spectral_apply(spec: GridSpec, values: np.ndarray,

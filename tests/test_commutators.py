@@ -207,6 +207,26 @@ def test_jacobian_extension_route_holds_one_level():
     assert peak < one_field
 
 
+def test_stacked_2d_family_holds_ten_stacks_at_most():
+    # one 20-member jacobian-bmo family at 2-D N=128 peaks holding the three
+    # argument stacks, both gradients of the boundary pairing (two stacks
+    # each) and its product, nine stacks; the spectral path transforms in
+    # blocks, so its temporaries stay block-sized
+    spec = GridSpec(n=2, N=128, L=1.0)
+    d = EstimateDescriptor("jacobian-bmo")
+    family = standard_family(d.arity, spec, seed=1000)
+    stack = len(family) * spec.N**2 * 8  # one (20, 128, 128) float64 stack
+    # a first run keeps the caches of a first call out of the count
+    _evaluate_family(d, family, spec, {}, 1e-11)
+    tracemalloc.start()
+    try:
+        _evaluate_family(d, family, spec, {}, 1e-11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * stack
+
+
 def test_hardy_duality_check_values():
     phi = _bump(SPEC1, (0.45,), 0.2)
     f = _bandlimited(SPEC1, 6)

@@ -229,6 +229,21 @@ def test_kve_orders_are_independent_of_their_company():
     assert _same_bits(logs[0], np.log(both[0]))
 
 
+def test_kve_bucket_over_one_chunk_equals_each_x_alone():
+    # the bucket [1, 2) with more x than one exp grid of _KV_CELLS cells
+    # holds: chunked, every value is that of its x evaluated alone
+    nus = (0.2, 0.8)
+    _, c, _ = fracharm.extension._kve_rule(0, nus)
+    rows = fracharm.extension._KV_CELLS // c.size
+    xs = np.linspace(1.0, 2.0, 2 * rows + 7, endpoint=False)
+    for log in (False, True):
+        got = fracharm.extension._kve(nus, xs, log)
+        alone = [fracharm.extension._kve(nus, xs[i:i + 1], log)
+                 for i in range(xs.size)]
+        for j in range(len(nus)):
+            assert _same_bits(got[j], np.concatenate([a[j] for a in alone]))
+
+
 def test_kve_at_extreme_arguments():
     # e^x K_{1/2}(x) = sqrt(pi / (2 x)) down to the least subnormal; the
     # node count and u_max stay finite, and the logarithm stays finite where
@@ -374,6 +389,20 @@ def test_extend_field_holds_no_field_until_read():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * one_field
+
+
+def test_extend_field_rejects_levels_of_another_grid():
+    # the default levels of L = 1 reach t = 4 on a grid of period 1e-3,
+    # where every level above about 4e-3 is the mean of f
+    spec = GridSpec(n=1, N=64, L=1e-3)
+    f = make_function(TestFunctionDescriptor(
+        kind="gaussian", center=(0.5e-3,), width=0.05e-3), spec)
+    with pytest.raises(ValueError, match="above 4L"):
+        extend_field(f, 0.5, make_tlevels(GridSpec(n=1, N=64, L=1.0)))
+    # the grid's own levels, which top out at 4L exactly, are accepted
+    own = make_tlevels(spec)
+    assert own.ts[-1] == 4 * spec.L
+    assert extend_field(f, 0.5, own).F.shape == (own.M, *spec.shape)
 
 
 def test_extension_field_repr_and_equality_synthesize_nothing(monkeypatch):

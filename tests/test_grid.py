@@ -150,6 +150,57 @@ def test_forward_transforms_only_in_spectral_path():
                                          ("grid", "fft_forward")}
 
 
+def _whole_stack_synthesis(spec, coeffs, mult):
+    # numpy's one call on the whole stack: the oracle of the blocked path
+    return np.fft.irfftn(coeffs * mult[..., : spec.N // 2 + 1],
+                         s=spec.shape, axes=tuple(range(-spec.n, 0)))
+
+
+# (spec, values shape, multiplier shape, forward calls, synthesis calls).  A
+# block takes as many rows of the first axis as keep it within 2^16 cells,
+# and at least one.
+_BLOCK_CASES = {
+    # exactly the budget: one call each way
+    "1d-at-budget": (GridSpec(n=1, N=1024, L=1.0), (64, 1024), (1024,), 1, 1),
+    # 80 rows over the budget, blocks of 64 rows
+    "1d-over-budget": (GridSpec(n=1, N=1024, L=1.0), (80, 1024), (1024,),
+                       2, 2),
+    # one function over the budget is one block
+    "2d-one-function": (GridSpec(n=2, N=512, L=1.0), (512, 512), (512, 257),
+                        1, 1),
+    # spectral_gradient's broadcast (S, 1, *half) x (n, *half): blocks of 4
+    # rows forward, 2 rows of both components back
+    "2d-gradient": (GridSpec(n=2, N=128, L=1.0), (20, 1, 128, 128),
+                    (2, 128, 65), 5, 10),
+    # the Jacobian extension route's levels: three functions forward in one
+    # call, each (3, 128, 128) multiplier row back in a block of its own
+    "jacobian-levels": (GridSpec(n=2, N=128, L=1.0), (3, 128, 128),
+                        (3, 1, 128, 65), 1, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_blocked_transforms_equal_the_whole_stack_call(case, monkeypatch):
+    spec, shape, mult_shape, n_forward, n_synthesis = _BLOCK_CASES[case]
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(shape)
+    mult = rng.standard_normal(mult_shape) + 1j * rng.standard_normal(mult_shape)
+    axes = tuple(range(-spec.n, 0))
+    want_coeffs = np.fft.rfftn(values, axes=axes)
+    want = _whole_stack_synthesis(spec, want_coeffs, mult)
+    calls = {"rfftn": 0, "irfftn": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(np.fft, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(np.fft, name, counting)
+    coeffs = grid.spectral_forward(spec, values)
+    got = grid.spectral_synthesis(spec, coeffs, mult)
+    assert calls == {"rfftn": n_forward, "irfftn": n_synthesis}
+    assert np.array_equal(coeffs, want_coeffs)
+    assert np.array_equal(got, want)
+
+
 def test_package_imports_no_scipy():
     # the package needs numpy alone; scipy serves the tests only.  Every
     # import statement counts, a deferred one inside a function included.
