@@ -121,9 +121,8 @@ def jacobian_pairing(phi: GridFunction,
     if u1.spec != spec or u2.spec != spec:
         raise ValueError("all three functions must share the grid")
     if method == "boundary":
-        (a0, a1), (b0, b1) = spectral_gradient(u1), spectral_gradient(u2)
-        return _integral(spec, phi.values * (a0.values * b1.values
-                                             - a1.values * b0.values))
+        return _boundary_pairing(phi, spectral_gradient(u1),
+                                 spectral_gradient(u2))
     if method != "extension":
         raise ValueError(f"method must be 'boundary' or 'extension', got {method!r}")
     levels = levels if levels is not None else make_tlevels(spec)
@@ -155,6 +154,15 @@ def jacobian_pairing(phi: GridFunction,
         details["t"] = ts
         details["tail_estimate"] = float(wlog[-1] * ts[-1] * tail)
     return -total
+
+
+def _boundary_pairing(phi: GridFunction, grad1: list[GridFunction],
+                      grad2: list[GridFunction]):
+    """The boundary route of jacobian_pairing, given the spectral gradients
+    of u1 and u2."""
+    (a0, a1), (b0, b1) = grad1, grad2
+    return _integral(phi.spec, phi.values * (a0.values * b1.values
+                                             - a1.values * b0.values))
 
 
 def hardy_duality_check(phi: GridFunction, f: GridFunction, g: GridFunction,
@@ -298,12 +306,14 @@ def _eval_double_comm(spec, funcs, prm, meta):
 
 def _eval_jacobian_bmo(spec, funcs, prm, meta):
     phi, u1, u2 = funcs
-    lhs = abs(jacobian_pairing(phi, (u1, u2), method="boundary"))
-    rhs = bmo_seminorm(phi)
-    for uj in (u1, u2):
-        grads = spectral_gradient(uj)
-        rhs *= _per_row(np.sqrt(sum(l2_norm(g) ** 2 for g in grads)))
-    return lhs, rhs
+    # each gradient stack is synthesized once, for the pairing and its norm,
+    # and dropped before the BMO search
+    grads = [spectral_gradient(u1), spectral_gradient(u2)]
+    lhs = abs(_boundary_pairing(phi, *grads))
+    n1, n2 = (_per_row(np.sqrt(sum(l2_norm(g) ** 2 for g in gj)))
+              for gj in grads)
+    del grads
+    return lhs, bmo_seminorm(phi) * n1 * n2
 
 
 def _eval_jacobian_sobolev(spec, funcs, prm, meta):

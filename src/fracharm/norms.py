@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extension import ExtensionField, TLevels, _field_levels, extend_field
-from .grid import (GridFunction, GridSpec, _per_row, _rows, spectral_apply,
-                   spectral_forward, spectral_gradient, spectral_synthesis)
+from .grid import (_FFT_CELLS, GridFunction, GridSpec, _per_row, _rows,
+                   spectral_apply, spectral_forward, spectral_gradient,
+                   spectral_synthesis)
 from .multiplier_ops import frac_laplacian
 from .singular_ops import _offsets
 
@@ -76,6 +77,11 @@ class TentFamily:
             r *= 2
         return TentFamily(spec=spec, radii=tuple(radii),
                           center_stride=center_stride)
+
+
+def _check_family(spec: GridSpec, tents: TentFamily) -> None:
+    if tents.spec != spec:
+        raise ValueError("the tent family was built for another grid")
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +166,12 @@ def _ball_geometry(tents: TentFamily) -> _BallGeometry:
 def _oscillations(padded: np.ndarray, ball: np.ndarray, centers: np.ndarray,
                   means: np.ndarray, count: int) -> np.ndarray:
     """Mean oscillations of one ball around each of the flat centres, given
-    the ball means; one 2-D gather whose rows sum pairwise as a 1-D sum
-    would."""
-    cells = padded[centers[:, None] + ball[None, :]]
-    return np.abs(cells - means[:, None]).sum(axis=1) / count
+    the ball means; padded is one padded copy or a stack of them, flattened,
+    and a centre's flat index picks its copy.  One 2-D gather, subtracted
+    in place, whose rows sum pairwise as a 1-D sum would."""
+    cells = np.take(padded, centers[:, None] + ball[None, :])
+    cells -= means[:, None]
+    return np.abs(cells, out=cells).sum(axis=1) / count
 
 
 def _scalar(fn, x):
@@ -286,7 +294,7 @@ def slobodeckij_seminorm(f: GridFunction, nu: float, p: float) -> float:
 
 
 # Bound on the entries of the bmo_seminorm memo; each holds one float and a
-# 32-byte digest, and one harness run makes 120 distinct calls.
+# 32-byte digest, and one harness run searches 120 distinct rows.
 _BMO_MEMO_SIZE = 1024
 _BMO_MEMO: OrderedDict[tuple, float] = OrderedDict()
 
@@ -296,47 +304,77 @@ def bmo_seminorm(f: GridFunction, tents: TentFamily | None = None) -> float:
     |B|^(-1) int_B |f - f_B|.
 
     The result is ``_bmo_pruned``, memoised per process in an LRU of 1024
-    floats keyed by the grid, the family and a blake2b digest of the values'
-    bytes, so estimates that share a test function search it once.  The
-    rows of a stack are looked up in turn."""
-    if f.values.ndim > f.spec.n:
-        return np.array([bmo_seminorm(GridFunction(f.spec, v), tents)
-                         for v in f.values])
+    floats keyed by the grid, the family and a blake2b digest of each row's
+    bytes, so estimates that share a test function search it once.  A stack
+    gives one value per row: its memo hits and repeated rows are dropped,
+    and the distinct rows left are searched together."""
     tents = tents if tents is not None else TentFamily.standard(f.spec)
-    key = (f.spec, tents,
-           hashlib.blake2b(f.values.tobytes(), digest_size=32).digest())
-    value = _BMO_MEMO.get(key)
-    if value is None:
-        value = _BMO_MEMO[key] = _bmo_pruned(f, tents)
-        if len(_BMO_MEMO) > _BMO_MEMO_SIZE:
-            _BMO_MEMO.popitem(last=False)
-    else:
-        _BMO_MEMO.move_to_end(key)
-    return value
+    _check_family(f.spec, tents)
+    rows = f.values.reshape((-1,) + f.spec.shape)
+    keys = [(f.spec, tents, hashlib.blake2b(v.tobytes(), digest_size=32)
+             .digest()) for v in rows]
+    found, missing = {}, {}  # missing: the first row of each key
+    for i, key in enumerate(keys):
+        if key in _BMO_MEMO:
+            _BMO_MEMO.move_to_end(key)
+            found[key] = _BMO_MEMO[key]
+        else:
+            missing.setdefault(key, i)
+    if missing:
+        index = list(missing.values())
+        # a copy of the rows to search only if some rows are left out
+        todo = rows if index == list(range(len(rows))) else rows[index]
+        values = _bmo_pruned(GridFunction(f.spec, todo), tents)
+        for key, value in zip(missing, values.tolist()):
+            found[key] = _BMO_MEMO[key] = value
+            if len(_BMO_MEMO) > _BMO_MEMO_SIZE:
+                _BMO_MEMO.popitem(last=False)
+    out = np.array([found[key] for key in keys])
+    return _per_row(out.reshape(f.values.shape[: f.values.ndim - f.spec.n]))
 
 
 def _bmo_pruned(f: GridFunction, tents: TentFamily | None = None) -> float:
-    """The mean-oscillation sup of ``bmo_seminorm`` without the memo.
+    """The mean-oscillation sup of ``bmo_seminorm`` without the memo; a
+    stack gives one value per row.
 
     The result is the exact sup over the family, found by pruning.  By
     Cauchy-Schwarz the mean oscillation of a ball is at most its standard
     deviation sqrt(E_B[f^2] - f_B^2), and FFT ball sums of f and f^2 give
     that bound at every (radius, center) pair; 1e-12 max|f|^2 under the root
-    keeps it an upper bound despite rounding.  Pairs are visited in
-    descending order of the bound, in blocks of doubling size, and a block
-    drops the pairs whose bound no longer exceeds the best value found
-    before the L^1 oscillation is summed over the cells of the rest.  Its
+    keeps it an upper bound despite rounding.  Each row evaluates the pair
+    of its largest bound, and keeps the pairs whose bound exceeds that value
+    as its candidates, in descending order of the bound.  Then round j
+    takes the candidates of ranks [2^(j+1) - 2, 2^(j+2) - 2) of every row
+    whose bound there still exceeds the row's best value; it drops the
+    pairs that no longer exceed it, and sums the L^1 oscillation of the
+    rest, of all rows at once.  Rows are searched in groups whose
+    wrap-padded copies fit in _FFT_CELLS cells.  Every pair's value is
+    computed as for a row alone, so a stack's values equal its rows'.  Its
     test oracle, the full sum at every pair, is ``_bmo_direct`` in
     tests/test_norms.py.
     """
     spec = f.spec
     tents = tents if tents is not None else TentFamily.standard(spec)
-    v = f.values
-    scale = float(np.max(np.abs(v)))
-    if scale == 0.0:
-        return 0.0
+    rows = f.values.reshape((-1,) + spec.shape)
+    width = (2 * spec.N) ** spec.n  # cells of a padded copy
+    group = max(1, _FFT_CELLS // width)
+    best = np.concatenate([_bmo_group(spec, tents, rows[i:i + group])
+                           for i in range(0, len(rows), group)])
+    return _per_row(best.reshape(f.values.shape[: f.values.ndim - spec.n]))
+
+
+def _bmo_candidates(spec: GridSpec, tents: TentFamily, v: np.ndarray,
+                    padded: np.ndarray):
+    """The value of the pair of a row's largest bound, and the pairs (flat
+    radius * centres + centre) whose bound exceeds it, in descending order
+    of the bound, with their bounds and ball means; None for a zero row.
+    The row's moments and bounds are dropped on return, before the next
+    row's are made."""
     geo = _ball_geometry(tents)
     cnt = geo.counts
+    scale = float(np.max(np.abs(v)))
+    if scale == 0.0:
+        return None
     # the moments of f and of f / max|f| (which cannot overflow) in one apply
     sums = spectral_apply(spec, np.stack([v, (v / scale) ** 2])[:, None],
                           geo.spectrum)
@@ -345,33 +383,56 @@ def _bmo_pruned(f: GridFunction, tents: TentFamily | None = None) -> float:
     mean, mean2 = sums[centers_only].reshape(2, len(cnt), -1) / cnt[:, None]
     var = mean2 - (mean / scale) ** 2
     bound = scale * np.sqrt(np.maximum(var, 0.0) + 1e-12).ravel()
-    padded = np.pad(v, spec.N // 2, mode="wrap").ravel()
+    mean = mean.ravel()
+    top = int(np.argmax(bound))
+    i, c = divmod(top, len(geo.centers))
+    best = max(0.0, float(_oscillations(padded, geo.offsets[i],
+                                        geo.centers[c:c + 1],
+                                        mean[top:top + 1], cnt[i])[0]))
+    pairs = np.flatnonzero(bound > best)
+    pairs = pairs[np.argsort(bound[pairs])[::-1]]
+    return best, pairs, bound[pairs], mean[pairs]
 
-    def block_max(block: np.ndarray) -> float:
-        """Largest oscillation over the flat (radius, center) pairs."""
-        radius, center = np.divmod(block, len(geo.centers))
-        top = 0.0
+
+def _bmo_group(spec: GridSpec, tents: TentFamily,
+               rows: np.ndarray) -> np.ndarray:
+    """The pruned search of ``_bmo_pruned`` over a stack of rows, which it
+    holds wrap-padded at once."""
+    geo = _ball_geometry(tents)
+    padded = np.pad(rows, ((0, 0),) + ((spec.N // 2,) * 2,) * spec.n,
+                    mode="wrap").reshape(len(rows), -1)
+    best = np.zeros(len(rows))
+    cands = {}
+    for r, v in enumerate(rows):
+        found = _bmo_candidates(spec, tents, v, padded[r])
+        if found is not None:
+            best[r], *cands[r] = found
+    start, size = 0, 2
+    while True:
+        row, pair, mean = [], [], []
+        for r, (pairs, bound, means) in list(cands.items()):
+            live = bound[start:start + size] > best[r]
+            if not live.any():
+                del cands[r]
+                continue
+            row.append(np.full(np.count_nonzero(live), r))
+            pair.append(pairs[start:start + size][live])
+            mean.append(means[start:start + size][live])
+        if not row:
+            break
+        row, mean = np.concatenate(row), np.concatenate(mean)
+        radius, center = np.divmod(np.concatenate(pair), len(geo.centers))
+        # flat indices into the padded stack
+        center = row * padded.shape[1] + geo.centers[center]
         # the radii present, ascending (np.unique would import numpy.ma)
         for i in np.flatnonzero(np.bincount(radius)):
-            cs = center[radius == i]
-            step = max(1, _GATHER_CELLS // int(cnt[i]))
+            at = radius == i
+            rs, cs, ms = row[at], center[at], mean[at]
+            step = max(1, _GATHER_CELLS // int(geo.counts[i]))
             for lo in range(0, len(cs), step):
-                c = cs[lo:lo + step]
-                osc = _oscillations(padded, geo.offsets[i], geo.centers[c],
-                                    mean[i, c], cnt[i])
-                top = max(top, float(np.max(osc)))
-        return top
-
-    best = block_max(np.argmax(bound)[None])
-    candidates = np.flatnonzero(bound > best)
-    candidates = candidates[np.argsort(bound[candidates])[::-1]]
-    start, size = 0, 2
-    while start < len(candidates):
-        block = candidates[start:start + size]
-        block = block[bound[block] > best]
-        if not block.size:
-            break
-        best = max(best, block_max(block))
+                np.maximum.at(best, rs[lo:lo + step], _oscillations(
+                    padded, geo.offsets[i], cs[lo:lo + step],
+                    ms[lo:lo + step], geo.counts[i]))
         start, size = start + size, 2 * size
     return best
 
@@ -394,6 +455,7 @@ def maximal_function(f: GridFunction,
     smallest ball is the cell itself, so Mf >= |f| pointwise."""
     spec = f.spec
     tents = tents if tents is not None else TentFamily.standard(spec)
+    _check_family(spec, tents)
     a = np.abs(f.values)
     out = a.copy()
     geo = _ball_geometry(tents)
@@ -506,6 +568,7 @@ def carleson_sup(F: ExtensionField, weight: float = 1.0,
     transformed once, and held until its last level."""
     spec = F.spec
     tents = tents if tents is not None else TentFamily.standard(spec)
+    _check_family(spec, tents)
     ts = F.levels.ts
     accs = np.zeros((len(tents.radii), *spec.shape))
     # the levels ascend, so those below the largest radius come first; the

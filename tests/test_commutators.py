@@ -14,6 +14,7 @@ from fracharm import (CATALOG, EstimateDescriptor, GridFunction, GridSpec,
                       l2_norm, leibniz_defect, make_function, make_tlevels,
                       mean_projected, riesz_potential_commutator,
                       standard_family, verify_estimate)
+from fracharm import commutators
 from fracharm.commutators import _dilated_about, _evaluate_family
 from fracharm.multiplier_ops import riesz_potential
 from grid_helpers import coords
@@ -225,6 +226,25 @@ def test_stacked_2d_family_holds_ten_stacks_at_most():
     finally:
         tracemalloc.stop()
     assert peak <= 10 * stack
+
+
+def test_jacobian_bmo_synthesizes_each_gradient_once(monkeypatch):
+    # the boundary pairing and the right-hand side share the gradient
+    # stacks of u1 and u2: two syntheses per family
+    spec = GridSpec(n=2, N=32, L=1.0)
+    d = EstimateDescriptor("jacobian-bmo")
+    family = standard_family(d.arity, spec)
+    want = _evaluate_family(d, family, spec, {}, 1e-11)
+    calls = []
+    real = commutators.spectral_gradient
+
+    def counting(f):
+        calls.append(f.values.shape)
+        return real(f)
+
+    monkeypatch.setattr(commutators, "spectral_gradient", counting)
+    assert _evaluate_family(d, family, spec, {}, 1e-11) == want
+    assert calls == [(len(family), *spec.shape)] * 2
 
 
 def test_hardy_duality_check_values():

@@ -37,13 +37,14 @@ def _bmo_direct(f, tents=None):
     """Mean-oscillation sup summed at every (radius, center) pair by one
     full-grid roll per ball offset, over the closed balls
     {|y| <= r (1 + 1e-12)} of the family: the test oracle of
-    ``bmo_seminorm``."""
+    ``bmo_seminorm``.  A stack rolls whole and gives one value per row."""
     spec = f.spec
     tents = tents if tents is not None else TentFamily.standard(spec)
     v = f.values
     offsets, dist = norms._offsets(spec)
-    axes = tuple(range(spec.n))
-    best = 0.0
+    axes = tuple(range(-spec.n, 0))
+    centers = (...,) + (slice(None, None, tents.center_stride),) * spec.n
+    best = np.zeros(v.shape[: v.ndim - spec.n])
     for r in tents.radii:
         inside = dist <= r * (1 + 1e-12)
         kernel = inside.reshape(spec.shape).astype(float)
@@ -54,9 +55,9 @@ def _bmo_direct(f, tents=None):
             osc += np.abs(np.roll(v, shift=[-int(o) for o in off], axis=axes)
                           - mean)
         osc /= cnt
-        centers = (slice(None, None, tents.center_stride),) * spec.n
-        best = max(best, float(np.max(osc[centers])))
-    return best
+        best = np.maximum(best, np.max(
+            osc[centers].reshape(best.shape + (-1,)), axis=-1))
+    return best if v.ndim > spec.n else float(best)
 
 
 def _bump(spec, radius, center=None, dilate=1.0):
@@ -322,25 +323,77 @@ def _noise(spec, seed):
         kind="random-bandlimited", seed=seed, max_k=2), spec)
 
 
+def _bmo_families(spec):
+    return [TentFamily.standard(spec),
+            TentFamily.standard(spec, center_stride=2),
+            TentFamily(spec, radii=(spec.h, 3 * spec.h, 0.21))]
+
+
 @pytest.mark.parametrize("n,N", [(1, 1024), (2, 64)])
 def test_bmo_pruned_equals_direct(n, N):
+    # each family's whole member stack in one call of each
     spec = GridSpec(n=n, N=N, L=1.0)
-    members = [make_function(desc, spec)
+    members = [make_function(desc, spec).values
                for (desc,) in standard_family(1, spec)]
-    members += [_noise(spec, seed) for seed in (4, 5)]
-    families = [TentFamily.standard(spec),
-                TentFamily.standard(spec, center_stride=2),
-                TentFamily(spec, radii=(spec.h, 3 * spec.h, 0.21))]
-    for f in members:
-        for tents in families:
-            assert bmo_seminorm(f, tents) == pytest.approx(
-                _bmo_direct(f, tents), rel=1e-13, abs=0.0)
+    members += [_noise(spec, seed).values for seed in (4, 5)]
+    stack = GridFunction(spec, np.stack(members))
+    for tents in _bmo_families(spec):
+        assert bmo_seminorm(stack, tents) == pytest.approx(
+            _bmo_direct(stack, tents), rel=1e-13, abs=0.0)
     # f^2 exceeds the float range; the bound must still hold
-    huge = GridFunction(spec, 1e160 * members[0].values)
+    huge = GridFunction(spec, 1e160 * members[0])
     assert bmo_seminorm(huge) == pytest.approx(_bmo_direct(huge), rel=1e-13)
     zero = GridFunction(spec, np.zeros(spec.shape))
     assert bmo_seminorm(zero) == 0.0
     assert _bmo_direct(zero) == 0.0
+
+
+@pytest.mark.parametrize("n,N", [(1, 1024), (2, 64)])
+def test_bmo_stack_equals_each_row_searched_alone(n, N):
+    # at 2-D N=64 the search takes four padded rows at once, so this stack
+    # spans three groups, and its repeated rows fall in different ones
+    spec = GridSpec(n=n, N=N, L=1.0)
+    noise = [_noise(spec, seed).values for seed in (4, 5, 6, 7)]
+    bump = _bump(spec, radius=0.15).values
+    stack = np.stack([noise[0], np.zeros(spec.shape), bump, 1e160 * noise[1],
+                      noise[2], noise[0], noise[3], bump, 3.0 * noise[2]])
+    for tents in _bmo_families(spec):
+        alone = [norms._bmo_pruned(GridFunction(spec, v), tents)
+                 for v in stack]
+        assert all(isinstance(a, float) for a in alone)
+        assert np.array_equal(
+            norms._bmo_pruned(GridFunction(spec, stack), tents), alone)
+        norms._BMO_MEMO.clear()
+        assert np.array_equal(
+            bmo_seminorm(GridFunction(spec, stack), tents), alone)
+    # leading axes beyond the first
+    grid = GridFunction(spec, stack[:8].reshape((2, 4) + spec.shape))
+    assert np.array_equal(bmo_seminorm(grid), np.reshape(
+        [bmo_seminorm(GridFunction(spec, v)) for v in stack[:8]], (2, 4)))
+
+
+def test_bmo_stack_searches_each_distinct_row_once(monkeypatch):
+    spec = GridSpec(n=1, N=256, L=1.0)
+    a, b = _noise(spec, 4).values, _noise(spec, 5).values
+    norms._BMO_MEMO.clear()
+    searched = []
+    real = norms._bmo_pruned
+
+    def recording(f, tents=None):
+        searched.append(len(f.values))
+        return real(f, tents)
+
+    monkeypatch.setattr(norms, "_bmo_pruned", recording)
+    first = bmo_seminorm(GridFunction(spec, np.stack([a, b, a, a, b])))
+    assert searched == [2] and len(norms._BMO_MEMO) == 2
+    assert first[0] == first[2] == first[3] and first[1] == first[4]
+    # a stack that hits the memo on every row gathers nothing
+    gathered = []
+    monkeypatch.setattr(norms, "_oscillations",
+                        lambda *args: gathered.append(args))
+    again = bmo_seminorm(GridFunction(spec, np.stack([b, a])))
+    assert searched == [2] and not gathered
+    assert again.tolist() == [first[1], first[0]]
 
 
 def test_bmo_gathers_stay_under_the_cell_cap(monkeypatch):
@@ -348,23 +401,59 @@ def test_bmo_gathers_stay_under_the_cell_cap(monkeypatch):
     real = norms._oscillations
 
     def recording(padded, ball, centers, means, count):
-        gathered.append((len(centers), len(centers) * len(ball)))
+        rows = np.unique(centers // (2 * spec.N) ** spec.n)
+        gathered.append((len(centers), len(centers) * len(ball), len(rows)))
         return real(padded, ball, centers, means, count)
 
     monkeypatch.setattr(norms, "_oscillations", recording)
-    # earlier tests searched the same functions; a memo hit gathers nothing
-    norms._BMO_MEMO.clear()
     for n, N in ((1, 1024), (2, 64)):
         spec = GridSpec(n=n, N=N, L=1.0)
-        f = _noise(spec, 4)
+        f = GridFunction(spec, np.stack([_noise(spec, seed).values
+                                         for seed in (4, 5, 6, 7, 8)]))
         for tents in (TentFamily.standard(spec),
                       TentFamily.standard(spec, center_stride=2)):
+            # earlier tests searched the same functions; a memo hit gathers
+            # nothing
+            norms._BMO_MEMO.clear()
             gathered.clear()
             assert bmo_seminorm(f, tents) == pytest.approx(
                 _bmo_direct(f, tents), rel=1e-13, abs=0.0)
-            assert max(cells for _, cells in gathered) <= norms._GATHER_CELLS
-            # candidates are taken many to a gather, not one by one
-            assert max(centers for centers, _ in gathered) > 1
+            assert max(cells for _, cells, _ in gathered) <= norms._GATHER_CELLS
+            # candidates are taken many to a gather, not one by one, and
+            # from several rows at once
+            assert max(centers for centers, _, _ in gathered) > 1
+            assert max(rows for _, _, rows in gathered) > 1
+
+
+def test_bmo_stack_search_holds_one_padded_row_at_2d_128():
+    # at 2-D N=128 a padded row fills the cell budget, so a 20-row search
+    # holds one row's search at a time; row by row, one search of this stack
+    # peaked at 6.64 MiB
+    spec = GridSpec(n=2, N=128, L=1.0)
+    stack = GridFunction(spec, np.stack([_noise(spec, seed).values
+                                         for seed in range(20)]))
+    # a first search keeps the ball geometry out of the count
+    norms._bmo_pruned(_noise(spec, 20))
+    tracemalloc.start()
+    try:
+        norms._bmo_pruned(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20
+
+
+@pytest.mark.parametrize("functional", ["bmo", "maximal", "carleson"])
+def test_functionals_refuse_a_family_of_another_grid(functional):
+    spec = GridSpec(n=1, N=64, L=1.0)
+    f = _bump(spec, radius=0.15)
+    tents = TentFamily.standard(GridSpec(n=1, N=128, L=1.0))
+    call = {"bmo": lambda: bmo_seminorm(f, tents),
+            "maximal": lambda: maximal_function(f, tents),
+            "carleson": lambda: carleson_sup(
+                extend_field(f, 1.0, make_tlevels(spec, M=16)), tents=tents)}
+    with pytest.raises(ValueError, match="another grid"):
+        call[functional]()
 
 
 def test_bmo_memo_hits_equal_the_search_and_misses_on_any_change(
