@@ -376,12 +376,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # a usage error, reported by argparse, or --help
         return exc.code
     if args.command == "run":
-        overrides = {
-            k: getattr(args, k)
-            for k in ("grid_n", "grid_N", "period", "t_min", "t_max",
-                      "t_levels_M", "seed", "out", "tolerance_scale")
-            if getattr(args, k) is not None
-        }
+        overrides = {k: v for k, v in vars(args).items()
+                     if k not in ("command", "config") and v is not None}
         return cmd_run(args.config, overrides)
     return cmd_ops_check(args.grid_N)
 

@@ -298,6 +298,12 @@ class TestFunctionDescriptor:
     dilate: float = 1.0
     amplitude: float = 1.0
 
+    def __post_init__(self) -> None:
+        # tuples, so that every descriptor hashes
+        for name in ("center", "kvec", "translate"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+
     def dilated(self, lam: float) -> "TestFunctionDescriptor":
         return replace(self, dilate=self.dilate * lam)
 
@@ -367,19 +373,10 @@ def make_function(desc: TestFunctionDescriptor, spec: GridSpec) -> GridFunction:
 
     The values are read-only.  On grids of at most 2^12 cells the result
     comes from a process-wide LRU cache of 256 entries keyed by (desc, spec),
-    so equal descriptors return the same object; a descriptor with an
-    unhashable (list-valued) field is sampled afresh."""
-    if spec.N**spec.n <= _CACHED_FUNCTION_CELLS and _hashable(desc):
+    so equal descriptors return the same object."""
+    if spec.N**spec.n <= _CACHED_FUNCTION_CELLS:
         return _cached_function(desc, spec)
     return _sampled(desc, spec)
-
-
-def _hashable(obj) -> bool:
-    try:
-        hash(obj)
-    except TypeError:
-        return False
-    return True
 
 
 def _sampled(desc: TestFunctionDescriptor, spec: GridSpec) -> GridFunction:

@@ -117,9 +117,10 @@ def _open_ball_spectra(spec: GridSpec, radii_per_level):
         held = {c: b for c, b in held.items() if last[c] > i}
 
 
-# Cells one gather of the BMO search holds (256 KB of float64 values and as
-# many int64 indices), or one ball where a single ball is larger
-_GATHER_CELLS = 2**15
+# Cells one gather of the BMO search holds, or one ball where a single ball
+# is larger: a float64 value and an int64 index per cell are the 512 KB of
+# a transform block
+_GATHER_CELLS = _FFT_CELLS // 2
 
 
 @dataclass(frozen=True)
@@ -293,44 +294,35 @@ def slobodeckij_seminorm(f: GridFunction, nu: float, p: float) -> float:
     return _pair_seminorm(f, nu, p)
 
 
-# Bound on the entries of the bmo_seminorm memo; each holds one float and a
-# 32-byte digest, and one harness run searches 120 distinct rows.
-_BMO_MEMO_SIZE = 1024
-_BMO_MEMO: OrderedDict[tuple, float] = OrderedDict()
+# Bound on the stacks the bmo_seminorm memo holds, each entry one value per
+# row and a 32-byte digest.  One harness run stores 6 stacks, its BMO test
+# families, and repeats only whole stacks; 16 hold the stacks of a 1-D and
+# a 2-D run made in one process, with room to spare.
+_BMO_MEMO_SIZE = 16
+_BMO_MEMO: OrderedDict[tuple, np.ndarray | float] = OrderedDict()
 
 
 def bmo_seminorm(f: GridFunction, tents: TentFamily | None = None) -> float:
     """Supremum over the ball family of the mean oscillation
     |B|^(-1) int_B |f - f_B|.
 
-    The result is ``_bmo_pruned``, memoised per process in an LRU of 1024
-    floats keyed by the grid, the family and a blake2b digest of each row's
-    bytes, so estimates that share a test function search it once.  A stack
-    gives one value per row: its memo hits and repeated rows are dropped,
-    and the distinct rows left are searched together."""
+    The result is ``_bmo_pruned``, memoised per process in an LRU of 16
+    stacks keyed by the grid, the family, the shape and a blake2b digest of
+    the stack's bytes, so estimates that share a test family search it
+    once.  A stack gives one value per row, a hit a fresh copy of them."""
     tents = tents if tents is not None else TentFamily.standard(f.spec)
     _check_family(f.spec, tents)
-    rows = f.values.reshape((-1,) + f.spec.shape)
-    keys = [(f.spec, tents, hashlib.blake2b(v.tobytes(), digest_size=32)
-             .digest()) for v in rows]
-    found, missing = {}, {}  # missing: the first row of each key
-    for i, key in enumerate(keys):
-        if key in _BMO_MEMO:
-            _BMO_MEMO.move_to_end(key)
-            found[key] = _BMO_MEMO[key]
-        else:
-            missing.setdefault(key, i)
-    if missing:
-        index = list(missing.values())
-        # a copy of the rows to search only if some rows are left out
-        todo = rows if index == list(range(len(rows))) else rows[index]
-        values = _bmo_pruned(GridFunction(f.spec, todo), tents)
-        for key, value in zip(missing, values.tolist()):
-            found[key] = _BMO_MEMO[key] = value
-            if len(_BMO_MEMO) > _BMO_MEMO_SIZE:
-                _BMO_MEMO.popitem(last=False)
-    out = np.array([found[key] for key in keys])
-    return _per_row(out.reshape(f.values.shape[: f.values.ndim - f.spec.n]))
+    # digested in place: a freed bytes copy of a stack over 128 KB raises
+    # glibc's mmap threshold, which cost run-1d 0.8 MB of peak RSS
+    key = (f.spec, tents, f.values.shape, hashlib.blake2b(
+        np.ascontiguousarray(f.values), digest_size=32).digest())
+    if key in _BMO_MEMO:
+        _BMO_MEMO.move_to_end(key)
+    else:
+        _BMO_MEMO[key] = _bmo_pruned(f, tents)
+        if len(_BMO_MEMO) > _BMO_MEMO_SIZE:
+            _BMO_MEMO.popitem(last=False)
+    return _per_row(np.copy(_BMO_MEMO[key]))
 
 
 def _bmo_pruned(f: GridFunction, tents: TentFamily | None = None) -> float:
@@ -358,8 +350,10 @@ def _bmo_pruned(f: GridFunction, tents: TentFamily | None = None) -> float:
     rows = f.values.reshape((-1,) + spec.shape)
     width = (2 * spec.N) ** spec.n  # cells of a padded copy
     group = max(1, _FFT_CELLS // width)
-    best = np.concatenate([_bmo_group(spec, tents, rows[i:i + group])
-                           for i in range(0, len(rows), group)])
+    # an empty stack has no group, and gives an empty array
+    best = np.concatenate([np.zeros(0)] + [
+        _bmo_group(spec, tents, rows[i:i + group])
+        for i in range(0, len(rows), group)])
     return _per_row(best.reshape(f.values.shape[: f.values.ndim - spec.n]))
 
 

@@ -467,8 +467,9 @@ def test_cold_and_warm_caches_write_identical_reports(tmp_path):
         filled.append((grid._cached_function.cache_info().misses,
                        len(norms._BMO_MEMO)))
     # 20 samples of 2 slots at 3 dilation states, plus the profile gaussian;
-    # phi is shared, so 3 * 20 BMO searches serve 2 * 3 * 20 calls
-    assert filled == [(121, 60)] * 2
+    # phi is shared, so 3 stacks of 20 rows, one per dilation state, serve
+    # the 2 * 3 BMO calls
+    assert filled == [(121, 3)] * 2
     assert len(trees[0]) == 5
     assert trees[0] == trees[1]
 

@@ -384,16 +384,53 @@ def test_bmo_stack_searches_each_distinct_row_once(monkeypatch):
         return real(f, tents)
 
     monkeypatch.setattr(norms, "_bmo_pruned", recording)
-    first = bmo_seminorm(GridFunction(spec, np.stack([a, b, a, a, b])))
-    assert searched == [2] and len(norms._BMO_MEMO) == 2
+    stack = np.stack([a, b, a, a, b])
+    first = bmo_seminorm(GridFunction(spec, stack))
+    assert searched == [5] and len(norms._BMO_MEMO) == 1
     assert first[0] == first[2] == first[3] and first[1] == first[4]
-    # a stack that hits the memo on every row gathers nothing
+    # a stack that hits the memo gathers nothing
     gathered = []
     monkeypatch.setattr(norms, "_oscillations",
                         lambda *args: gathered.append(args))
-    again = bmo_seminorm(GridFunction(spec, np.stack([b, a])))
-    assert searched == [2] and not gathered
-    assert again.tolist() == [first[1], first[0]]
+    again = bmo_seminorm(GridFunction(spec, stack.copy()))
+    assert searched == [5] and not gathered
+    assert np.array_equal(again, first)
+
+
+def test_bmo_memo_keys_whole_stacks(monkeypatch):
+    spec = GridSpec(n=1, N=256, L=1.0)
+    rows = np.stack([_noise(spec, seed).values for seed in range(10, 18)])
+    norms._BMO_MEMO.clear()
+    first = bmo_seminorm(GridFunction(spec, rows))
+    # an equal stack held in another array hits, and gathers nothing
+    real = norms._oscillations
+    gathered = []
+    monkeypatch.setattr(norms, "_oscillations",
+                        lambda *args: gathered.append(args))
+    again = bmo_seminorm(GridFunction(spec, rows.copy()))
+    assert np.array_equal(again, first) and not gathered
+    # the result is a copy: editing it leaves the memo as it was
+    again[0] = -1.0
+    assert np.array_equal(bmo_seminorm(GridFunction(spec, rows)), first)
+    assert len(norms._BMO_MEMO) == 1
+    monkeypatch.setattr(norms, "_oscillations", real)
+    nudged = rows.copy()
+    nudged[3, 17] = np.nextafter(nudged[3, 17], np.inf)
+    for g, tents in (
+            (GridFunction(spec, rows[::-1]), None),
+            (GridFunction(spec, nudged), None),
+            (GridFunction(spec, rows), TentFamily.standard(spec,
+                                                           center_stride=2)),
+            (GridFunction(GridSpec(n=1, N=256, L=2.0), rows), None),
+            (GridFunction(spec, rows.reshape(2, 4, spec.N)), None)):
+        size = len(norms._BMO_MEMO)
+        assert np.array_equal(bmo_seminorm(g, tents),
+                              norms._bmo_pruned(g, tents))
+        assert len(norms._BMO_MEMO) == size + 1
+    empty = bmo_seminorm(GridFunction(spec, np.zeros((0, spec.N))))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    one = bmo_seminorm(GridFunction(spec, rows[0]))
+    assert isinstance(one, float) and one == first[0]
 
 
 def test_bmo_gathers_stay_under_the_cell_cap(monkeypatch):
@@ -475,15 +512,16 @@ def test_bmo_memo_hits_equal_the_search_and_misses_on_any_change(
         size = len(norms._BMO_MEMO)
         assert bmo_seminorm(g, tents) == norms._bmo_pruned(g, tents)
         assert len(norms._BMO_MEMO) == size + 1
-    # the memo is a bounded LRU: a hit refreshes, the oldest entry goes
+    # the memo is a bounded LRU of stacks: a hit refreshes, the oldest goes
     monkeypatch.setattr(norms, "_BMO_MEMO_SIZE", 2)
     norms._BMO_MEMO.clear()
-    a, b, c = (GridFunction(spec, k * f.values) for k in (1.0, 2.0, 3.0))
+    a, b, c = (GridFunction(spec, np.stack([k * f.values, f.values]))
+               for k in (2.0, 3.0, 4.0))
     for g in (a, b, a, c):
         bmo_seminorm(g)
-    kept = {key[2] for key in norms._BMO_MEMO}
-    assert len(kept) == 2
-    assert hashlib.blake2b(a.values.tobytes(), digest_size=32).digest() in kept
+    kept = {key[3] for key in norms._BMO_MEMO}
+    assert kept == {hashlib.blake2b(g.values.tobytes(), digest_size=32)
+                    .digest() for g in (a, c)}
 
 
 def test_bmo_monotone_under_family_enrichment():
