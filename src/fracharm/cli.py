@@ -18,12 +18,13 @@ dimension, is detected by parse_config before any estimate runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -174,22 +175,16 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
 
 
 def _report_dict(report, cfg: RunConfig) -> dict:
+    out = asdict(report)
+    out["pass"] = out.pop("passed")
+    # str keys before json sorts them: as floats, 2.0 would sort before 10.0
+    out["dilation_ratios"] = {str(k): v for k, v in
+                              report.dilation_ratios.items()}
     ts = cfg.levels.ts
-    return {
-        "estimate_id": report.estimate_id,
-        "grid": {"n": cfg.grid.n, "N": cfg.grid.N, "L": cfg.grid.L},
-        "t_truncation": {"t_min": float(ts[0]), "t_max": float(ts[-1]),
-                         "M": len(ts)},
-        "fitted_constant": report.fitted_constant,
-        "validation_max_ratio": report.validation_max_ratio,
-        "max_ratio": report.max_ratio,
-        "dilation_ratios": {str(k): v for k, v in report.dilation_ratios.items()},
-        "dilation_stability": report.dilation_stability,
-        "zero_rhs_samples": list(report.zero_rhs_samples),
-        "samples": list(report.samples),
-        "pass": report.passed,
-        "metadata": report.metadata,
-    }
+    out["grid"] = {"n": cfg.grid.n, "N": cfg.grid.N, "L": cfg.grid.L}
+    out["t_truncation"] = {"t_min": float(ts[0]), "t_max": float(ts[-1]),
+                           "M": len(ts)}
+    return out
 
 
 def _write_profiles(cfg: RunConfig, out: str) -> None:
@@ -213,41 +208,36 @@ def _write_profiles(cfg: RunConfig, out: str) -> None:
                       for t, c in zip(trace.small_ts, trace.c_ts))
 
 
+@contextlib.contextmanager
+def _stage(name: str):
+    """Tag an exception leaving the block with the stage main names."""
+    try:
+        yield
+    except Exception as exc:
+        exc.stage = name
+        raise
+
+
 def cmd_run(config_path: str, overrides: dict) -> int:
+    # not JSON or not UTF-8 is a ValueError, nesting too deep a RecursionError
     try:
         with open(config_path) as fh:
             data = json.load(fh)
-    except OSError as exc:
-        print(f"config error: cannot read {config_path}: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(
-            f"config error: {config_path}:{exc.lineno}:{exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        cfg = parse_config(data, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {config_path}: {exc}") from exc
+    cfg = parse_config(data, overrides)
     try:
         os.makedirs(cfg.out, exist_ok=True)
     except OSError as exc:
-        print(f"config error: cannot create output directory: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     all_pass = True
     rows = []
     for d in cfg.estimates:
-        family = standard_family(d.arity, cfg.grid, 20, cfg.seed)
-        try:
+        with _stage(f"estimate {d.id}"):
+            family = standard_family(d.arity, cfg.grid, 20, cfg.seed)
             report = verify_estimate(
                 d, family, cfg.grid, slack=1.5 * cfg.tolerance_scale
             )
-        except (ArithmeticError, FloatingPointError) as exc:
-            print(f"numerical error in estimate {d.id}: {exc}", file=sys.stderr)
-            return 3
         all_pass = all_pass and report.passed
         with open(os.path.join(cfg.out, f"{d.id}.json"), "w") as fh:
             json.dump(_report_dict(report, cfg), fh, indent=2, sort_keys=True)
@@ -264,11 +254,8 @@ def cmd_run(config_path: str, overrides: dict) -> int:
         writer = csv.writer(fh)
         writer.writerow(["estimate_id", "index", "lhs", "rhs", "ratio"])
         writer.writerows(rows)
-    try:
+    with _stage("diagnostics"):
         _write_profiles(cfg, cfg.out)
-    except (ArithmeticError, FloatingPointError, ValueError) as exc:
-        print(f"numerical error in diagnostics: {exc}", file=sys.stderr)
-        return 3
     return 0 if all_pass else 1
 
 
@@ -320,9 +307,8 @@ def cmd_ops_check(N: int) -> int:
     try:
         spec = GridSpec(n=1, N=N, L=1.0)
     except ValueError as exc:
-        print(f"config error: --grid-N: {exc}", file=sys.stderr)
-        return 2
-    try:
+        raise ConfigError(f"--grid-N: {exc}") from exc
+    with _stage("ops-check"):
         checks = _identity_checks(N)
         f = make_function(TestFunctionDescriptor(
             kind="gaussian", center=(spec.L / 2,), width=spec.L / 20), spec)
@@ -335,9 +321,6 @@ def cmd_ops_check(N: int) -> int:
             b = frac_laplacian_quadrature(f, s, qcfg).values
             err = float(np.max(np.abs(a - b)) / np.max(np.abs(a)))
             checks.append((f"oracle_equivalence_s={s}", err, tol))
-    except (ArithmeticError, FloatingPointError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
     ok = True
     for name, err, tol in checks:
         passed = err <= tol
@@ -375,11 +358,23 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # a usage error, reported by argparse, or --help
         return exc.code
-    if args.command == "run":
-        overrides = {k: v for k, v in vars(args).items()
-                     if k not in ("command", "config") and v is not None}
-        return cmd_run(args.config, overrides)
-    return cmd_ops_check(args.grid_N)
+    try:
+        if args.command == "run":
+            overrides = {k: v for k, v in vars(args).items()
+                         if k not in ("command", "config") and v is not None}
+            return cmd_run(args.config, overrides)
+        return cmd_ops_check(args.grid_N)
+    except (ConfigError, OSError) as exc:
+        # a ConfigError is a ValueError, so it is caught first; an OSError
+        # can only come from writing into the output directory
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (ArithmeticError, ValueError, MemoryError) as exc:
+        # once parse_config has accepted a config, a ValueError is numerical,
+        # and a refused allocation is the memory fault numpy reports
+        where = f" in {exc.stage}" if hasattr(exc, "stage") else ""
+        print(f"numerical error{where}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

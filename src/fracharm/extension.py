@@ -52,7 +52,10 @@ _KV_TAIL = 38.0
 _KV_CELLS = 2**14
 
 
-@functools.lru_cache(maxsize=None)
+# One rule per dyadic bucket and pair of orders: a canonical run keeps at most
+# 64 (1-D 35, 2-D 28, extension-2d 64), and 128, about 0.15 MB, hold that
+# twice where a sweep over many orders s grew the cache without bound.
+@functools.lru_cache(maxsize=128)
 def _kve_rule(k: int, nus: tuple[float, ...]
               ) -> tuple[int, np.ndarray, np.ndarray]:
     """Trapezoid rule (q, c, W) for e^x K_nu(x), nu in nus, on the bucket

@@ -163,13 +163,24 @@ def _periodized_weights(spec: GridSpec, offsets: np.ndarray, dist: np.ndarray,
         w = w.ravel()
     if power < -spec.n:
         # remainder beyond the truncated shells, as the integral over the
-        # complement of the equal-area disc
-        if spec.n == 1:
-            R = (2 * images + 1) * L / 2
-        else:
-            R = (2 * images + 1) * L / math.sqrt(np.pi)
+        # complement of the equal-area disc (2-D only: a 1-D power below -1
+        # took the Hurwitz-zeta branch)
+        R = (2 * images + 1) * L / math.sqrt(np.pi)
         w = w + _surface(spec.n) * R ** (power + spec.n) / (-(power + spec.n))
     return w
+
+
+def _kernel_weights(spec: GridSpec, offsets: np.ndarray, dist: np.ndarray,
+                    power: float, compact: bool, images: int):
+    """Kernel weights at the offsets of _offsets(spec), and the count of the
+    cells with |y| < L/2 or None: |y|^power on those cells but the origin in
+    the compact model, else _periodized_weights over `images` shells."""
+    if not compact:
+        return _periodized_weights(spec, offsets, dist, power, images), None
+    keep = dist < spec.L / 2 * (1 - 1e-12)
+    with np.errstate(divide="ignore"):
+        weights = np.where(keep & (dist > 0), dist**power, 0.0)
+    return weights, int(np.count_nonzero(keep))
 
 
 def frac_laplacian_tail_bound(f: GridFunction, s: float) -> float:
@@ -197,12 +208,8 @@ def frac_laplacian_quadrature(
     offsets, dist = _offsets(spec)
     v = f.values
 
-    if cfg.treat_as_compact:
-        keep = dist < spec.L / 2 * (1 - 1e-12)
-        with np.errstate(divide="ignore"):
-            weights = np.where(keep & (dist > 0), dist ** (-(n + s)), 0.0)
-    else:
-        weights = _periodized_weights(spec, offsets, dist, -(n + s), images=16)
+    weights, cnt = _kernel_weights(spec, offsets, dist, -(n + s),
+                                   cfg.treat_as_compact, 16)
 
     # sum_{y != 0} w(y) (v(x+y) + v(x-y) - 2 v(x)) is the circulant with the
     # plus/minus pair w(y) + w(-y) off the origin and -2 sum_y w(y) at it
@@ -216,7 +223,6 @@ def frac_laplacian_quadrature(
         # region f vanishes, so the second difference reduces to -2 f(x) and
         # the kernel integrates in closed form over |y| > R_eff, with R_eff
         # the equal-measure radius of the covered cells.
-        cnt = int(np.count_nonzero(keep))
         R_eff = cnt * h / 2 if n == 1 else math.sqrt(cnt * h**2 / np.pi)
         result = result + C * v * _surface(n) * R_eff ** (-s) / s
 
@@ -273,16 +279,10 @@ def riesz_potential_quadrature(
     C = riesz_potential_constant(n, s)
     offsets, dist = _offsets(spec)
 
-    if cfg.treat_as_compact:
-        keep = dist < spec.L / 2 * (1 - 1e-12)
-        with np.errstate(divide="ignore"):
-            weights = np.where(keep & (dist > 0), dist ** (s - n), 0.0)
-    else:
-        # at the origin offset the k != 0 images still contribute f(x) times
-        # their kernel sum; only the k = 0 singular term is left to the
-        # singular-cell rule
-        images = 512 if n == 1 else 12
-        weights = _periodized_weights(spec, offsets, dist, s - n, images)
+    # periodized, the k != 0 images still weight the origin offset; only the
+    # k = 0 singular term is left to the singular-cell rule
+    weights, _ = _kernel_weights(spec, offsets, dist, s - n,
+                                 cfg.treat_as_compact, 512 if n == 1 else 12)
 
     result = C * _circulant_apply(spec, f.values, weights) * spec.cell_volume
     if cfg.singular_rule == "analytic-cell-average":

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fracharm import cli
 from fracharm.cli import ConfigError, main, parse_config
 from fracharm.commutators import CATALOG, _range_ends
+from grid_helpers import mention_sites
 
 
 def _write_config(path, **kwargs):
@@ -141,6 +142,58 @@ def test_non_positive_t_max_exits_two_with_one_line(tmp_path):
     assert not (tmp_path / "reports").exists()
 
 
+@pytest.mark.parametrize("grid,estimate", [
+    ({"n": 1, "N": 64, "L": 4e-152},
+     {"id": "hardy-duality", "params": {"s": 1}}),
+    ({"n": 2, "N": 64, "L": 3e-153}, {"id": "leibniz-lorentz"})])
+def test_numerical_failure_at_an_extreme_period_exits_three(tmp_path, grid,
+                                                             estimate):
+    # admitted periods whose estimate cannot be evaluated: a sampled
+    # function, or a symbol, overflows to a non-finite value, which raises a
+    # ValueError inside the estimate.  A subprocess, so that a numpy warning
+    # would reach stderr too; such warnings may come before the error line.
+    import os
+    import subprocess
+    import sys
+
+    import fracharm
+    src = os.path.dirname(os.path.dirname(fracharm.__file__))
+    path = _write_config(tmp_path / "cfg.json", grid=grid,
+                         estimates=[estimate], out=str(tmp_path / "reports"))
+    out = subprocess.run(
+        [sys.executable, "-m", "fracharm.cli", "run", path],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    last = out.stderr.splitlines()[-1]
+    assert last.startswith(f"numerical error in estimate {estimate['id']}: ")
+
+
+@pytest.mark.parametrize("error", [ArithmeticError, ValueError, MemoryError])
+@pytest.mark.parametrize("target,argv,stage", [
+    ("verify_estimate", ["run"], "estimate crw-bmo"),
+    ("_write_profiles", ["run"], "diagnostics"),
+    ("_identity_checks", ["ops-check", "--grid-N", "64"], "ops-check")])
+def test_every_numerical_failure_exits_three_with_one_line(
+        tmp_path, capsys, monkeypatch, error, target, argv, stage):
+    def failing(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, target, failing)
+    if argv == ["run"]:
+        argv = ["run", _write_config(tmp_path / "cfg.json",
+                                     out=str(tmp_path / "reports"))]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"numerical error in {stage}: injected\n"
+
+
+def test_only_main_writes_to_stderr():
+    # every error of a command reaches main, which alone turns it into one
+    # line on stderr and an exit code
+    assert mention_sites({"stderr"}) == {("cli", "main")}
+
+
 def test_estimate_outside_its_dimension_exits_two(tmp_path, capsys):
     # the default chanillo exponents satisfy 1/q = 1/p - s/n only for n = 1
     path = _write_config(tmp_path / "cfg.json",
@@ -222,6 +275,16 @@ def test_run_config_errors_exit_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_unreadable_config_text_exits_two(tmp_path, capsys):
+    # bytes that are not UTF-8, and JSON nested past the recursion limit
+    for name, text in (("binary.json", b"\xff\xfe{"),
+                       ("deep.json", b"[" * 100_000)):
+        path = tmp_path / name
+        path.write_bytes(text)
+        assert main(["run", str(path)]) == 2
+        _assert_one_config_error_line(capsys, f"cannot read {path}")
+
+
 def test_ops_check_passes(capsys):
     rc = main(["ops-check", "--grid-N", "128"])
     out = capsys.readouterr().out
@@ -254,6 +317,15 @@ def test_run_out_is_an_existing_file_exits_two(tmp_path, capsys, monkeypatch):
     assert err.startswith("config error: cannot create output directory")
     assert "Traceback" not in err
     assert target.read_text() == "keep"
+
+
+def test_unwritable_report_exits_two(tmp_path, capsys):
+    # the output directory exists, but a report's name is taken by a
+    # directory, so writing the report fails after the estimate ran
+    (tmp_path / "reports" / "crw-bmo.json").mkdir(parents=True)
+    path = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "reports"))
+    assert main(["run", path]) == 2
+    _assert_one_config_error_line(capsys, "crw-bmo.json")
 
 
 def test_run_path_loads_no_scipy(tmp_path):

@@ -816,3 +816,25 @@ def test_decay_profile_decays_at_large_times():
         want = np.max(np.sqrt(g2), axis=(1, 2))
         assert np.all(want > 0)
         assert np.max(np.abs(got - want) / want) <= 1e-15
+
+
+def test_kve_rule_cache_stays_bounded_over_many_orders():
+    # each order adds a rule per dyadic bucket of 2 pi r, 29 here, so
+    # 40 orders need more rules than the cache keeps; an evicted rule is
+    # rebuilt bit for bit
+    rule = fracharm.extension._kve_rule
+    r = np.geomspace(1e-6, 200.0, 64)
+    orders = np.linspace(0.05, 1.95, 40)
+    rule.cache_clear()
+    cold = {}
+    for s in orders[::13]:
+        cold[s] = PoissonSymbol(float(s)).eval_m_dm(r)
+        rule.cache_clear()
+    warm = {s: PoissonSymbol(float(s)).eval_m_dm(r) for s in orders}
+    info = rule.cache_info()
+    assert info.misses > 2 * info.maxsize
+    assert info.currsize == info.maxsize == 128
+    for s, values in cold.items():
+        assert all(_same_bits(a, b) for a, b in zip(values, warm[s]))
+        again = PoissonSymbol(float(s)).eval_m_dm(r)
+        assert all(_same_bits(a, b) for a, b in zip(values, again))
