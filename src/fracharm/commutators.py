@@ -72,10 +72,16 @@ def riesz_potential_commutator(phi: GridFunction, u: GridFunction, s: float,
 def leibniz_defect(f: GridFunction, g: GridFunction, s: float) -> GridFunction:
     """Three-term defect of the fractional Leibniz rule:
     H_s(f,g) = (-Delta)^{s/2}(fg) - (-Delta)^{s/2}f . g - f . (-Delta)^{s/2}g."""
+    return _leibniz_terms(f, g, s)[0]
+
+
+def _leibniz_terms(f: GridFunction, g: GridFunction, s: float):
+    """H_s(f,g) of ``leibniz_defect``, with the (-Delta)^{s/2} f and
+    (-Delta)^{s/2} g it subtracts, for estimates that norm them too."""
     if not (0 < s <= 1):
         raise ValueError(f"order s must lie in (0, 1], got {s}")
-    return (frac_laplacian(f * g, s) - frac_laplacian(f, s) * g
-            - f * frac_laplacian(g, s))
+    lap_f, lap_g = frac_laplacian(f, s), frac_laplacian(g, s)
+    return frac_laplacian(f * g, s) - lap_f * g - f * lap_g, lap_f, lap_g
 
 
 def double_commutator_1d(phi: GridFunction, f: GridFunction
@@ -175,7 +181,8 @@ def hardy_duality_check(phi: GridFunction, f: GridFunction, g: GridFunction,
     d = EstimateDescriptor("hardy-duality", {"s": s, "p": p, "q": q})
     lhs, rhs = _eval_hardy_duality(phi.spec, (phi, f, g), d.params, {})
     if rhs == 0.0:
-        scale = np.sum(np.abs(_hardy_integrand(phi, f, g, s))) * phi.spec.cell_volume
+        scale = np.sum(np.abs(_hardy_integrand(leibniz_defect(phi, f, s), g,
+                                               s))) * phi.spec.cell_volume
         return 0.0 if lhs <= 1e-12 * scale else _INF
     return lhs / rhs
 
@@ -288,8 +295,9 @@ def _eval_leibniz_lorentz(spec, funcs, prm, meta):
 def _eval_leibniz_bmo(spec, funcs, prm, meta):
     phi, f = funcs
     s, p = prm["s"], prm["p"]
-    lhs = lp_norm(leibniz_defect(phi, f, s), p)
-    rhs = bmo_seminorm(phi) * lp_norm(frac_laplacian(f, s), p)
+    defect, _, lap_f = _leibniz_terms(phi, f, s)
+    lhs = lp_norm(defect, p)
+    rhs = bmo_seminorm(phi) * lp_norm(lap_f, p)
     return lhs, rhs
 
 
@@ -325,20 +333,20 @@ def _eval_jacobian_sobolev(spec, funcs, prm, meta):
     return lhs, rhs
 
 
-def _hardy_integrand(phi, f, g, s):
-    return frac_laplacian(leibniz_defect(phi, f, s), s).values * g.values
+def _hardy_integrand(defect, g, s):
+    return frac_laplacian(defect, s).values * g.values
 
 
 def _eval_hardy_duality(spec, funcs, prm, meta):
     phi, f, g = funcs
     s, p, q = prm["s"], prm["p"], prm["q"]
-    lhs = abs(_integral(spec, _hardy_integrand(phi, f, g, s)))
+    defect, lap_phi, lap_f = _leibniz_terms(phi, f, s)
+    lhs = abs(_integral(spec, _hardy_integrand(defect, g, s)))
     # for p above about 1e16 the conjugate rounds to 1.0; the float above 1
     # is the one nearest 1 + 1/(p - 1)
     pc, qc = max(p / (p - 1), math.nextafter(1.0, 2.0)), q / (q - 1)
-    rhs = (lorentz_norm(frac_laplacian(phi, s), LorentzExponents(p, q))
-           * lorentz_norm(frac_laplacian(f, s), LorentzExponents(pc, qc))
-           * bmo_seminorm(g))
+    rhs = (lorentz_norm(lap_phi, LorentzExponents(p, q))
+           * lorentz_norm(lap_f, LorentzExponents(pc, qc)) * bmo_seminorm(g))
     return lhs, rhs
 
 

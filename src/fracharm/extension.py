@@ -207,6 +207,8 @@ class TLevels:
         ts = np.asarray(self.ts, dtype=float)
         if ts.ndim != 1 or len(ts) < 3:
             raise ValueError("need at least 3 t-levels")
+        if not np.all(np.isfinite(ts)):
+            raise ValueError(f"t-levels must be finite, got {ts}")
         if np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
             raise ValueError("t-levels must be positive and increasing")
         object.__setattr__(self, "ts", ts)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -57,11 +58,13 @@ class TentFamily:
     center_stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.center_stride < 1:
-            raise ValueError("center_stride must be >= 1")
+        stride = self.center_stride
+        if not isinstance(stride, numbers.Integral) or stride < 1:
+            raise ValueError(f"center_stride must be an integer >= 1, got {stride}")
         radii = tuple(float(r) for r in self.radii)
-        if not radii or any(r <= 0 for r in radii):
-            raise ValueError("radii must be positive")
+        # written so that a NaN radius fails too
+        if not radii or not all(r > 0 for r in radii):
+            raise ValueError(f"radii must be positive, got {radii}")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly increasing")
         if radii[-1] > self.spec.L / 2 * (1 + 1e-12):
@@ -335,15 +338,14 @@ def _bmo_pruned(f: GridFunction, tents: TentFamily | None = None) -> float:
     that bound at every (radius, center) pair; 1e-12 max|f|^2 under the root
     keeps it an upper bound despite rounding.  Each row evaluates the pair
     of its largest bound, and keeps the pairs whose bound exceeds that value
-    as its candidates, in descending order of the bound.  Then round j
-    takes the candidates of ranks [2^(j+1) - 2, 2^(j+2) - 2) of every row
-    whose bound there still exceeds the row's best value; it drops the
-    pairs that no longer exceed it, and sums the L^1 oscillation of the
-    rest, of all rows at once.  Rows are searched in groups whose
-    wrap-padded copies fit in _FFT_CELLS cells.  Every pair's value is
-    computed as for a row alone, so a stack's values equal its rows'.  Its
-    test oracle, the full sum at every pair, is ``_bmo_direct`` in
-    tests/test_norms.py.
+    as its candidates.  Then one pass sums the L^1 oscillation of every
+    candidate of every row, in gathers per radius of at most _GATHER_CELLS
+    cells, and each row takes the max.  A pair left out has a value at most
+    its bound, so at most the top pair's value, and the max is the sup.
+    Rows are searched in groups whose wrap-padded copies fit in _FFT_CELLS
+    cells.  Every pair's value is computed as for a row alone, so a stack's
+    values equal its rows'.  Its test oracle, the full sum at every pair,
+    is ``_bmo_direct`` in tests/test_norms.py.
     """
     spec = f.spec
     tents = tents if tents is not None else TentFamily.standard(spec)
@@ -360,15 +362,14 @@ def _bmo_pruned(f: GridFunction, tents: TentFamily | None = None) -> float:
 def _bmo_candidates(spec: GridSpec, tents: TentFamily, v: np.ndarray,
                     padded: np.ndarray):
     """The value of the pair of a row's largest bound, and the pairs (flat
-    radius * centres + centre) whose bound exceeds it, in descending order
-    of the bound, with their bounds and ball means; None for a zero row.
-    The row's moments and bounds are dropped on return, before the next
-    row's are made."""
+    radius * centres + centre) whose bound exceeds it, with their ball
+    means; a zero row has none.  The row's moments and bounds are dropped
+    on return, before the next row's are made."""
     geo = _ball_geometry(tents)
     cnt = geo.counts
     scale = float(np.max(np.abs(v)))
     if scale == 0.0:
-        return None
+        return 0.0, np.zeros(0, int), np.zeros(0)
     # the moments of f and of f / max|f| (which cannot overflow) in one apply
     sums = spectral_apply(spec, np.stack([v, (v / scale) ** 2])[:, None],
                           geo.spectrum)
@@ -384,8 +385,7 @@ def _bmo_candidates(spec: GridSpec, tents: TentFamily, v: np.ndarray,
                                         geo.centers[c:c + 1],
                                         mean[top:top + 1], cnt[i])[0]))
     pairs = np.flatnonzero(bound > best)
-    pairs = pairs[np.argsort(bound[pairs])[::-1]]
-    return best, pairs, bound[pairs], mean[pairs]
+    return best, pairs, mean[pairs]
 
 
 def _bmo_group(spec: GridSpec, tents: TentFamily,
@@ -395,39 +395,23 @@ def _bmo_group(spec: GridSpec, tents: TentFamily,
     geo = _ball_geometry(tents)
     padded = np.pad(rows, ((0, 0),) + ((spec.N // 2,) * 2,) * spec.n,
                     mode="wrap").reshape(len(rows), -1)
-    best = np.zeros(len(rows))
-    cands = {}
-    for r, v in enumerate(rows):
-        found = _bmo_candidates(spec, tents, v, padded[r])
-        if found is not None:
-            best[r], *cands[r] = found
-    start, size = 0, 2
-    while True:
-        row, pair, mean = [], [], []
-        for r, (pairs, bound, means) in list(cands.items()):
-            live = bound[start:start + size] > best[r]
-            if not live.any():
-                del cands[r]
-                continue
-            row.append(np.full(np.count_nonzero(live), r))
-            pair.append(pairs[start:start + size][live])
-            mean.append(means[start:start + size][live])
-        if not row:
-            break
-        row, mean = np.concatenate(row), np.concatenate(mean)
-        radius, center = np.divmod(np.concatenate(pair), len(geo.centers))
-        # flat indices into the padded stack
-        center = row * padded.shape[1] + geo.centers[center]
-        # the radii present, ascending (np.unique would import numpy.ma)
-        for i in np.flatnonzero(np.bincount(radius)):
-            at = radius == i
-            rs, cs, ms = row[at], center[at], mean[at]
-            step = max(1, _GATHER_CELLS // int(geo.counts[i]))
-            for lo in range(0, len(cs), step):
-                np.maximum.at(best, rs[lo:lo + step], _oscillations(
-                    padded, geo.offsets[i], cs[lo:lo + step],
-                    ms[lo:lo + step], geo.counts[i]))
-        start, size = start + size, 2 * size
+    best, pairs, means = zip(*[_bmo_candidates(spec, tents, v, p)
+                               for v, p in zip(rows, padded)])
+    best = np.array(best)
+    row = np.repeat(np.arange(len(rows)), [len(p) for p in pairs])
+    mean = np.concatenate(means)
+    radius, center = np.divmod(np.concatenate(pairs), len(geo.centers))
+    # flat indices into the padded stack
+    center = row * padded.shape[1] + geo.centers[center]
+    # the radii present, ascending (np.unique would import numpy.ma)
+    for i in np.flatnonzero(np.bincount(radius)):
+        at = radius == i
+        rs, cs, ms = row[at], center[at], mean[at]
+        step = max(1, _GATHER_CELLS // int(geo.counts[i]))
+        for lo in range(0, len(cs), step):
+            np.maximum.at(best, rs[lo:lo + step], _oscillations(
+                padded, geo.offsets[i], cs[lo:lo + step], ms[lo:lo + step],
+                geo.counts[i]))
     return best
 
 

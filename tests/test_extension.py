@@ -439,6 +439,14 @@ def test_tlevels_validation():
         TLevels(np.array([-0.1, 0.2, 0.3]))  # not positive
 
 
+def test_tlevels_reject_non_finite_levels():
+    # a NaN level gave NaN residuals, and an infinite one failed later in
+    # extend_field as levels "made for another grid"
+    for ts in ([0.01, np.nan, 0.1, 1.0], [0.01, 0.1, np.inf]):
+        with pytest.raises(ValueError, match="t-levels must be finite"):
+            TLevels(np.array(ts))
+
+
 def test_make_tlevels_defaults_and_bounds():
     spec = GridSpec(n=1, N=64, L=1.0)
     lv = make_tlevels(spec)

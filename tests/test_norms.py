@@ -576,6 +576,18 @@ def test_tent_family_validation():
         TentFamily(spec, radii=(0.1,), center_stride=0)
 
 
+def test_tent_family_rejects_nan_radius_and_fractional_stride():
+    # a NaN radius read as the whole-period ball, and a fractional stride
+    # failed later in bmo_seminorm with a TypeError
+    spec = GridSpec(n=1, N=64, L=1.0)
+    with pytest.raises(ValueError, match="positive"):
+        TentFamily(spec, radii=(spec.h, math.nan, 0.25))
+    with pytest.raises(ValueError, match="positive"):
+        TentFamily(spec, radii=(math.nan,))
+    with pytest.raises(ValueError, match="center_stride must be an integer"):
+        TentFamily(spec, radii=(0.1,), center_stride=1.5)
+
+
 def test_space_functional_validation():
     spec = GridSpec(n=1, N=64, L=1.0)
     f = _bump(spec, radius=0.2)
