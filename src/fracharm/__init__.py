@@ -13,7 +13,7 @@ from .extension import (BoundaryTraceResult, ExtensionField, PoissonSymbol,
                         TLevels, boundary_limit_check, decay_profile,
                         extend_field, get_symbol, make_tlevels,
                         s_harmonicity_residual, s_poisson_symbol)
-from .grid import (GridFunction, GridSpec, Spectrum, TestFunctionDescriptor,
+from .grid import (GridFunction, GridSpec, TestFunctionDescriptor,
                    fft_forward, hermitian_asymmetry, make_function,
                    spectral_apply, spectral_gradient)
 from .multiplier_ops import (SymbolDescriptor, apply_symbol, frac_laplacian,

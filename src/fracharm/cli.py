@@ -56,9 +56,9 @@ class RunConfig:
     grid: GridSpec
     levels: TLevels
     estimates: tuple[EstimateDescriptor, ...]
-    seed: int = 1000
-    out: str = "reports"
-    tolerance_scale: float = 1.0
+    seed: int
+    out: str
+    tolerance_scale: float
 
 
 def _reject_unknown(d: dict, allowed: set, where: str) -> None:
@@ -84,13 +84,15 @@ def _integer(value) -> int:
 
 
 def _convert(kind, value, where: str, optional: bool = False):
-    """kind(value), with a failed conversion reported as a ConfigError.  None
-    (a JSON null) passes through for an optional key and is refused for any
-    other."""
+    """kind(value) of a JSON number, with a failed conversion reported as a
+    ConfigError.  A string, numeric or not, is refused; None (a JSON null)
+    passes through for an optional key and is refused for any other."""
     if value is None:
         if optional:
             return None
         raise ConfigError(f"{where}: expected a value, got null")
+    if isinstance(value, str):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -143,7 +145,7 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
         if "id" not in e:
             raise ConfigError(f"estimates[{i}] is missing 'id'")
         try:
-            d = EstimateDescriptor(id=e["id"], params=dict(e.get("params", {})))
+            d = EstimateDescriptor(id=e["id"], params=_section(e, "params"))
             d.check_grid(spec)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"estimates[{i}]: {exc}") from exc
@@ -164,14 +166,8 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
     out = pick("out", data, "out", "reports")
     if not isinstance(out, str) or not out:
         raise ConfigError(f"out must be a non-empty path, got {out!r}")
-    return RunConfig(
-        grid=spec,
-        levels=levels,
-        estimates=tuple(descriptors),
-        seed=seed,
-        out=out,
-        tolerance_scale=tolerance_scale,
-    )
+    return RunConfig(grid=spec, levels=levels, estimates=tuple(descriptors),
+                     seed=seed, out=out, tolerance_scale=tolerance_scale)
 
 
 def _report_dict(report, cfg: RunConfig) -> dict:

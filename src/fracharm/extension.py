@@ -14,11 +14,11 @@ Gamma(s/2) (Caffarelli-Silvestre, Comm. PDE 2007).  PoissonSymbol evaluates
 the Bessel forms in log space, with e^x K_nu(x) from the trapezoid rule on its
 integral representation (_kve).
 
-Fields come from one forward transform of the boundary values (one function
-or a stack); each level gathers its multipliers onto the real-FFT half
-lattice from one symbol evaluation on the distinct |xi|.  extend_field
-returns an ExtensionField, which synthesizes each field on its first read,
-and _field_levels reads a field component level by level.
+Fields come from one forward transform of the boundary values (one function,
+or a stack streamed by _levels); each level gathers its multipliers onto the
+real-FFT half lattice from one symbol evaluation on the distinct |xi|.
+extend_field returns an ExtensionField, which synthesizes each field on its
+first read, and _field_levels reads a field component level by level.
 
 The diagnostics (the s-harmonicity residual and the boundary trace) compare
 radial multipliers of f^, so their L2 norms and inner products are sums over
@@ -450,8 +450,13 @@ def extend_field(f: GridFunction, s: float, levels: TLevels,
     also carries the s-harmonicity residual of every interior level (see
     s_harmonicity_residual), computed on its first read from these values.
     The levels must top out at or below 4L, as make_tlevels makes them for
-    f's grid; levels made for a larger period raise ValueError."""
+    f's grid; levels made for a larger period raise ValueError, as do a
+    stack and a derivative other than "t" and "x"."""
     spec = f.spec
+    if f.values.ndim != spec.n:
+        raise ValueError("extend_field takes one function, not a stack")
+    if not set(with_derivatives) <= {"t", "x"}:
+        raise ValueError(f"unknown with_derivatives {with_derivatives!r}")
     if not levels.ts[-1] <= 4 * spec.L * (1 + 1e-12):
         raise ValueError(f"top level {levels.ts[-1]} above 4L = {4 * spec.L} "
                          f"of the grid: the levels were made for another grid")

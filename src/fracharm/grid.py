@@ -19,10 +19,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """
@@ -45,7 +41,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n not in (1, 2):
             raise ValueError(f"dimension n must be 1 or 2, got {self.n}")
-        if not _is_power_of_two(self.N) or self.N < 8:
+        if not (self.N >= 8 and self.N & (self.N - 1) == 0):
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
         if not (0 < self.L < np.inf):
             raise ValueError(f"period L must be positive and finite, got {self.L}")
@@ -158,23 +154,6 @@ class GridFunction:
         return _per_row(np.mean(_rows(self.spec, self.values), axis=-1))
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Complex Fourier coefficients in numpy FFT layout; coeff k is the
-    coefficient of exp(2*pi*i*k.j/N)."""
-
-    spec: GridSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != self.spec.shape:
-            raise ValueError(
-                f"coeffs shape {c.shape} does not match grid {self.spec.shape}"
-            )
-        object.__setattr__(self, "coeffs", c)
-
-
 def hermitian_asymmetry(coeffs: np.ndarray) -> float:
     """Max |c(k) - conj(c(-k))| over the lattice."""
     flipped = coeffs
@@ -183,11 +162,11 @@ def hermitian_asymmetry(coeffs: np.ndarray) -> float:
     return float(np.max(np.abs(coeffs - np.conj(flipped))))
 
 
-def fft_forward(f: GridFunction) -> Spectrum:
-    """Forward transform; coefficient k is (1/N^n) sum f(x_j) e^{-2pi i k.j/N}.
-    Kept only because the benchmark's tracer reports it by name."""
-    coeffs = np.fft.fftn(f.values) / f.values.size
-    return Spectrum(f.spec, coeffs)
+def fft_forward(f: GridFunction) -> np.ndarray:
+    """Complex Fourier coefficients in numpy FFT layout: coefficient k is
+    (1/N^n) sum f(x_j) e^{-2pi i k.j/N}.  Kept only because the benchmark's
+    tracer reports it by name."""
+    return np.fft.fftn(f.values) / f.values.size
 
 
 # Real cells one transform call takes (512 KB of float64 samples): a larger
@@ -322,38 +301,46 @@ def _wrapped_displacement(spec: GridSpec, center: tuple[float, ...],
             for j, x in enumerate(_axis_coords(spec))]
 
 
+def _lattice_modes(spec: GridSpec, lam: float, modes) -> np.ndarray:
+    """The integer frequencies lam*k of the modes k, one per row.  A
+    dilation must keep every mode on the lattice and within the resolvable
+    band |k_j| <= N/2 - 1; the first mode that leaves either is named."""
+    modes = np.asarray(modes)
+    k = np.round(lam * modes)
+    off = ~np.all(np.abs(lam * modes - k) <= 1e-9, axis=1)
+    bad = np.flatnonzero(off | np.any(np.abs(k) > spec.N // 2 - 1, axis=1))
+    if bad.size:
+        where = ("off the lattice" if off[bad[0]] else
+                 f"beyond the resolvable band |k_j| <= {spec.N // 2 - 1} "
+                 f"of N={spec.N}")
+        raise ValueError(
+            f"dilate {lam} maps mode {tuple(modes[bad[0]].tolist())} {where}")
+    return k.astype(int)
+
+
 def _bandlimited_values(desc: TestFunctionDescriptor, spec: GridSpec) -> np.ndarray:
     if desc.seed is None or desc.max_k is None:
         raise ValueError("random-bandlimited requires seed and max_k")
-    lam = desc.dilate
-    rng = np.random.default_rng(desc.seed)
-    coeffs = np.zeros(spec.shape[:-1] + (spec.N // 2 + 1,), dtype=complex)
-    # one mode of each +-k pair, in lexicographic order
+    # one mode of each +-k pair, in lexicographic order, with coefficient
+    # (a + ib) for a, b halves of two standard normal draws
     band = range(-desc.max_k, desc.max_k + 1)
-    modes = [m for m in itertools.product(band, repeat=spec.n)
-             if m > (0,) * spec.n]
-    tau = desc.translate if desc.translate else (0.0,) * spec.n
-    for mode in modes:
-        re, im = rng.standard_normal(2)
-        scaled = tuple(lam * m for m in mode)
-        idx_f = [round(s) for s in scaled]
-        if any(abs(s - i) > 1e-9 for s, i in zip(scaled, idx_f)):
-            raise ValueError(
-                f"dilate {lam} maps mode {mode} to non-integer frequency"
-            )
-        if any(abs(i) > spec.N // 2 - 1 for i in idx_f):
-            raise ValueError(
-                f"dilated mode {idx_f} exceeds resolvable band of N={spec.N}"
-            )
-        c = (re + 1j * im) / 2 * np.exp(
-            -2j * np.pi * sum(i * t for i, t in zip(idx_f, tau)) / spec.L)
-        # the pair c at k and conj(c) at -k: a mode with k_n < 0 enters as
-        # its conjugate mirror, and the k_n = 0 column holds both halves
-        if idx_f[-1] < 0:
-            idx_f, c = [-i for i in idx_f], np.conj(c)
-        coeffs[tuple(i % spec.N for i in idx_f)] = c
-        if idx_f[-1] == 0:
-            coeffs[tuple(-i % spec.N for i in idx_f)] = np.conj(c)
+    modes = np.array([m for m in itertools.product(band, repeat=spec.n)
+                      if m > (0,) * spec.n], dtype=int).reshape(-1, spec.n)
+    k = _lattice_modes(spec, desc.dilate, modes)
+    a, b = np.random.default_rng(desc.seed).standard_normal((len(k), 2)).T / 2
+    tau = desc.translate or (0.0,) * spec.n
+    e = np.exp(-2j * np.pi * (k * tau).sum(axis=1) / spec.L)
+    # c = (a + ib) e in real arithmetic, which rounds as a scalar product
+    # does; a mode with k_n < 0 enters as its conjugate mirror
+    sign = np.where(k[:, -1] < 0, -1, 1)
+    c = np.empty(len(k), dtype=complex)
+    c.real, c.imag = a * e.real - b * e.imag, sign * (a * e.imag + b * e.real)
+    k *= sign[:, None]
+    coeffs = np.zeros(spec.shape[:-1] + (spec.N // 2 + 1,), dtype=complex)
+    coeffs[tuple((k % spec.N).T)] = c
+    # the k_n = 0 column holds both halves of each pair
+    edge = k[:, -1] == 0
+    coeffs[tuple((-k[edge] % spec.N).T)] = np.conj(c[edge])
     # unnormalized: the scale is a power of two, divided out exactly below
     values = spectral_synthesis(spec, coeffs, np.ones(1))
     peak = np.max(np.abs(values))
@@ -425,12 +412,7 @@ def _sample_values(desc: TestFunctionDescriptor, spec: GridSpec) -> np.ndarray:
     if desc.kind == "sine":
         if desc.kvec is None:
             raise ValueError("sine requires kvec")
-        scaled = tuple(lam * k for k in desc.kvec)
-        kl = [round(s) for s in scaled]
-        if any(abs(s - i) > 1e-9 for s, i in zip(scaled, kl)):
-            raise ValueError(f"dilate {lam} maps kvec {desc.kvec} off the lattice")
-        if any(abs(i) > spec.N // 2 - 1 for i in kl):
-            raise ValueError(f"dilated kvec {kl} exceeds resolvable band")
+        kl = _lattice_modes(spec, lam, [desc.kvec])[0].tolist()
         tau = desc.translate if desc.translate else (0.0,) * spec.n
         axes = zip(kl, _axis_coords(spec), tau)
         phase = sum((k * (x - t) for k, x, t in axes), np.zeros(spec.shape))

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -113,6 +114,44 @@ def test_non_numeric_config_values_exit_two(tmp_path, capsys):
     # test functions draw from numpy generators, which reject negative seeds
     with pytest.raises(ConfigError, match="seed"):
         parse_config({"estimates": []}, overrides={"seed": -1})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("grid.n", "1"), ("grid.N", "64"), ("grid.L", "1.5"),
+    ("t_levels.t_min", "0.01"), ("t_levels.t_max", "1.0"),
+    ("t_levels.M", "16"), ("seed", "7"), ("tolerance_scale", "1.5")])
+def test_numeric_strings_exit_two(tmp_path, capsys, key, value):
+    # a JSON string is not a number, even one that int() or float() reads
+    path = tmp_path / "cfg.json"
+    _write_config(path)
+    data = json.loads(path.read_text())
+    *section, name = key.split(".")
+    (data[section[0]] if section else data)[name] = value
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--out", str(tmp_path / "reports")]) == 2
+    _assert_one_config_error_line(
+        capsys, f"{key}: expected a number, got {value!r}")
+    assert not (tmp_path / "reports").exists()
+
+
+def test_estimate_params_must_be_an_object(tmp_path, capsys):
+    # a list of pairs would otherwise pass through dict()
+    for params in ([], [["p", 3.0]]):
+        with pytest.raises(ConfigError, match=r"estimates\[0\]: params must "
+                           "be a JSON object"):
+            parse_config({"estimates": [{"id": "crw-bmo", "params": params}]})
+        path = _write_config(tmp_path / "cfg.json",
+                             estimates=[{"id": "crw-bmo", "params": params}])
+        assert main(["run", path, "--out", str(tmp_path / "reports")]) == 2
+        _assert_one_config_error_line(capsys, "params")
+    assert not (tmp_path / "reports").exists()
+
+
+def test_run_config_fields_have_no_defaults():
+    # parse_config sets every field, and nothing else builds a RunConfig
+    assert all(f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING
+               for f in dataclasses.fields(cli.RunConfig))
 
 
 def test_too_few_t_levels_exit_two(tmp_path, capsys):

@@ -405,6 +405,29 @@ def test_extend_field_rejects_levels_of_another_grid():
     assert extend_field(f, 0.5, own).F.shape == (own.M, *spec.shape)
 
 
+def test_extend_field_rejects_unknown_derivatives():
+    # ("dt",) would otherwise return a field without dF/dt
+    spec = GridSpec(n=1, N=64, L=1.0)
+    f = make_function(TestFunctionDescriptor(
+        kind="gaussian", center=(0.5,), width=0.05), spec)
+    for derivs in (("dt",), ("t", "y"), ("x", "F")):
+        with pytest.raises(ValueError, match="unknown with_derivatives"):
+            extend_field(f, 0.5, make_tlevels(spec), with_derivatives=derivs)
+    F = extend_field(f, 0.5, make_tlevels(spec), with_derivatives=("t",))
+    assert F.carries("dF_dt") and not F.carries("dF_dx")
+
+
+def test_extend_field_rejects_a_stack():
+    # a stack's whole fields, residual and decay profile would not hold
+    # together; the stacked stream is extension._levels
+    spec = GridSpec(n=2, N=16, L=1.0)
+    f = make_function(TestFunctionDescriptor(
+        kind="gaussian", center=(0.5, 0.5), width=0.05), spec)
+    stack = GridFunction(spec, np.stack([f.values, 2 * f.values]))
+    with pytest.raises(ValueError, match="one function, not a stack"):
+        extend_field(stack, 0.5, make_tlevels(spec))
+
+
 def test_extension_field_repr_and_equality_synthesize_nothing(monkeypatch):
     spec = GridSpec(n=2, N=64, L=1.0)
     f = make_function(TestFunctionDescriptor(

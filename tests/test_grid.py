@@ -1,4 +1,7 @@
 import ast
+import importlib
+import inspect
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +15,13 @@ from fracharm import (EstimateDescriptor, GridFunction, GridSpec,
                       TestFunctionDescriptor, fft_forward, hermitian_asymmetry,
                       make_function, spectral_apply, spectral_gradient,
                       standard_family, verify_estimate)
-from fracharm.grid import Spectrum
 from grid_helpers import coords, mention_sites
 
 
-def _fft_inverse(S: Spectrum) -> GridFunction:
+def _fft_inverse(spec: GridSpec, coeffs: np.ndarray) -> GridFunction:
     """Complex inverse transform of fft_forward's coefficients back to real
     samples: the test oracle of the real-FFT synthesis."""
-    return GridFunction(S.spec, np.fft.ifftn(S.coeffs * S.coeffs.size).real)
+    return GridFunction(spec, np.fft.ifftn(coeffs * coeffs.size).real)
 
 
 @pytest.mark.parametrize("n,N,L", [(1, 64, 1.0), (1, 256, 2.5), (2, 32, 1.0)])
@@ -83,21 +85,22 @@ def test_fft_roundtrip_and_parseval(n, N):
     spec = GridSpec(n=n, N=N, L=1.5)
     rng = np.random.default_rng(42)
     f = GridFunction(spec, rng.standard_normal(spec.shape))
-    S = fft_forward(f)
-    assert hermitian_asymmetry(S.coeffs) <= 1e-12 * np.max(np.abs(S.coeffs))
-    back = _fft_inverse(S)
+    c = fft_forward(f)
+    assert isinstance(c, np.ndarray) and c.shape == spec.shape
+    assert hermitian_asymmetry(c) <= 1e-12 * np.max(np.abs(c))
+    back = _fft_inverse(spec, c)
     assert np.max(np.abs(back.values - f.values)) <= 1e-12
     # Parseval with the 1/N^n forward normalization:
     # mean of |f|^2 equals sum of |coeff|^2
     assert np.mean(f.values**2) == pytest.approx(
-        np.sum(np.abs(S.coeffs) ** 2), rel=1e-12)
+        np.sum(np.abs(c) ** 2), rel=1e-12)
 
 
 def test_forward_convention_single_mode():
     spec = GridSpec(n=1, N=32, L=1.0)
     x = coords(spec)[0]
     f = GridFunction(spec, np.cos(2 * np.pi * 3 * x))
-    c = fft_forward(f).coeffs
+    c = fft_forward(f)
     assert c[3] == pytest.approx(0.5)
     assert c[-3] == pytest.approx(0.5)
     others = np.delete(c, [3, 32 - 3])
@@ -148,6 +151,23 @@ def test_forward_transforms_only_in_spectral_path():
     forward = {"fft", "fftn", "fft2", "rfft", "rfft2", "rfftn"}
     assert mention_sites(forward) == {("grid", "spectral_forward"),
                                          ("grid", "fft_forward")}
+
+
+def test_every_traced_name_is_a_function_of_its_layer():
+    # the benchmark's tracer wraps functions by name; one it cannot find is
+    # reported absent, so a deleted name must show here
+    path = Path(__file__).parents[1] / "perfbench" / "traced.py"
+    body = ast.parse(path.read_text()).body
+    reported = next(ast.literal_eval(node.value) for node in body
+                    if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets]
+                    == ["REPORTED"])
+    assert "fft_forward" in reported["grid"]
+    for layer, names in reported.items():
+        module = importlib.import_module(f"fracharm.{layer}")
+        for name in names:
+            assert inspect.isfunction(getattr(module, name, None)), (layer,
+                                                                     name)
 
 
 def _whole_stack_synthesis(spec, coeffs, mult):
@@ -339,7 +359,7 @@ def _bandlimited_full_lattice(desc, spec):
             -2j * np.pi * sum(i * t for i, t in zip(idx, tau)) / spec.L)
         coeffs[tuple(i % spec.N for i in idx)] += c
         coeffs[tuple(-i % spec.N for i in idx)] += np.conj(c)
-    values = _fft_inverse(Spectrum(spec, coeffs / coeffs.size)).values
+    values = _fft_inverse(spec, coeffs / coeffs.size).values
     return desc.amplitude * values / np.max(np.abs(values))
 
 
@@ -358,6 +378,54 @@ def test_bandlimited_half_lattice_matches_full_lattice(n, N):
                 worst = max(worst, float(np.max(np.abs(got - want))
                                          / np.max(np.abs(want))))
     assert worst <= 1e-15
+
+
+def _bandlimited_per_mode(desc, spec):
+    """Band-limited members drawn, phased and placed on the half lattice one
+    mode at a time: the bit-exact oracle of the array path."""
+    lam = desc.dilate
+    rng = np.random.default_rng(desc.seed)
+    coeffs = np.zeros(spec.shape[:-1] + (spec.N // 2 + 1,), dtype=complex)
+    band = range(-desc.max_k, desc.max_k + 1)
+    modes = [m for m in itertools.product(band, repeat=spec.n)
+             if m > (0,) * spec.n]
+    tau = desc.translate if desc.translate else (0.0,) * spec.n
+    for mode in modes:
+        re, im = rng.standard_normal(2)
+        idx = [round(lam * m) for m in mode]
+        c = (re + 1j * im) / 2 * np.exp(
+            -2j * np.pi * sum(i * t for i, t in zip(idx, tau)) / spec.L)
+        if idx[-1] < 0:
+            idx, c = [-i for i in idx], np.conj(c)
+        coeffs[tuple(i % spec.N for i in idx)] = c
+        if idx[-1] == 0:
+            coeffs[tuple(-i % spec.N for i in idx)] = np.conj(c)
+    values = grid.spectral_synthesis(spec, coeffs, np.ones(1))
+    peak = np.max(np.abs(values))
+    if peak > 0:
+        values = values / peak
+    return desc.amplitude * values
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (1, 1024), (2, 64), (2, 128)])
+def test_bandlimited_members_equal_the_per_mode_loop(n, N):
+    spec = GridSpec(n=n, N=N, L=1.0)
+    members = [t for sample in standard_family(3, spec) for t in sample
+               if t.kind == "random-bandlimited"]
+    # the family's members in the three dilation states of the harness
+    descs = [t.dilated(lam) for t in members for lam in (0.5, 1.0, 2.0)]
+    descs += [TestFunctionDescriptor(kind="random-bandlimited", seed=seed,
+                                     max_k=6, dilate=2.0, amplitude=1.4,
+                                     translate=(0.31, -0.07)[:n])
+              for seed in (1000, 1001)]
+    descs.append(TestFunctionDescriptor(kind="random-bandlimited", seed=3,
+                                        max_k=0))
+    assert len(descs) == 48
+    for desc in descs:
+        got = grid._sampled(desc, spec).values
+        assert np.array_equal(got, _bandlimited_per_mode(desc, spec)), desc
+    # max_k = 0 has no modes: the zero function
+    assert not np.any(got)
 
 
 @pytest.mark.parametrize("eid,n,N", [("crw-lorentz", 1, 256),
@@ -444,12 +512,38 @@ def test_dilate_rejects_off_lattice_modes():
         make_function(d2, spec)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_lattice_check_names_the_first_bad_mode(n):
+    # sines and band-limited members share one check and its two messages
+    spec = GridSpec(n=n, N=64, L=1.0)
+    sine = TestFunctionDescriptor(kind="sine", kvec=(3, 2)[:n])
+    limited = TestFunctionDescriptor(kind="random-bandlimited", seed=1,
+                                     max_k=3)
+    first = (1,) if n == 1 else (0, 1)
+    nan = TestFunctionDescriptor(kind="sine", kvec=(float("nan"),) * n)
+    off = [(sine, 0.5, (3, 2)[:n]), (limited, 0.5, first),
+           (nan, 1.0, (float("nan"),) * n)]
+    for desc, lam, mode in off:
+        with pytest.raises(ValueError, match="off the lattice") as err:
+            make_function(desc.dilated(lam), spec)
+        assert f"mode {mode} " in str(err.value)
+    # lam = 12 keeps every mode on the lattice and takes k = 3 to 36 > 31
+    wide = [(sine, (3, 2)[:n]), (limited, (3,) if n == 1 else (0, 3))]
+    for desc, mode in wide:
+        with pytest.raises(ValueError, match="beyond the resolvable band "
+                           r"\|k_j\| <= 31 of N=64") as err:
+            make_function(desc.dilated(12.0), spec)
+        assert f"mode {mode} " in str(err.value)
+    assert mention_sites({"_lattice_modes"}) == {
+        ("grid", "_bandlimited_values"), ("grid", "_sample_values")}
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), amp=st.floats(0.1, 10.0))
 def test_fft_linearity_property(seed, amp):
     spec = GridSpec(n=1, N=64, L=1.0)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(64)
-    a = fft_forward(GridFunction(spec, amp * v)).coeffs
-    b = amp * fft_forward(GridFunction(spec, v)).coeffs
+    a = fft_forward(GridFunction(spec, amp * v))
+    b = amp * fft_forward(GridFunction(spec, v))
     assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1.0)

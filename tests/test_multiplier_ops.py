@@ -157,7 +157,7 @@ def test_parseval_l2_norm_property(seed):
     rng = np.random.default_rng(seed)
     f = GridFunction(spec, rng.standard_normal(64))
     from fracharm import fft_forward
-    coeff_norm = np.sqrt(np.sum(np.abs(fft_forward(f).coeffs) ** 2) * spec.L)
+    coeff_norm = np.sqrt(np.sum(np.abs(fft_forward(f)) ** 2) * spec.L)
     assert l2_norm(f) == pytest.approx(coeff_norm, rel=1e-12)
 
 
