@@ -18,7 +18,8 @@ Fields come from one forward transform of the boundary values (one function,
 or a stack streamed by _levels); each level gathers its multipliers onto the
 real-FFT half lattice from one symbol evaluation on the distinct |xi|.
 extend_field returns an ExtensionField, which synthesizes each field on its
-first read, and _field_levels reads a field component level by level.
+first read and streams a field by per-level synthesis, and _field_levels reads
+a field component level by level.
 
 The diagnostics (the s-harmonicity residual and the boundary trace) compare
 radial multipliers of f^, so their L2 norms and inner products are sums over
@@ -250,12 +251,10 @@ class ExtensionField:
     for, from the half spectrum coeffs of f and radial, per level m and
     |xi| m' on the distinct |xi|.
 
-    F and dF_dt have shape (M, *grid), dF_dx is a tuple of spec.n such
-    arrays, and harmonicity holds the relative s-harmonicity residual of the
-    M - 2 interior levels, present with dF_dt.  Each is None when absent,
-    else computed on its first read and kept.  level_values streams a field
-    not yet read and keeps nothing; carries, repr and == (identity) compute
-    nothing."""
+    F and dF_dt have shape (M, *grid) and dF_dx is a tuple of spec.n such
+    arrays.  Each is None when absent, else synthesized on its first read
+    and kept.  level_values synthesizes a field per level and keeps nothing;
+    carries, repr and == (identity) compute nothing."""
 
     spec: GridSpec
     s: float
@@ -277,12 +276,9 @@ class ExtensionField:
 
     def level_values(self, name: str) -> Iterator:
         """The present field name level by level, a level of dF_dx being its
-        n axes: slices of a field already read, else synthesized per level."""
+        n axes, synthesized per level whether or not the field was read."""
         if not self.carries(name):
             raise ValueError(f"the extension field carries no {name}")
-        if name in self.__dict__:
-            value = self.__dict__[name]
-            return zip(*value) if name == "dF_dx" else iter(value)
         key = {"F": "F", "dF_dt": "t", "dF_dx": "x"}[name]
         levels = _levels(self.spec, self.coeffs, self.radial, (key,))
         return levels if name == "dF_dx" else (lvl[0] for lvl in levels)
@@ -300,13 +296,6 @@ class ExtensionField:
     F = functools.cached_property(lambda self: self._whole("F"))
     dF_dt = functools.cached_property(lambda self: self._whole("dF_dt"))
     dF_dx = functools.cached_property(lambda self: self._whole("dF_dx"))
-
-    @functools.cached_property
-    def harmonicity(self) -> np.ndarray | None:
-        if not self.carries("dF_dt"):
-            return None
-        return _residuals(self.spec, self.coeffs, self.radial, self.levels,
-                          self.s, self.carries("dF_dx"))
 
 
 _SELECTORS = ("value", "dt", "dx", "gradient")
@@ -441,14 +430,13 @@ def _residuals(spec: GridSpec, coeffs: np.ndarray, radial, levels: TLevels,
 
 
 def extend_field(f: GridFunction, s: float, levels: TLevels,
-                 with_derivatives: tuple[str, ...] = ("t", "x"),
-                 symbol: PoissonSymbol | None = None) -> ExtensionField:
+                 with_derivatives: tuple[str, ...] = ("t", "x")
+                 ) -> ExtensionField:
     """F(.,t) = m_s(t|xi|) f^(xi) on every level, plus requested derivative
     fields (t from the differentiated symbol, x spectrally), each synthesized
     on its first read (see ExtensionField) from one forward transform and one
-    symbol evaluation per level on the distinct |xi|.  With dF/dt the field
-    also carries the s-harmonicity residual of every interior level (see
-    s_harmonicity_residual), computed on its first read from these values.
+    symbol evaluation per level on the distinct |xi|, from which
+    s_harmonicity_residual also takes its sums when dF/dt is present.
     The levels must top out at or below 4L, as make_tlevels makes them for
     f's grid; levels made for a larger period raise ValueError, as do a
     stack and a derivative other than "t" and "x"."""
@@ -461,7 +449,7 @@ def extend_field(f: GridFunction, s: float, levels: TLevels,
         raise ValueError(f"top level {levels.ts[-1]} above 4L = {4 * spec.L} "
                          f"of the grid: the levels were made for another grid")
     coeffs = spectral_forward(spec, f.values)
-    radial = list(_radial_symbols(spec, symbol or PoissonSymbol(s), levels,
+    radial = list(_radial_symbols(spec, PoissonSymbol(s), levels,
                                   "t" in with_derivatives))
     fields = ("F", *(name for name, key in (("dF_dt", "t"), ("dF_dx", "x"))
                      if key in with_derivatives))
@@ -535,13 +523,14 @@ def s_harmonicity_residual(F: ExtensionField) -> list[tuple[float, float]]:
     when the field carries it.  It is taken in units of the period (t / L
     and L |xi|), so it is dimensionless, L times the quotient in units of
     length, and a configuration reads the same at every period.  Every term
-    is a radial multiplier of f^, so the first read takes the L2 norms by
+    is a radial multiplier of f^, so each call takes the L2 norms by
     Parseval from extend_field's symbol values, and no field is synthesized
     for them."""
     if not F.carries("dF_dt"):
         raise ValueError("extension field must carry the t-derivative")
-    return [(float(t), float(r))
-            for t, r in zip(F.levels.ts[1:-1], F.harmonicity)]
+    res = _residuals(F.spec, F.coeffs, F.radial, F.levels, F.s,
+                     F.carries("dF_dx"))
+    return [(float(t), float(r)) for t, r in zip(F.levels.ts[1:-1], res)]
 
 
 def decay_profile(F: ExtensionField, k: int = 0) -> dict[str, np.ndarray]:

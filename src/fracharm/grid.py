@@ -71,10 +71,7 @@ class GridSpec:
     def wavenumbers(self) -> list[np.ndarray]:
         """Integer frequency arrays k_j of full grid shape."""
         k1 = np.fft.fftfreq(self.N) * self.N
-        if self.n == 1:
-            return [k1]
-        KX, KY = np.meshgrid(k1, k1, indexing="ij")
-        return [KX, KY]
+        return list(np.meshgrid(*[k1] * self.n, indexing="ij"))
 
     def frequencies(self) -> list[np.ndarray]:
         """Physical frequency arrays xi_j = k_j / L of full grid shape."""
@@ -87,10 +84,8 @@ class GridSpec:
 
     def nyquist_mask(self) -> np.ndarray:
         """Boolean mask of lattice points with k_j = -N/2 on any axis."""
-        mask = np.zeros(self.shape, dtype=bool)
-        for k in self.wavenumbers():
-            mask |= k == -self.N // 2
-        return mask
+        return functools.reduce(
+            np.logical_or, [k == -self.N // 2 for k in self.wavenumbers()])
 
 
 def _rows(spec: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -255,13 +250,13 @@ class TestFunctionDescriptor:
     Deterministic recipe for a test function.
 
     kind is one of:
-      - "gaussian": params center (tuple), width
-      - "smooth-bump": params center (tuple), radius
-      - "sine": params kvec (integer tuple)
+      - "gaussian": params center (n-tuple), width
+      - "smooth-bump": params center (n-tuple), radius
+      - "sine": params kvec (integer n-tuple)
       - "random-bandlimited": params seed, max_k
       - "constant": the value amplitude everywhere
 
-    Modifiers: translate tau (tuple), dilate lam > 0 (shrinks support by the
+    Modifiers: translate tau (n-tuple, () for none), dilate lam > 0 (shrinks support by the
     factor lam about the center; multiplies sine/bandlimited frequencies by
     lam), amplitude a.
     """
@@ -293,10 +288,9 @@ def _axis_coords(spec: GridSpec) -> tuple[np.ndarray, ...]:
 
 
 def _wrapped_displacement(spec: GridSpec, center: tuple[float, ...],
-                          translate: tuple[float, ...]) -> list[np.ndarray]:
-    """Minimum-image displacement of each grid point from center+translate,
-    one broadcasting vector per axis."""
-    tau = translate if translate else (0.0,) * spec.n
+                          tau: tuple[float, ...]) -> list[np.ndarray]:
+    """Minimum-image displacement of each grid point from center+tau, one
+    broadcasting vector per axis."""
     return [(x - center[j] - tau[j] + spec.L / 2) % spec.L - spec.L / 2
             for j, x in enumerate(_axis_coords(spec))]
 
@@ -318,9 +312,8 @@ def _lattice_modes(spec: GridSpec, lam: float, modes) -> np.ndarray:
     return k.astype(int)
 
 
-def _bandlimited_values(desc: TestFunctionDescriptor, spec: GridSpec) -> np.ndarray:
-    if desc.seed is None or desc.max_k is None:
-        raise ValueError("random-bandlimited requires seed and max_k")
+def _bandlimited_values(desc: TestFunctionDescriptor, spec: GridSpec,
+                        tau: tuple[float, ...]) -> np.ndarray:
     # one mode of each +-k pair, in lexicographic order, with coefficient
     # (a + ib) for a, b halves of two standard normal draws
     band = range(-desc.max_k, desc.max_k + 1)
@@ -328,7 +321,6 @@ def _bandlimited_values(desc: TestFunctionDescriptor, spec: GridSpec) -> np.ndar
                       if m > (0,) * spec.n], dtype=int).reshape(-1, spec.n)
     k = _lattice_modes(spec, desc.dilate, modes)
     a, b = np.random.default_rng(desc.seed).standard_normal((len(k), 2)).T / 2
-    tau = desc.translate or (0.0,) * spec.n
     e = np.exp(-2j * np.pi * (k * tau).sum(axis=1) / spec.L)
     # c = (a + ib) e in real arithmetic, which rounds as a scalar product
     # does; a mode with k_n < 0 enters as its conjugate mirror
@@ -375,34 +367,46 @@ def _sampled(desc: TestFunctionDescriptor, spec: GridSpec) -> GridFunction:
 _cached_function = functools.lru_cache(maxsize=256)(_sampled)
 
 
+# The fields each kind reads; center and kvec are vectors of n entries
+_KIND_FIELDS = {"gaussian": ("center", "width"),
+                "smooth-bump": ("center", "radius"), "sine": ("kvec",),
+                "random-bandlimited": ("seed", "max_k"), "constant": ()}
+
+
 def _sample_values(desc: TestFunctionDescriptor, spec: GridSpec) -> np.ndarray:
     lam = desc.dilate
     if not (lam > 0):
         raise ValueError(f"dilate must be positive, got {lam}")
+    if desc.kind not in _KIND_FIELDS:
+        raise ValueError(f"unknown test-function kind: {desc.kind!r}")
+    fields = _KIND_FIELDS[desc.kind]
+    if any(getattr(desc, name) is None for name in fields):
+        raise ValueError(f"{desc.kind} requires {' and '.join(fields)}")
+    tau = desc.translate or (0.0,) * spec.n
+    for name in [f for f in fields if f in ("center", "kvec")] + ["translate"]:
+        v = tau if name == "translate" else getattr(desc, name)
+        if len(v) != spec.n:
+            raise ValueError(f"{name} must have n = {spec.n} entries, got {v}")
 
     if desc.kind == "gaussian":
-        if desc.center is None or desc.width is None:
-            raise ValueError("gaussian requires center and width")
         w_eff = desc.width / lam
         if w_eff > spec.L / 12:
             raise ValueError(
                 f"gaussian effective width {w_eff:.4g} too large for period "
                 f"{spec.L} (must be <= L/12 to keep support inside one period)"
             )
-        d = _wrapped_displacement(spec, desc.center, desc.translate)
+        d = _wrapped_displacement(spec, desc.center, tau)
         r2 = sum((lam * dj) ** 2 for dj in d)
         return desc.amplitude * np.exp(-r2 / (2 * desc.width**2))
 
     if desc.kind == "smooth-bump":
-        if desc.center is None or desc.radius is None:
-            raise ValueError("smooth-bump requires center and radius")
         r_eff = desc.radius / lam
         if r_eff > spec.L / 2.5:
             raise ValueError(
                 f"bump effective radius {r_eff:.4g} too large for period "
                 f"{spec.L} (support must stay inside one period)"
             )
-        d = _wrapped_displacement(spec, desc.center, desc.translate)
+        d = _wrapped_displacement(spec, desc.center, tau)
         rho2 = sum((lam * dj / desc.radius) ** 2 for dj in d)
         values = np.zeros(spec.shape)
         inside = rho2 < 1.0
@@ -410,18 +414,12 @@ def _sample_values(desc: TestFunctionDescriptor, spec: GridSpec) -> np.ndarray:
         return desc.amplitude * values
 
     if desc.kind == "sine":
-        if desc.kvec is None:
-            raise ValueError("sine requires kvec")
         kl = _lattice_modes(spec, lam, [desc.kvec])[0].tolist()
-        tau = desc.translate if desc.translate else (0.0,) * spec.n
         axes = zip(kl, _axis_coords(spec), tau)
         phase = sum((k * (x - t) for k, x, t in axes), np.zeros(spec.shape))
         return desc.amplitude * np.sin(2 * np.pi * phase / spec.L)
 
     if desc.kind == "random-bandlimited":
-        return _bandlimited_values(desc, spec)
+        return _bandlimited_values(desc, spec, tau)
 
-    if desc.kind == "constant":
-        return np.full(spec.shape, desc.amplitude)
-
-    raise ValueError(f"unknown test-function kind: {desc.kind!r}")
+    return np.full(spec.shape, desc.amplitude)

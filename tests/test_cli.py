@@ -414,6 +414,19 @@ def _assert_one_config_error_line(capsys, *words):
         assert word in err
 
 
+def test_config_shape_refusals_exit_two_with_one_line(tmp_path, capsys):
+    cases = [({"estimates": {}}, "estimates must be a list"),
+             ({"estimates": [3]}, "estimates[0] must be an object"),
+             ({"grid": {"n": 1, "N": None, "L": 1.0}},
+              "grid.N: expected a value, got null"),
+             ({"seed": None}, "seed: expected a value, got null")]
+    for i, (kwargs, message) in enumerate(cases):
+        path = _write_config(tmp_path / f"cfg{i}.json", **kwargs)
+        assert main(["run", path, "--out", str(tmp_path / "reports")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "reports").exists()
+
+
 def test_unrepresentable_period_exits_two(tmp_path, capsys):
     # L^2 underflows, or L^2 overflows, past the normal float64 range
     for L in (1e-200, 1e300):

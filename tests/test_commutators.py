@@ -131,6 +131,24 @@ def test_jacobian_pairing_structure():
                          (GridFunction(SPEC1, np.zeros(128)),) * 2)
 
 
+def test_jacobian_pairing_refuses_other_grids_and_undecayed_levels():
+    spec = GridSpec(n=2, N=32, L=1.0)
+    phi = _bump(spec, (0.5, 0.5), 0.25)
+    u1 = _bandlimited(spec, 3, max_k=4)
+    u2 = _bandlimited(spec, 9, max_k=4)
+    other = _bandlimited(GridSpec(n=2, N=16, L=1.0), 3, max_k=4)
+    for u in ((other, u2), (u1, other)):
+        with pytest.raises(ValueError) as err:
+            jacobian_pairing(phi, u)
+        assert str(err.value) == "all three functions must share the grid"
+    # levels that top out at 0.05 leave the integrand far from decayed
+    low = TLevels(np.geomspace(spec.h / 8, 0.05, 16))
+    with pytest.raises(ValueError, match="extension integrand has not "
+                       "decayed at t_M: last level .* exceeds 1e-6 of peak "
+                       ".*; enlarge t_max"):
+        jacobian_pairing(phi, (u1, u2), method="extension", levels=low)
+
+
 def test_jacobian_two_routes_agree():
     spec = GridSpec(n=2, N=64, L=1.0)
     phi = _bump(spec, (0.5, 0.5), 0.25)

@@ -11,10 +11,10 @@ import fracharm.extension
 from fracharm import (GridFunction, GridSpec, PoissonSymbol,
                       TLevels,
                       TestFunctionDescriptor, boundary_limit_check,
-                      decay_profile, extend_field, frac_laplacian, get_symbol,
-                      make_function, make_tlevels,
+                      carleson_sup, decay_profile, extend_field,
+                      frac_laplacian, get_symbol, make_function, make_tlevels,
                       s_harmonicity_residual, s_poisson_symbol, spectral_apply,
-                      spectral_gradient)
+                      spectral_gradient, square_function)
 from grid_helpers import coords
 
 
@@ -442,7 +442,7 @@ def test_extension_field_repr_and_equality_synthesize_nothing(monkeypatch):
     assert F != G and F == F
     assert calls == []
     # nothing is computed or kept before its first read
-    assert not {"F", "dF_dt", "dF_dx", "harmonicity"} & F.__dict__.keys()
+    assert not {"F", "dF_dt", "dF_dx"} & F.__dict__.keys()
     assert all(F.carries(k) for k in ("F", "dF_dt", "dF_dx"))
     held = extend_field(f, 0.5, lv, with_derivatives=())
     held.F
@@ -604,7 +604,8 @@ def test_s_harmonicity_residual_is_dimensionless(s):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             F = extend_field(f, s, make_tlevels(spec, M=32))
-        return f, F.levels, F.harmonicity
+            res = np.array([r for _, r in s_harmonicity_residual(F)])
+        return f, F.levels, res
 
     f, lv, ref = recorded(1.0)
     # at L = 1 the units of the period change no bit: the residual equals
@@ -654,10 +655,35 @@ def test_s_harmonicity_residual_needs_dt_field():
     F = extend_field(f, 0.5, lv, with_derivatives=())
     with pytest.raises(ValueError):
         s_harmonicity_residual(F)
-    assert F.harmonicity is None
-    # a field with dF/dt always carries its residual, one per interior level
+    # a field with dF/dt has a residual, one per interior level
     F = extend_field(f, 0.5, lv, with_derivatives=("t",))
-    assert F.harmonicity.shape == (lv.M - 2,)
+    assert len(s_harmonicity_residual(F)) == lv.M - 2
+
+
+def test_extension_readers_refuse_a_missing_field():
+    spec = GridSpec(n=1, N=64, L=1.0)
+    f = make_function(TestFunctionDescriptor(
+        kind="gaussian", center=(0.5,), width=0.05), spec)
+    lv = make_tlevels(spec, M=16)
+    bare = extend_field(f, 0.5, lv, with_derivatives=())
+    only_t = extend_field(f, 0.5, lv, with_derivatives=("t",))
+    cases = [
+        (lambda: square_function(only_t, selector="bogus"),
+         "selector must be one of ('value', 'dt', 'dx', 'gradient'), "
+         "got 'bogus'"),
+        (lambda: square_function(bare),
+         "selector 'dt' needs the t-derivative field"),
+        (lambda: carleson_sup(only_t),
+         "selector 'gradient' needs the x-derivative field"),
+        (lambda: decay_profile(bare, k=1),
+         "k = 1 requires both derivative fields"),
+        (lambda: decay_profile(only_t, k=1),
+         "k = 1 requires both derivative fields"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def _harmonicity_by_arrays(F):

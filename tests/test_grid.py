@@ -447,7 +447,10 @@ def test_reports_move_by_rounding_from_full_lattice_members(eid, n, N,
                                    r.dilation_stability, *np.ravel(rows)])
 
     passed, got = report()
-    monkeypatch.setattr(grid, "_bandlimited_values", _bandlimited_full_lattice)
+    # the oracle reads the translation from the descriptor itself
+    monkeypatch.setattr(grid, "_bandlimited_values",
+                        lambda desc, spec, tau:
+                        _bandlimited_full_lattice(desc, spec))
     passed0, want = report()
     monkeypatch.undo()
     grid._cached_function.cache_clear()
@@ -536,6 +539,81 @@ def test_one_lattice_check_names_the_first_bad_mode(n):
         assert f"mode {mode} " in str(err.value)
     assert mention_sites({"_lattice_modes"}) == {
         ("grid", "_bandlimited_values"), ("grid", "_sample_values")}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_descriptor_vectors_must_have_n_entries(n):
+    # every vector a kind reads, and the translation, is checked against the
+    # grid's dimension before sampling; a short or long one is refused by name
+    spec = GridSpec(n=n, N=16, L=1.0)
+    kinds = {"gaussian": {"center": (0.5,) * n, "width": 0.05},
+             "smooth-bump": {"center": (0.5,) * n, "radius": 0.2},
+             "sine": {"kvec": (1,) * n},
+             "random-bandlimited": {"seed": 3, "max_k": 2},
+             "constant": {}}
+    refused = 0
+    for kind, kw in kinds.items():
+        vectors = [name for name in kw if name in ("center", "kvec")]
+        for name in vectors + ["translate"]:
+            entry = 1 if name == "kvec" else 0.25
+            make_function(TestFunctionDescriptor(
+                kind, **{**kw, name: (entry,) * n}), spec)
+            for length in (n - 1, n + 1):
+                if name == "translate" and length == 0:
+                    continue  # an empty translation is no translation
+                v = (entry,) * length
+                desc = TestFunctionDescriptor(kind, **{**kw, name: v})
+                with pytest.raises(ValueError) as err:
+                    make_function(desc, spec)
+                assert str(err.value) == (
+                    f"{name} must have n = {n} entries, got {v}"), desc
+                refused += 1
+    assert refused == {1: 11, 2: 16}[n]
+
+
+def test_sampler_refusals_name_their_fault():
+    spec = GridSpec(n=1, N=16, L=1.0)
+    cases = [
+        ({"kind": "constant", "dilate": 0.0},
+         "dilate must be positive, got 0.0"),
+        ({"kind": "sine", "kvec": (1,), "dilate": -2.0},
+         "dilate must be positive, got -2.0"),
+        ({"kind": "gaussian", "center": (0.5,)},
+         "gaussian requires center and width"),
+        ({"kind": "gaussian", "width": 0.05},
+         "gaussian requires center and width"),
+        ({"kind": "smooth-bump", "radius": 0.2},
+         "smooth-bump requires center and radius"),
+        ({"kind": "smooth-bump", "center": (0.5,)},
+         "smooth-bump requires center and radius"),
+        ({"kind": "sine"}, "sine requires kvec"),
+        ({"kind": "random-bandlimited", "seed": 1},
+         "random-bandlimited requires seed and max_k"),
+        ({"kind": "random-bandlimited", "max_k": 2},
+         "random-bandlimited requires seed and max_k"),
+        ({"kind": "gaussian", "center": (0.5,), "width": 0.1},
+         "gaussian effective width 0.1 too large for period 1.0 (must be "
+         "<= L/12 to keep support inside one period)"),
+        ({"kind": "smooth-bump", "center": (0.5,), "radius": 0.2,
+          "dilate": 0.4},
+         "bump effective radius 0.5 too large for period 1.0 (support must "
+         "stay inside one period)"),
+        ({"kind": "wavelet"}, "unknown test-function kind: 'wavelet'"),
+    ]
+    for kw, message in cases:
+        with pytest.raises(ValueError) as err:
+            make_function(TestFunctionDescriptor(**kw), spec)
+        assert str(err.value) == message, kw
+
+
+def test_negation_equals_scaling_by_minus_one():
+    spec = GridSpec(n=2, N=16, L=1.0)
+    f = make_function(TestFunctionDescriptor(
+        kind="random-bandlimited", seed=5, max_k=3), spec)
+    neg = -f
+    assert neg.spec == spec
+    assert np.array_equal(neg.values, ((-1) * f).values)
+    assert np.array_equal(neg.values, -f.values)
 
 
 @settings(max_examples=25, deadline=None)

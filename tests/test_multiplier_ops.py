@@ -209,3 +209,14 @@ def test_cached_multiplier_is_read_only_and_reused():
     # per-call checks still run on a cached key
     with pytest.raises(ValueError, match="mean"):
         riesz_potential(f + GridFunction(spec, np.ones(64)), 0.45)
+
+
+def test_constant_symbol_broadcasts_over_the_lattice():
+    # a symbol that returns a scalar is broadcast to the grid's shape
+    spec = GridSpec(n=2, N=32, L=1.0)
+    f = _bandlimited(spec)
+    two = SymbolDescriptor(lambda *xis: 2.0, at_zero=2.0, name="two")
+    assert _multiplier_array(spec, two).shape == spec.shape
+    g = apply_symbol(f, two)
+    assert np.max(np.abs(g.values - 2 * f.values)) <= 1e-15 * np.max(
+        np.abs(f.values))

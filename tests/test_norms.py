@@ -604,9 +604,30 @@ def test_space_functional_validation():
                          derivative="dx")
 
 
+def test_space_functional_refuses_its_arguments():
+    spec = GridSpec(n=1, N=64, L=1.0)
+    f = _bump(spec, radius=0.2)
+    lv = make_tlevels(spec)
+    cases = [
+        ({"derivative": "dxx"}, "derivative must be one of "
+         "('frac-laplacian', 'dt', 'dx'), got 'dxx'"),
+        ({"s": 2.5}, "extension order s must lie in (0, 2), got 2.5"),
+        ({"p": 0.5}, "exponents must lie in [1, inf], got p=0.5, q=2.0"),
+    ]
+    for kw, message in cases:
+        args = {"alpha": 0.2, "beta": 1.0, "p": 2.0, "q": 2.0, "s": 0.5,
+                **kw}
+        derivative = args.pop("derivative", "frac-laplacian")
+        with pytest.raises(ValueError) as err:
+            space_functional(f, "besov", args["alpha"], args["beta"],
+                             args["p"], args["q"], args["s"], lv,
+                             derivative=derivative)
+        assert str(err.value) == message
+
+
 def test_space_functional_dt_computes_no_harmonicity(monkeypatch):
-    # extend_field defers the s-harmonicity residual to its first read,
-    # which space_functional never makes
+    # space_functional never computes the residual; only
+    # s_harmonicity_residual does
     spec = GridSpec(n=1, N=64, L=1.0)
     f = _bump(spec, radius=0.2)
     lv = make_tlevels(spec)
