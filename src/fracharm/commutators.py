@@ -179,10 +179,10 @@ def hardy_duality_check(phi: GridFunction, f: GridFunction, g: GridFunction,
     A zero RHS (constant g) gives 0 if the LHS is at most 1e-12 of the
     pairing without cancellation, int |(-Delta)^{s/2} H_s(phi,f) . g|."""
     d = EstimateDescriptor("hardy-duality", {"s": s, "p": p, "q": q})
-    lhs, rhs = _eval_hardy_duality(phi.spec, (phi, f, g), d.params, {})
+    integrand, rhs = _hardy_terms((phi, f, g), d.params)
+    lhs = abs(_integral(phi.spec, integrand))
     if rhs == 0.0:
-        scale = np.sum(np.abs(_hardy_integrand(leibniz_defect(phi, f, s), g,
-                                               s))) * phi.spec.cell_volume
+        scale = np.sum(np.abs(integrand)) * phi.spec.cell_volume
         return 0.0 if lhs <= 1e-12 * scale else _INF
     return lhs / rhs
 
@@ -333,21 +333,23 @@ def _eval_jacobian_sobolev(spec, funcs, prm, meta):
     return lhs, rhs
 
 
-def _hardy_integrand(defect, g, s):
-    return frac_laplacian(defect, s).values * g.values
-
-
-def _eval_hardy_duality(spec, funcs, prm, meta):
+def _hardy_terms(funcs, prm):
+    """The pairing's integrand (-Delta)^{s/2} H_s(phi,f) . g, and the RHS."""
     phi, f, g = funcs
     s, p, q = prm["s"], prm["p"], prm["q"]
     defect, lap_phi, lap_f = _leibniz_terms(phi, f, s)
-    lhs = abs(_integral(spec, _hardy_integrand(defect, g, s)))
     # for p above about 1e16 the conjugate rounds to 1.0; the float above 1
     # is the one nearest 1 + 1/(p - 1)
     pc, qc = max(p / (p - 1), math.nextafter(1.0, 2.0)), q / (q - 1)
     rhs = (lorentz_norm(lap_phi, LorentzExponents(p, q))
            * lorentz_norm(lap_f, LorentzExponents(pc, qc)) * bmo_seminorm(g))
-    return lhs, rhs
+    # last, so the RHS's norms and BMO search do not hold it beside the defect
+    return frac_laplacian(defect, s).values * g.values, rhs
+
+
+def _eval_hardy_duality(spec, funcs, prm, meta):
+    integrand, rhs = _hardy_terms(funcs, prm)
+    return abs(_integral(spec, integrand)), rhs
 
 
 # "ranges" give each parameter its interval, as the message that refuses it;

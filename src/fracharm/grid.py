@@ -348,11 +348,8 @@ _CACHED_FUNCTION_CELLS = 2**12
 
 
 def make_function(desc: TestFunctionDescriptor, spec: GridSpec) -> GridFunction:
-    """Sample a test function; bit-identical output for equal (desc, spec).
-
-    The values are read-only.  On grids of at most 2^12 cells the result
-    comes from a process-wide LRU cache of 256 entries keyed by (desc, spec),
-    so equal descriptors return the same object."""
+    """Sample a test function, read-only and bit-identical for equal (desc,
+    spec); grids of at most _CACHED_FUNCTION_CELLS cells are cached."""
     if spec.N**spec.n <= _CACHED_FUNCTION_CELLS:
         return _cached_function(desc, spec)
     return _sampled(desc, spec)
@@ -387,6 +384,11 @@ def _sample_values(desc: TestFunctionDescriptor, spec: GridSpec) -> np.ndarray:
         v = tau if name == "translate" else getattr(desc, name)
         if len(v) != spec.n:
             raise ValueError(f"{name} must have n = {spec.n} entries, got {v}")
+    for name in set(fields) & {"width", "radius", "max_k"}:
+        v = getattr(desc, name)
+        if not (v >= 0 if name == "max_k" else v > 0):
+            sign = "non-negative" if name == "max_k" else "positive"
+            raise ValueError(f"{name} must be {sign}, got {v}")
 
     if desc.kind == "gaussian":
         w_eff = desc.width / lam

@@ -35,27 +35,30 @@ class SymbolDescriptor:
     name: str = "symbol"
 
 
+def _settled(spec: GridSpec, arr: np.ndarray, at_zero: complex,
+             name: str) -> np.ndarray:
+    """A complex copy of the multiplier arr (full lattice or real-FFT half),
+    at_zero at xi = 0, refused if not finite, and real on the Nyquist rows,
+    their own negatives (this zeroes odd symbols at k = -N/2)."""
+    arr = np.array(arr, dtype=complex)
+    arr[(0,) * spec.n] = at_zero
+    if not np.all(np.isfinite(arr)):
+        bad = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(
+            f"symbol {name!r} is not finite at lattice index {tuple(bad)}"
+        )
+    nyq = spec.nyquist_mask()[..., : arr.shape[-1]]
+    arr[nyq] = arr[nyq].real
+    return arr
+
+
 def _multiplier_array(spec: GridSpec, m: SymbolDescriptor) -> np.ndarray:
     xis = spec.frequencies()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         arr = np.asarray(m.fn(*xis), dtype=complex)
-    if arr.shape != spec.shape:
-        arr = np.broadcast_to(arr, spec.shape).astype(complex)
-    zero = (0,) * spec.n
-    arr = arr.copy()
-    arr[zero] = m.at_zero
-    if not np.all(np.isfinite(arr)):
-        bad = np.argwhere(~np.isfinite(arr))[0]
-        raise ValueError(
-            f"symbol {m.name!r} is not finite at lattice index {tuple(bad)}"
-        )
-    # Hermitian compatibility: m(-xi) must equal conj(m(xi)), or
-    # spectral_apply, which reads half the lattice, would silently symmetrise
-    # the symbol.  Nyquist rows are their own negatives, so the multiplier
-    # must be real there; the imaginary part is dropped (this zeroes odd
-    # symbols at k = -N/2).
-    nyq = spec.nyquist_mask()
-    arr[nyq] = arr[nyq].real
+    arr = _settled(spec, np.broadcast_to(arr, spec.shape), m.at_zero, m.name)
+    # m(-xi) must equal conj(m(xi)): spectral_apply reads half the lattice,
+    # so it would silently symmetrise any other symbol
     mismatch = hermitian_asymmetry(arr)
     scale = max(float(np.max(np.abs(arr))), 1e-300)
     if mismatch > 1e-10 * scale:
@@ -79,33 +82,25 @@ def apply_symbol(f: GridFunction, m: SymbolDescriptor) -> GridFunction:
     return GridFunction(f.spec, spectral_apply(f.spec, f.values, arr))
 
 
-def _magnitude(xis) -> np.ndarray:
-    return np.sqrt(sum(x**2 for x in xis))
-
-
 @functools.lru_cache(maxsize=16)
 def _builtin_multiplier(spec: GridSpec, op: str, param) -> np.ndarray:
     """Read-only real-FFT half [..., :N//2+1] of a built-in multiplier.
 
-    The key is (grid, operator, order or axis).  Each entry is built once by
-    _multiplier_array, so its finiteness and Hermitian checks run once per
-    key; a failed build raises and stores nothing."""
-    def riesz(*xis):
-        return -1j * xis[param - 1] / _magnitude(xis)
-
-    def frac_lap(*xis):
-        return (2 * np.pi * _magnitude(xis)) ** param
-
-    def potential(*xis):
-        return (2 * np.pi * _magnitude(xis)) ** (-param)
-
-    fn, name = {"riesz_transform": (riesz, f"riesz_{param}"),
-                "frac_laplacian": (frac_lap, f"fracLap_{param}"),
-                "riesz_potential": (potential, f"rieszPot_{param}")}[op]
-    full = _multiplier_array(spec, SymbolDescriptor(fn, at_zero=0.0, name=name))
-    half = full[..., : spec.N // 2 + 1].copy()
-    half.flags.writeable = False
-    return half
+    The key is (grid, operator, order or axis).  Each entry is evaluated on
+    the half lattice alone, the symbols being Hermitian by construction, and
+    checked for finiteness once; a failed build raises and stores nothing."""
+    cut = (..., slice(spec.N // 2 + 1))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mag = spec.frequency_magnitude()[cut]
+        if op == "riesz_transform":
+            name, arr = "riesz", -1j * spec.frequencies()[param - 1][cut] / mag
+        elif op == "frac_laplacian":
+            name, arr = "fracLap", (2 * np.pi * mag) ** param
+        else:
+            name, arr = "rieszPot", (2 * np.pi * mag) ** (-param)
+    arr = _settled(spec, arr, 0.0, f"{name}_{param}")
+    arr.flags.writeable = False
+    return arr
 
 
 def _apply_builtin(f: GridFunction, op: str, param) -> GridFunction:

@@ -117,10 +117,10 @@ def _hurwitz_zeta(a: float, q: np.ndarray) -> np.ndarray:
     return total
 
 
-def _periodized_weights(spec: GridSpec, offsets: np.ndarray, dist: np.ndarray,
-                        power: float, images: int) -> np.ndarray:
-    """Kernel sum_k |y + kL|^power over periodic images at each offset of
-    _offsets(spec), whose arrays are offsets and dist.
+def _periodized_weights(spec: GridSpec, offsets: np.ndarray, power: float,
+                        images: int) -> np.ndarray:
+    """Kernel sum_k |y + kL|^power over periodic images at each of the
+    offsets of _offsets(spec).
 
     In 1-D with power < -1 the lattice sum is exact via the Hurwitz zeta
     function.  Otherwise the sum is truncated at `images` shells; for
@@ -176,7 +176,7 @@ def _kernel_weights(spec: GridSpec, offsets: np.ndarray, dist: np.ndarray,
     cells with |y| < L/2 or None: |y|^power on those cells but the origin in
     the compact model, else _periodized_weights over `images` shells."""
     if not compact:
-        return _periodized_weights(spec, offsets, dist, power, images), None
+        return _periodized_weights(spec, offsets, power, images), None
     keep = dist < spec.L / 2 * (1 - 1e-12)
     with np.errstate(divide="ignore"):
         weights = np.where(keep & (dist > 0), dist**power, 0.0)

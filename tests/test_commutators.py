@@ -297,6 +297,22 @@ def test_hardy_duality_zero_cut_is_relative():
             assert abs(ratio - want) <= 1e-13 * want
 
 
+def test_hardy_duality_zero_rhs_evaluates_the_defect_once(monkeypatch):
+    # three applies for H_s(phi,f) and one for its (-Delta)^{s/2}; the zero
+    # RHS scale reuses that integrand
+    calls = []
+
+    def counted(f, s):
+        calls.append(s)
+        return frac_laplacian(f, s)
+
+    monkeypatch.setattr(commutators, "frac_laplacian", counted)
+    phi = _bump(SPEC1, (0.45,), 0.2)
+    const = GridFunction(SPEC1, np.full(128, 3.0))
+    assert hardy_duality_check(phi, _bandlimited(SPEC1, 6), const) == 0.0
+    assert len(calls) == 4
+
+
 def test_estimate_descriptor_validation():
     with pytest.raises(ValueError, match="unknown estimate id"):
         EstimateDescriptor(id="not-an-estimate")

@@ -600,6 +600,14 @@ def test_sampler_refusals_name_their_fault():
          "stay inside one period)"),
         ({"kind": "wavelet"}, "unknown test-function kind: 'wavelet'"),
     ]
+    # a negative width sampled |width|, a negative radius or max_k gave the
+    # zero function, and a zero width or radius divided by zero
+    cases += [({"kind": "gaussian", "center": (0.5,), "width": w},
+               f"width must be positive, got {w}") for w in (-0.05, 0.0)]
+    cases += [({"kind": "smooth-bump", "center": (0.5,), "radius": r},
+               f"radius must be positive, got {r}") for r in (-0.2, 0.0)]
+    cases.append(({"kind": "random-bandlimited", "seed": 1, "max_k": -1},
+                  "max_k must be non-negative, got -1"))
     for kw, message in cases:
         with pytest.raises(ValueError) as err:
             make_function(TestFunctionDescriptor(**kw), spec)

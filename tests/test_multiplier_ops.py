@@ -92,14 +92,17 @@ def test_frac_laplacian_of_constant_is_zero():
 
 
 def test_overflowing_symbol_is_an_error_not_a_warning():
-    # (2 pi |xi|)^1000 overflows at every nonzero mode: with warnings as
-    # errors the "not finite" ValueError is still what surfaces
+    # (2 pi |xi|)^1000 overflows at every nonzero mode, and at 2-D L=3e-153
+    # |xi|^2 itself overflows at the corner: with warnings as errors the
+    # "not finite" ValueError is still what surfaces
     spec = GridSpec(n=1, N=16, L=1.0)
     f = GridFunction(spec, np.sin(2 * np.pi * coords(spec)[0]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="not finite"):
-            frac_laplacian(f, 1e3)
+    tiny = GridSpec(n=2, N=64, L=3e-153)
+    for g, s in ((f, 1e3), (GridFunction(tiny, np.ones(tiny.shape)), 0.8)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                frac_laplacian(g, s)
 
 
 def test_frac_laplacian_rejects_nonpositive_order():

@@ -172,9 +172,9 @@ def test_compact_potential_positive_kernel():
 def test_periodized_weights_match_direct_image_sum():
     from fracharm.singular_ops import _offsets, _periodized_weights
     spec = GridSpec(n=1, N=32, L=1.0)
-    offsets, dist = _offsets(spec)
+    offsets, _ = _offsets(spec)
     power = -1.5
-    w = _periodized_weights(spec, offsets, dist, power, images=16)
+    w = _periodized_weights(spec, offsets, power, images=16)
     # brute-force lattice sum plus the analytic tail of the truncated part
     kmax = 200_000
     k = np.arange(-kmax, kmax + 1) * spec.L
@@ -231,9 +231,9 @@ def _periodized_weights_2d_loop(spec, offsets, power, images):
     (32, -2.7, 5)])
 def test_periodized_weights_2d_equal_chunked_image_sum(N, power, images):
     spec = GridSpec(n=2, N=N, L=1.0)
-    offsets, dist = _offsets(spec)
+    offsets, _ = _offsets(spec)
     assert np.array_equal(
-        _periodized_weights(spec, offsets, dist, power, images),
+        _periodized_weights(spec, offsets, power, images),
         _periodized_weights_2d_loop(spec, offsets, power, images))
 
 
@@ -269,10 +269,10 @@ def test_quadratures_match_roll_loop(n, N, monkeypatch):
     # each case runs up to three times; compute its image sums once
     memo = {}
 
-    def memo_weights(spec, offsets, dist, power, images):
+    def memo_weights(spec, offsets, power, images):
         if (power, images) not in memo:
-            memo[power, images] = _periodized_weights(spec, offsets, dist,
-                                                      power, images)
+            memo[power, images] = _periodized_weights(spec, offsets, power,
+                                                      images)
         return memo[power, images]
 
     monkeypatch.setattr(singular_ops, "_periodized_weights", memo_weights)
@@ -328,11 +328,11 @@ def test_frac_laplacian_matches_longdouble_second_difference(n, N):
     # float64 loop (the form the quadrature had before the FFT) is held to the
     # same bound.
     spec = GridSpec(n=n, N=N, L=1.0)
-    offsets, dist = _offsets(spec)
+    offsets, _ = _offsets(spec)
     cfg = QuadratureConfig(treat_as_compact=False, singular_rule="exclude")
     for f in _oracle_inputs(spec):
         for s in (0.3, 0.7, 1.5):
-            w = _periodized_weights(spec, offsets, dist, -(n + s), images=16)
+            w = _periodized_weights(spec, offsets, -(n + s), images=16)
             scale = -0.5 * frac_laplacian_constant(n, s) * spec.cell_volume
             exact = scale * _second_difference_loop(
                 spec, f.values.astype(np.longdouble), w.astype(np.longdouble))
