@@ -4,6 +4,8 @@ transforms and potentials, Poisson-type extensions to the upper half-space,
 function-space functionals, and a commutator-estimate verification harness.
 """
 
+import types as _types
+
 from .commutators import (CATALOG, EstimateDescriptor, RatioReport,
                           crw_commutator, double_commutator_1d, fl_commutator,
                           hardy_duality_check, jacobian_pairing,
@@ -30,4 +32,6 @@ from .singular_ops import (QuadratureConfig, frac_laplacian_constant,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the library's names, not the submodules the imports above bind
+__all__ = sorted(name for name, value in globals().items() if not (
+    name.startswith("_") or isinstance(value, _types.ModuleType)))

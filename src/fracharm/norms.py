@@ -82,9 +82,12 @@ class TentFamily:
                           center_stride=center_stride)
 
 
-def _check_family(spec: GridSpec, tents: TentFamily) -> None:
+def _tent_family(spec: GridSpec, tents: TentFamily | None) -> TentFamily:
+    """tents, by default the standard family of spec, built for spec."""
+    tents = tents if tents is not None else TentFamily.standard(spec)
     if tents.spec != spec:
         raise ValueError("the tent family was built for another grid")
+    return tents
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +181,6 @@ def _oscillations(padded: np.ndarray, ball: np.ndarray, centers: np.ndarray,
     return np.abs(cells, out=cells).sum(axis=1) / count
 
 
-def _scalar(fn, x):
-    """fn of each entry by scalar arithmetic, as one function's norm takes
-    it: numpy's array pow, log and exp round some values differently."""
-    return _per_row(np.reshape([fn(t) for t in np.ravel(x)], np.shape(x)))
-
-
 def _log_lq(u: np.ndarray, q: float):
     """log (sum_k e^(q u_k))^(1/q) over the last axis, row by row, with the
     largest term factored out (log-sum-exp: Blanchard, Higham and Mary, IMA
@@ -193,11 +190,10 @@ def _log_lq(u: np.ndarray, q: float):
     if math.isinf(q):
         return m
     terms = u - np.where(m > -_INF, m, 0.0)[..., None]
-    with np.errstate(over="ignore"):
-        np.exp(np.multiply(terms, q, out=terms), out=terms)
     # a row's sum is at least its largest term, 1, unless the row is -inf
-    return m + _scalar(lambda t: math.log(t) if t else -_INF,
-                       np.sum(terms, axis=-1)) / q
+    with np.errstate(over="ignore", divide="ignore"):
+        np.exp(np.multiply(terms, q, out=terms), out=terms)
+        return m + np.log(np.sum(terms, axis=-1)) / q
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +212,7 @@ def lp_norm(f: GridFunction, p: float) -> float:
     # max|f| h^(n/p) (sum (|f|/max|f|)^p)^(1/p): no period or p overflows
     a = a / np.where(top > 0, top, 1.0)[..., None]
     return (_per_row(top) * f.spec.cell_volume ** (1 / p)
-            * _scalar(lambda t: t ** (1 / p), np.sum(a**p, axis=-1)))
+            * _per_row(np.power(np.sum(a**p, axis=-1), 1 / p)))
 
 
 def lorentz_norm(f: GridFunction, e: LorentzExponents) -> float:
@@ -246,7 +242,9 @@ def lorentz_norm(f: GridFunction, e: LorentzExponents) -> float:
             -(q / p) * np.log1p(1 / np.arange(vals.shape[-1])))) / q
         u = np.log(vals, out=vals)  # in place, as every row is held at once
     u += log_piece
-    return scale * (p / q) ** (1 / q) * _scalar(math.exp, _log_lq(u, q))
+    # beyond the float range the norm is inf, which callers report
+    with np.errstate(over="ignore"):
+        return scale * (p / q) ** (1 / q) * _per_row(np.exp(_log_lq(u, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +278,7 @@ def _pair_seminorm(f: GridFunction, nu: float, q: float):
                          + (math.log(2) / q if j > i else 0.0))
     total = _log_lq(np.stack(terms, axis=-1), q)
     return (_per_row(top) * spec.h ** (spec.n / q - nu)
-            * _scalar(math.exp, total))
+            * _per_row(np.exp(total)))
 
 
 def slobodeckij_seminorm(f: GridFunction, nu: float, p: float) -> float:
@@ -313,8 +311,7 @@ def bmo_seminorm(f: GridFunction, tents: TentFamily | None = None) -> float:
     stacks keyed by the grid, the family, the shape and a blake2b digest of
     the stack's bytes, so estimates that share a test family search it
     once.  A stack gives one value per row, a hit a fresh copy of them."""
-    tents = tents if tents is not None else TentFamily.standard(f.spec)
-    _check_family(f.spec, tents)
+    tents = _tent_family(f.spec, tents)
     # digested in place: a freed bytes copy of a stack over 128 KB raises
     # glibc's mmap threshold, which cost run-1d 0.8 MB of peak RSS
     key = (f.spec, tents, f.values.shape, hashlib.blake2b(
@@ -348,7 +345,7 @@ def _bmo_pruned(f: GridFunction, tents: TentFamily | None = None) -> float:
     is ``_bmo_direct`` in tests/test_norms.py.
     """
     spec = f.spec
-    tents = tents if tents is not None else TentFamily.standard(spec)
+    tents = _tent_family(spec, tents)
     rows = f.values.reshape((-1,) + spec.shape)
     width = (2 * spec.N) ** spec.n  # cells of a padded copy
     group = max(1, _FFT_CELLS // width)
@@ -432,8 +429,7 @@ def maximal_function(f: GridFunction,
     """Hardy-Littlewood maximal function over the dyadic ball family; the
     smallest ball is the cell itself, so Mf >= |f| pointwise."""
     spec = f.spec
-    tents = tents if tents is not None else TentFamily.standard(spec)
-    _check_family(spec, tents)
+    tents = _tent_family(spec, tents)
     a = np.abs(f.values)
     out = a.copy()
     geo = _ball_geometry(tents)
@@ -545,8 +541,7 @@ def carleson_sup(F: ExtensionField, weight: float = 1.0,
     accumulator of each such radius; each distinct ball {|y| < r - t} is
     transformed once, and held until its last level."""
     spec = F.spec
-    tents = tents if tents is not None else TentFamily.standard(spec)
-    _check_family(spec, tents)
+    tents = _tent_family(spec, tents)
     ts = F.levels.ts
     accs = np.zeros((len(tents.radii), *spec.shape))
     # the levels ascend, so those below the largest radius come first; the

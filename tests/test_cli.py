@@ -560,6 +560,20 @@ def test_huge_secondary_exponent_gives_the_verdict_of_q_200(tmp_path):
     assert set(verdicts.values()) == {verdicts[200.0]}
 
 
+def test_lorentz_overflow_exits_three_with_one_line(tmp_path, capsys):
+    # at the largest p and q = 1 + ulp the factor (p/q)^(1/q) is about
+    # 1.8e308, so the Lorentz norm leaves the float range: the inf is
+    # reported as non-finite, with no numpy warning before it
+    path = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "out"),
+                         estimates=[{"id": "hardy-duality", "params": {
+                             "p": 1.7976931348623157e308,
+                             "q": 1.0000000000000002}}])
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numerical error in estimate hardy-duality: ")
+
+
 def test_run_rejects_grids_below_the_family_band(tmp_path, capsys):
     # the band-limited members reach mode 6 * 2 * 2 = 24 under the harness
     # dilations, which needs 24 <= N/2 - 1

@@ -169,8 +169,8 @@ def test_pair_seminorms_are_finite_positive_and_homogeneous(p, nu):
 
 @pytest.mark.parametrize("n,N", [(1, 128), (2, 16)])
 def test_norms_of_a_stack_are_the_row_norms(n, N):
-    # bit for bit, at the exponents of the tests above, on 32 rows (numpy's
-    # array pow rounds about 5% of roots differently from its scalar pow);
+    # bit for bit, at the exponents of the tests above, on 32 rows (`**` on
+    # a numpy scalar rounds about 5% of roots differently from np.power);
     # rows 1 and 2 are sorted both ways, and the last is constant, 0 then 3
     cases = ([(lp_norm, (p,)) for p in (1.0, 1.5, 2.0, 3.0, 4.0, np.inf)]
              + [(lorentz_norm, (LorentzExponents(p, q),)) for p, q in
@@ -191,7 +191,7 @@ def test_norms_of_a_stack_are_the_row_norms(n, N):
         for norm, args in cases:
             got = norm(stack, *args)
             want = [norm(row, *args) for row in rows]
-            assert all(isinstance(w, float) for w in want)
+            assert all(type(w) is float for w in want)
             assert got.shape == (32,)
             assert got.tobytes() == np.array(want).tobytes(), (norm, args)
     assert np.array_equal(stack.mean(), [row.mean() for row in rows])

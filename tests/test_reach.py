@@ -7,6 +7,7 @@ referenced where it is loaded (a Name or an Attribute) or imported with
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import fracharm
 
@@ -81,3 +82,10 @@ def test_every_public_name_has_a_caller_or_is_library_only():
         f"without a caller and not library-only: "
         f"{sorted(uncalled - set(LIBRARY_ONLY))}; library-only but "
         f"called or not public: {sorted(set(LIBRARY_ONLY) - uncalled)}")
+
+
+def test_no_public_name_is_a_module():
+    # from fracharm import * binds the library's names, not its submodules
+    modules = [n for n in fracharm.__all__
+               if isinstance(getattr(fracharm, n), ModuleType)]
+    assert not modules, f"submodules in fracharm.__all__: {modules}"
