@@ -18,13 +18,8 @@ Fields come from one forward transform of the boundary values (one function,
 or a stack streamed by _levels); each level gathers its multipliers onto the
 real-FFT half lattice from one symbol evaluation on the distinct |xi|.
 extend_field returns an ExtensionField, which synthesizes each field on its
-first read and streams a field by per-level synthesis, and _field_levels reads
-a field component level by level.
-
-The diagnostics (the s-harmonicity residual and the boundary trace) compare
-radial multipliers of f^, so their L2 norms and inner products are sums over
-the distinct |xi| weighted by the radial power of f (Parseval), and no field
-is transformed for them.
+first read; its level_values(selector) is the one reader of a field component
+level by level, and one table, _FIELD_KEYS, names each field's stream key.
 """
 
 from __future__ import annotations
@@ -245,6 +240,13 @@ def make_tlevels(spec: GridSpec, t_min: float | None = None,
     return TLevels(np.geomspace(t_min, t_max, M))
 
 
+# each field's key in the stream _levels
+_FIELD_KEYS = {"F": "F", "dF_dt": "t", "dF_dx": "x"}
+# each selector of ExtensionField.level_values, and the fields it reads
+_SELECTORS = {"value": ("F",), "dt": ("dF_dt",), "dx": ("dF_dx",),
+              "gradient": ("dF_dt", "dF_dx")}
+
+
 @dataclass(frozen=True, repr=False, eq=False)
 class ExtensionField:
     """F(x,t) = P^s_t f(x) and the derivative fields extend_field was asked
@@ -253,7 +255,8 @@ class ExtensionField:
 
     F and dF_dt have shape (M, *grid) and dF_dx is a tuple of spec.n such
     arrays.  Each is None when absent, else synthesized on its first read
-    and kept.  level_values synthesizes a field per level and keeps nothing;
+    and kept.  level_values(selector) is the one streaming reader: it
+    synthesizes the fields of its selector per level and keeps nothing.
     carries, repr and == (identity) compute nothing."""
 
     spec: GridSpec
@@ -266,7 +269,7 @@ class ExtensionField:
     def __repr__(self) -> str:
         states = (k + ("=absent" if not self.carries(k) else "=held"
                        if k in self.__dict__ else "=deferred")
-                  for k in ("F", "dF_dt", "dF_dx"))
+                  for k in _FIELD_KEYS)
         return (f"ExtensionField({self.spec}, s={self.s}, shape="
                 f"{(self.levels.M, *self.spec.shape)}, {', '.join(states)})")
 
@@ -274,14 +277,28 @@ class ExtensionField:
         """Whether the field name ("F", "dF_dt" or "dF_dx") is present."""
         return name in self.fields
 
-    def level_values(self, name: str) -> Iterator:
-        """The present field name level by level, a level of dF_dx being its
-        n axes, synthesized per level whether or not the field was read."""
-        if not self.carries(name):
-            raise ValueError(f"the extension field carries no {name}")
-        key = {"F": "F", "dF_dt": "t", "dF_dx": "x"}[name]
-        levels = _levels(self.spec, self.coeffs, self.radial, (key,))
-        return levels if name == "dF_dx" else (lvl[0] for lvl in levels)
+    def level_values(self, selector: str) -> Iterator[np.ndarray]:
+        """The selected component level by level, each of shape grid: F
+        ("value"), dF/dt ("dt"), |grad_x F| ("dx") or |grad_{x,t} F|
+        ("gradient"), from one stream per field it reads, synthesized per
+        level whether or not the field was read whole."""
+        if selector not in _SELECTORS:
+            raise ValueError(f"selector must be one of {tuple(_SELECTORS)}, "
+                             f"got {selector!r}")
+        # every field carries F, so only a derivative can be missing
+        for name in _SELECTORS[selector]:
+            if not self.carries(name):
+                raise ValueError(f"selector {selector!r} needs the "
+                                 f"{_FIELD_KEYS[name]}-derivative field")
+        streams = [_levels(self.spec, self.coeffs, self.radial,
+                           (_FIELD_KEYS[name],))
+                   for name in _SELECTORS[selector]]
+        if selector == "dx":
+            return (np.sqrt(sum(g**2 for g in dx)) for dx in streams[0])
+        if selector == "gradient":
+            return (np.sqrt(dt[0]**2 + sum(g**2 for g in dx))
+                    for dt, dx in zip(*streams))
+        return (level[0] for level in streams[0])
 
     def _whole(self, name: str):
         """The field name of every level in one array, None if absent."""
@@ -289,32 +306,14 @@ class ExtensionField:
             return None
         out = np.empty((self.spec.n if name == "dF_dx" else 1, self.levels.M,
                         *self.spec.shape))
-        for i, level in enumerate(self.level_values(name)):
+        for i, level in enumerate(_levels(self.spec, self.coeffs, self.radial,
+                                          (_FIELD_KEYS[name],))):
             out[:, i] = level
         return tuple(out) if name == "dF_dx" else out[0]
 
     F = functools.cached_property(lambda self: self._whole("F"))
     dF_dt = functools.cached_property(lambda self: self._whole("dF_dt"))
     dF_dx = functools.cached_property(lambda self: self._whole("dF_dx"))
-
-
-_SELECTORS = ("value", "dt", "dx", "gradient")
-
-
-def _field_levels(F: ExtensionField, selector: str) -> Iterator[np.ndarray]:
-    """The selected field component level by level (each of shape grid)."""
-    if selector not in _SELECTORS:
-        raise ValueError(f"selector must be one of {_SELECTORS}, got {selector!r}")
-    if selector in ("dt", "gradient") and not F.carries("dF_dt"):
-        raise ValueError(f"selector {selector!r} needs the t-derivative field")
-    if selector in ("dx", "gradient") and not F.carries("dF_dx"):
-        raise ValueError(f"selector {selector!r} needs the x-derivative field")
-    if selector in ("value", "dt"):
-        return F.level_values({"value": "F", "dt": "dF_dt"}[selector])
-    if selector == "dx":
-        return (np.sqrt(sum(g**2 for g in dx)) for dx in F.level_values("dF_dx"))
-    return (np.sqrt(dt**2 + sum(g**2 for g in dx)) for dt, dx in
-            zip(F.level_values("dF_dt"), F.level_values("dF_dx")))
 
 
 @dataclass(frozen=True)
@@ -413,22 +412,6 @@ def _harmonicity(ts: np.ndarray, i: int, s: float, tdm: list[np.ndarray],
     return norm / max(scale, 1e-300)
 
 
-def _residuals(spec: GridSpec, coeffs: np.ndarray, radial, levels: TLevels,
-               s: float, with_x: bool) -> np.ndarray:
-    """_harmonicity at every interior level, the x-gradient in the scale if
-    with_x, in units of the period (t / L, L |xi|): dimensionless at any L."""
-    layout = _radial_layout(spec)
-    power = _radial_power(layout, coeffs, layout.weight)
-    grad_power = (None if not with_x else spec.L**2
-                  * _radial_power(layout, coeffs, layout.grad_weight))
-    lap = (2 * np.pi * spec.L * layout.radii) ** 2
-    taus = levels.ts / spec.L
-    return np.array([_harmonicity(
-        taus, i, s, [spec.L * tdm for _, tdm in radial[i - 1: i + 2]],
-        radial[i][0], lap, power, grad_power)
-        for i in range(1, levels.M - 1)])
-
-
 def extend_field(f: GridFunction, s: float, levels: TLevels,
                  with_derivatives: tuple[str, ...] = ("t", "x")
                  ) -> ExtensionField:
@@ -451,8 +434,8 @@ def extend_field(f: GridFunction, s: float, levels: TLevels,
     coeffs = spectral_forward(spec, f.values)
     radial = list(_radial_symbols(spec, PoissonSymbol(s), levels,
                                   "t" in with_derivatives))
-    fields = ("F", *(name for name, key in (("dF_dt", "t"), ("dF_dx", "x"))
-                     if key in with_derivatives))
+    fields = tuple(name for name, key in _FIELD_KEYS.items()
+                   if key in ("F", *with_derivatives))
     return ExtensionField(spec, s, levels, coeffs, radial, fields)
 
 
@@ -528,9 +511,17 @@ def s_harmonicity_residual(F: ExtensionField) -> list[tuple[float, float]]:
     for them."""
     if not F.carries("dF_dt"):
         raise ValueError("extension field must carry the t-derivative")
-    res = _residuals(F.spec, F.coeffs, F.radial, F.levels, F.s,
-                     F.carries("dF_dx"))
-    return [(float(t), float(r)) for t, r in zip(F.levels.ts[1:-1], res)]
+    spec, radial = F.spec, F.radial
+    layout = _radial_layout(spec)
+    power = _radial_power(layout, F.coeffs, layout.weight)
+    grad_power = (None if not F.carries("dF_dx") else spec.L**2
+                  * _radial_power(layout, F.coeffs, layout.grad_weight))
+    lap = (2 * np.pi * spec.L * layout.radii) ** 2
+    taus = F.levels.ts / spec.L
+    return [(float(F.levels.ts[i]), float(_harmonicity(
+        taus, i, F.s, [spec.L * tdm for _, tdm in radial[i - 1: i + 2]],
+        radial[i][0], lap, power, grad_power)))
+        for i in range(1, F.levels.M - 1)]
 
 
 def decay_profile(F: ExtensionField, k: int = 0) -> dict[str, np.ndarray]:
@@ -540,8 +531,8 @@ def decay_profile(F: ExtensionField, k: int = 0) -> dict[str, np.ndarray]:
     ts, n = F.levels.ts, F.spec.n
     if k == 1 and not (F.carries("dF_dt") and F.carries("dF_dx")):
         raise ValueError("k = 1 requires both derivative fields")
-    levels = (map(np.abs, F.level_values("F")) if k == 0
-              else _field_levels(F, "gradient"))
+    levels = (map(np.abs, F.level_values("value")) if k == 0
+              else F.level_values("gradient"))
     sup = np.array([np.max(v) for v in levels])
     return {
         "t": ts,

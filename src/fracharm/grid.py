@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -277,9 +277,6 @@ class TestFunctionDescriptor:
         for name in ("center", "kvec", "translate"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, tuple(getattr(self, name)))
-
-    def dilated(self, lam: float) -> "TestFunctionDescriptor":
-        return replace(self, dilate=self.dilate * lam)
 
 
 def _axis_coords(spec: GridSpec) -> tuple[np.ndarray, ...]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extension import ExtensionField, TLevels, _field_levels, extend_field
+from .extension import ExtensionField, TLevels, extend_field
 from .grid import (_FFT_CELLS, GridFunction, GridSpec, _per_row, _rows,
                    spectral_apply, spectral_forward, spectral_gradient,
                    spectral_synthesis)
@@ -485,7 +485,7 @@ def space_functional(f: GridFunction, kind: str, alpha: float, beta: float,
     # only the field read is synthesized, one level at a time
     F = extend_field(g, s, levels, derivs)
     wlog = levels.log_trapezoid_weights()
-    terms = zip(wlog, levels.ts ** (beta_eff - alpha), _field_levels(F, selector))
+    terms = zip(wlog, levels.ts ** (beta_eff - alpha), F.level_values(selector))
 
     if kind == "besov":
         vals = np.array([tw * lp_norm(GridFunction(spec, G), p)
@@ -518,7 +518,7 @@ def square_function(F: ExtensionField, mode: str = "regular",
         raise ValueError(
             f"mode must be 'regular' or 'nontangential', got {mode!r}")
     spec, ts = F.spec, F.levels.ts
-    wlog, levels = F.levels.log_trapezoid_weights(), _field_levels(F, selector)
+    wlog, levels = F.levels.log_trapezoid_weights(), F.level_values(selector)
     s2 = np.zeros(spec.shape)
     # one level at a time, summed in level order
     if mode == "regular":
@@ -550,7 +550,7 @@ def carleson_sup(F: ExtensionField, weight: float = 1.0,
     balls = _open_ball_spectra(spec, [[r - t for r in tents.radii if t < r]
                                       for t in below])
     for t, w, G, level in zip(below, F.levels.log_trapezoid_weights(),
-                              _field_levels(F, selector), balls):
+                              F.level_values(selector), balls):
         g2_hat = spectral_forward(spec, G**2)
         for acc, ball in zip(accs[-len(level):], level):
             acc += w * t ** (1 + weight) * spectral_synthesis(spec, g2_hat,
@@ -578,7 +578,7 @@ def tent_pairing_bound_check(Phi: ExtensionField, G: ExtensionField,
     lhs = float(sum(
         w * t**2 * np.sum(np.abs(P * Q)) for t, w, P, Q in zip(
             Phi.levels.ts, Phi.levels.log_trapezoid_weights(),
-            _field_levels(Phi, phi_selector), _field_levels(G, g_selector))
+            Phi.level_values(phi_selector), G.level_values(g_selector))
     ) * Phi.spec.cell_volume)
     if lhs == 0.0:
         return 0.0

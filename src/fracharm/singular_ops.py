@@ -45,6 +45,15 @@ class QuadratureConfig:
             )
 
 
+def _applicable(cfg: QuadratureConfig, rules: tuple[str, ...]
+                ) -> QuadratureConfig:
+    """cfg, if its singular rule is one of the rules of the quadrature."""
+    if cfg.singular_rule not in rules:
+        raise ValueError(f"singular rule {cfg.singular_rule!r} does not apply "
+                         f"to this quadrature; use one of {rules}")
+    return cfg
+
+
 def frac_laplacian_constant(n: int, s: float) -> float:
     """Normalization 2^s Gamma((n+s)/2) / (pi^(n/2) |Gamma(-s/2)|)."""
     return (2**s * math.gamma((n + s) / 2)
@@ -201,7 +210,8 @@ def frac_laplacian_quadrature(
     -(1/2) C_{n,s} int (f(x+y) + f(x-y) - 2 f(x)) / |y|^{n+s} dy."""
     if not (0 < s < 2):
         raise ValueError(f"order s must lie in (0, 2), got {s}")
-    cfg = cfg or QuadratureConfig()
+    cfg = _applicable(cfg or QuadratureConfig(),
+                      ("exclude", "second-difference-regular"))
     spec = f.spec
     h, n = spec.h, spec.n
     C = frac_laplacian_constant(n, s)
@@ -236,9 +246,6 @@ def frac_laplacian_quadrature(
         # The angular average of y^T H y over |y| = r is (tr H) r^2 / n.
         result += -0.5 * C * (second_diff / n) * cell
     # "exclude": skip the singular cell entirely (nothing to add).
-    # "analytic-cell-average" is meaningful for the potential kernel only;
-    # for the second-difference form it coincides with "exclude" since the
-    # difference vanishes at y = 0.
     return GridFunction(spec, result)
 
 
@@ -274,7 +281,9 @@ def riesz_potential_quadrature(
     spec = f.spec
     if not (0 < s < spec.n):
         raise ValueError(f"order s must lie in (0, n) = (0, {spec.n}), got {s}")
-    cfg = cfg or QuadratureConfig(singular_rule="analytic-cell-average")
+    cfg = _applicable(
+        cfg or QuadratureConfig(singular_rule="analytic-cell-average"),
+        ("exclude", "analytic-cell-average"))
     n, h = spec.n, spec.h
     C = riesz_potential_constant(n, s)
     offsets, dist = _offsets(spec)

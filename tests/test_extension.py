@@ -449,8 +449,37 @@ def test_extension_field_repr_and_equality_synthesize_nothing(monkeypatch):
     assert "F=held" in repr(held) and "dF_dx=absent" in repr(held)
     # an absent field reads None and cannot be streamed
     assert held.dF_dx is None
-    with pytest.raises(ValueError, match="carries no dF_dx"):
-        held.level_values("dF_dx")
+    with pytest.raises(ValueError,
+                       match="selector 'dx' needs the x-derivative field"):
+        held.level_values("dx")
+
+
+@pytest.mark.parametrize("n,N", [(1, 256), (2, 64)])
+@pytest.mark.parametrize("derivs", [("t", "x"), ("t",)], ids=["tx", "t"])
+def test_level_values_are_their_expression_over_the_whole_fields(n, N,
+                                                                 derivs):
+    # each selector's stream, read before any whole field, is bit for bit
+    # its expression over F.F, F.dF_dt and F.dF_dx in the reader's order
+    spec = GridSpec(n=n, N=N, L=1.0)
+    f = make_function(TestFunctionDescriptor(
+        kind="random-bandlimited", seed=4, max_k=6), spec)
+    F = extend_field(f, 0.5, make_tlevels(spec), with_derivatives=derivs)
+    selectors = ("value", "dt", "dx", "gradient") if "x" in derivs else (
+        "value", "dt")
+    got = {sel: list(F.level_values(sel)) for sel in selectors}
+    want = {"value": list(F.F), "dt": list(F.dF_dt)}
+    if "x" in derivs:
+        dx2 = [sum(g[i]**2 for g in F.dF_dx) for i in range(F.levels.M)]
+        want["dx"] = [np.sqrt(d) for d in dx2]
+        want["gradient"] = [np.sqrt(dt**2 + d) for dt, d in zip(F.dF_dt, dx2)]
+    else:
+        for sel in ("dx", "gradient"):
+            with pytest.raises(ValueError, match="needs the x-derivative"):
+                F.level_values(sel)
+    assert got.keys() == want.keys()
+    for sel in selectors:
+        assert len(got[sel]) == F.levels.M
+        assert all(_same_bits(a, b) for a, b in zip(got[sel], want[sel])), sel
 
 
 def test_tlevels_validation():

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -335,7 +336,7 @@ def test_per_axis_sampling_equals_full_grid_coordinates(n, N, lam):
         descs.append(TestFunctionDescriptor(
             kind="sine", kvec=(6, -4)[:n], translate=tau, amplitude=1.1))
     for desc in descs:
-        desc = desc.dilated(lam)
+        desc = replace(desc, dilate=desc.dilate * lam)
         want = _full_grid_values(desc, spec)
         got = make_function(desc, spec).values
         assert got.shape == spec.shape
@@ -413,7 +414,8 @@ def test_bandlimited_members_equal_the_per_mode_loop(n, N):
     members = [t for sample in standard_family(3, spec) for t in sample
                if t.kind == "random-bandlimited"]
     # the family's members in the three dilation states of the harness
-    descs = [t.dilated(lam) for t in members for lam in (0.5, 1.0, 2.0)]
+    descs = [replace(t, dilate=t.dilate * lam) for t in members
+             for lam in (0.5, 1.0, 2.0)]
     descs += [TestFunctionDescriptor(kind="random-bandlimited", seed=seed,
                                      max_k=6, dilate=2.0, amplitude=1.4,
                                      translate=(0.31, -0.07)[:n])
@@ -498,7 +500,7 @@ def test_bump_support_and_positivity():
 def test_dilate_shrinks_support_about_center():
     spec = GridSpec(n=1, N=256, L=1.0)
     d = TestFunctionDescriptor(kind="smooth-bump", center=(0.5,), radius=0.2)
-    f2 = make_function(d.dilated(2.0), spec).values
+    f2 = make_function(replace(d, dilate=d.dilate * 2.0), spec).values
     x = coords(spec)[0]
     assert np.all(f2[np.abs(x - 0.5) >= 0.1] == 0.0)
     assert f2[np.argmin(np.abs(x - 0.5))] == pytest.approx(1.0, rel=1e-12)
@@ -528,14 +530,14 @@ def test_one_lattice_check_names_the_first_bad_mode(n):
            (nan, 1.0, (float("nan"),) * n)]
     for desc, lam, mode in off:
         with pytest.raises(ValueError, match="off the lattice") as err:
-            make_function(desc.dilated(lam), spec)
+            make_function(replace(desc, dilate=desc.dilate * lam), spec)
         assert f"mode {mode} " in str(err.value)
     # lam = 12 keeps every mode on the lattice and takes k = 3 to 36 > 31
     wide = [(sine, (3, 2)[:n]), (limited, (3,) if n == 1 else (0, 3))]
     for desc, mode in wide:
         with pytest.raises(ValueError, match="beyond the resolvable band "
                            r"\|k_j\| <= 31 of N=64") as err:
-            make_function(desc.dilated(12.0), spec)
+            make_function(replace(desc, dilate=desc.dilate * 12.0), spec)
         assert f"mode {mode} " in str(err.value)
     assert mention_sites({"_lattice_modes"}) == {
         ("grid", "_bandlimited_values"), ("grid", "_sample_values")}

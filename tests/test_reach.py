@@ -60,6 +60,28 @@ def _private_definitions(paths, top_level_only=False):
     return found
 
 
+def _public_methods(paths):
+    """(file, class, name) of each method on a class whose name has no
+    leading underscore."""
+    found = []
+    for path in paths:
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                found += [(path.name, cls.name, node.name) for node in cls.body
+                          if isinstance(node, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef))
+                          and not node.name.startswith("_")]
+    return found
+
+
+def _callers():
+    """The names that src/ (but its re-exports), the acceptance tests and
+    the perfbench scripts reference."""
+    return (_references([p for p in SRC if p.name != "__init__.py"])
+            | _references([ROOT / "tests" / "test_acceptance.py"])
+            | _references(PERFBENCH, strings=True))
+
+
 def test_every_private_definition_in_src_is_referenced():
     used = _references(SRC)
     dead = [d for d in _private_definitions(SRC) if d[1] not in used]
@@ -74,14 +96,18 @@ def test_every_top_level_test_helper_is_referenced():
 
 
 def test_every_public_name_has_a_caller_or_is_library_only():
-    callers = (_references([p for p in SRC if p.name != "__init__.py"])
-               | _references([ROOT / "tests" / "test_acceptance.py"])
-               | _references(PERFBENCH, strings=True))
+    callers = _callers()
     uncalled = {n for n in fracharm.__all__ if n not in callers}
     assert uncalled == set(LIBRARY_ONLY), (
         f"without a caller and not library-only: "
         f"{sorted(uncalled - set(LIBRARY_ONLY))}; library-only but "
         f"called or not public: {sorted(set(LIBRARY_ONLY) - uncalled)}")
+
+
+def test_every_public_method_in_src_has_a_caller():
+    callers = _callers()
+    uncalled = [m for m in _public_methods(SRC) if m[2] not in callers]
+    assert not uncalled, f"public methods without a caller: {uncalled}"
 
 
 def test_no_public_name_is_a_module():

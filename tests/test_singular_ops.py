@@ -116,6 +116,29 @@ def test_quadrature_rejects_bad_parameters():
         riesz_potential_quadrature(f, 1.0)
 
 
+def test_quadratures_refuse_a_singular_rule_that_does_not_apply():
+    # a rule that does not apply is refused, not read as "exclude", which
+    # puts the periodized Riesz potential 41% off its multiplier at 1-D
+    # N=256, s = 0.3 (1.0% with the cell average)
+    spec = GridSpec(n=1, N=32, L=1.0)
+    f = GridFunction(spec, np.zeros(32))
+    cases = [(frac_laplacian_quadrature, "analytic-cell-average",
+              ("exclude", "second-difference-regular")),
+             (riesz_potential_quadrature, "second-difference-regular",
+              ("exclude", "analytic-cell-average"))]
+    for quadrature, rule, rules in cases:
+        for compact in (True, False):
+            cfg = QuadratureConfig(treat_as_compact=compact, singular_rule=rule)
+            with pytest.raises(ValueError) as err:
+                quadrature(f, 0.5, cfg)
+            assert str(err.value) == (f"singular rule {rule!r} does not apply "
+                                      f"to this quadrature; use one of {rules}")
+        for rule in rules:
+            quadrature(f, 0.5, QuadratureConfig(singular_rule=rule))
+    with pytest.raises(ValueError, match="does not apply"):
+        riesz_potential_quadrature(f, 0.5, PERIODIZED)
+
+
 def test_hilbert_quadrature_matches_multiplier():
     spec = GridSpec(n=1, N=1024, L=1.0)
     x = coords(spec)[0]
