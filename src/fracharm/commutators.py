@@ -517,9 +517,12 @@ class RatioReport:
     metadata: dict
 
 
-# The joint dilations verify_estimate applies by default, and the band limit
-# and baked-in dilate factor of the band-limited members of standard_family.
+# The joint dilations verify_estimate applies, its relative cuts for a zero
+# RHS and a zero LHS, and the band limit and baked-in dilate factor of the
+# band-limited members of standard_family.
 _DILATIONS = (0.5, 2.0)
+_ZERO_RHS_TOL = 1e-11
+_ZERO_LHS_TOL = 1e-12
 _FAMILY_MAX_K = 6
 _FAMILY_DILATE = 2.0
 # Smallest grid size N on which standard_family and its dilations resolve:
@@ -629,45 +632,43 @@ def _evaluate_family(d: EstimateDescriptor, family, spec: GridSpec,
 
 
 def verify_estimate(d: EstimateDescriptor, family, spec: GridSpec,
-                    slack: float = 1.5,
-                    dilations: tuple[float, ...] = _DILATIONS,
-                    zero_rhs_tol: float = 1e-11,
-                    zero_lhs_tol: float = 1e-12) -> RatioReport:
+                    slack: float = 1.5) -> RatioReport:
     """Fit/validate verification of one estimate over a test family.
 
     The constant is fitted as the max ratio over even-indexed samples and
     validated on odd-indexed samples against slack * fitted.  Zero-RHS
     samples (for example constant multipliers), those with an RHS at most
-    zero_rhs_tol times the family's largest, pass only if their LHS is at
-    most zero_lhs_tol times the family's largest LHS; both cuts are relative,
-    so they hold at any period.  A family whose every RHS is zero raises
-    ArithmeticError.  The whole family is re-run at each dilation and the
-    per-sample relative ratio drift is reported as dilation_stability.
+    1e-11 times the family's largest, pass only if their LHS is at most
+    1e-12 times the family's largest LHS; both cuts are relative, so they
+    hold at any period.  A family whose every RHS is zero raises
+    ArithmeticError.  The whole family is re-run at the joint dilations
+    lambda in {1/2, 2} and the relative drift of its max ratio is reported
+    as dilation_stability.
     """
     if len(family) < 8:
         raise ValueError(f"family must have at least 8 samples, got {len(family)}")
     d.check_grid(spec)
     meta: dict = {"grid": {"n": spec.n, "N": spec.N, "L": spec.L},
-                  "slack": slack, "zero_rhs_tol": zero_rhs_tol,
-                  "zero_lhs_tol": zero_lhs_tol}
+                  "slack": slack, "zero_rhs_tol": _ZERO_RHS_TOL,
+                  "zero_lhs_tol": _ZERO_LHS_TOL}
     samples, zeros, lhs_scale = _evaluate_family(d, family, spec, meta,
-                                                 zero_rhs_tol)
+                                                 _ZERO_RHS_TOL)
     even = [s["ratio"] for s in samples if s["index"] % 2 == 0]
     odd = [s["ratio"] for s in samples if s["index"] % 2 == 1]
     fitted = max(even) if even else 0.0
     validation_max = max(odd) if odd else 0.0
     max_ratio = max(fitted, validation_max)
     fit_ok = validation_max <= slack * fitted or validation_max == 0.0
-    zeros_ok = all(z["lhs"] <= zero_lhs_tol * lhs_scale for z in zeros)
+    zeros_ok = all(z["lhs"] <= _ZERO_LHS_TOL * lhs_scale for z in zeros)
 
     dilation_ratios: dict = {}
     stability = 0.0
-    for lam in dilations:
+    for lam in _DILATIONS:
         dil_family = [tuple(_dilated_about(t, lam, spec) for t in tup)
                       for tup in family]
         dmeta: dict = {}
         dsamples, _, _ = _evaluate_family(d, dil_family, spec, dmeta,
-                                          zero_rhs_tol)
+                                          _ZERO_RHS_TOL)
         dilation_ratios[lam] = max((s["ratio"] for s in dsamples), default=0.0)
         if max_ratio > 0:
             # stability of the constant estimate: relative drift of the

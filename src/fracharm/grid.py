@@ -111,13 +111,9 @@ class GridFunction:
             raise ValueError("GridFunction values must be real")
         v = np.asarray(self.values, dtype=float)
         if v.shape[-self.spec.n:] != self.spec.shape:
-            if v.size == self.spec.N**self.spec.n:
-                v = v.reshape(self.spec.shape)
-            else:
-                raise ValueError(
-                    f"values must have {self.spec.N ** self.spec.n} entries, "
-                    f"got shape {v.shape}"
-                )
+            raise ValueError(
+                f"values must end in the grid shape {self.spec.shape} of "
+                f"{self.spec.N ** self.spec.n} entries, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("GridFunction values must all be finite")
         object.__setattr__(self, "values", v)

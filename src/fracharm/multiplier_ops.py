@@ -122,16 +122,19 @@ def frac_laplacian(f: GridFunction, s: float) -> GridFunction:
     return _apply_builtin(f, "frac_laplacian", s)
 
 
-def riesz_potential(f: GridFunction, s: float, tol: float = 1e-8) -> GridFunction:
-    """Riesz potential I^s, symbol (2*pi*|xi|)^{-s}; requires negligible mean."""
+def riesz_potential(f: GridFunction, s: float) -> GridFunction:
+    """Riesz potential I^s, symbol (2*pi*|xi|)^{-s}; requires negligible
+    mean: the L2 norm of the mean part, |mean| L^(n/2), at most 1e-8 ||f||_2
+    (per row of a stack)."""
     if not (0 < s < f.spec.n):
         raise ValueError(f"order s must lie in (0, n) = (0, {f.spec.n}), got {s}")
     scales = np.maximum(np.ravel(l2_norm(f)), 1e-300)
     for mean, scale in zip(np.ravel(f.mean()), scales):
-        if abs(mean) * f.spec.L ** (f.spec.n / 2) > tol * scale:
+        mass = abs(mean) * f.spec.L ** (f.spec.n / 2)
+        if mass > 1e-8 * scale:
             raise ValueError(
-                f"riesz_potential requires negligible mean: mean = {mean:.3e}, "
-                f"tolerance {tol:.1e} * ||f||_2 = {tol * scale:.3e}"
+                f"riesz_potential requires negligible mean: |mean| L^(n/2) = "
+                f"{mass:.3e} exceeds 1e-8 * ||f||_2 = {1e-8 * scale:.3e}"
             )
     return _apply_builtin(f, "riesz_potential", s)
 

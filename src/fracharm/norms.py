@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import numbers
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -51,16 +50,13 @@ class LorentzExponents:
 
 @dataclass(frozen=True)
 class TentFamily:
-    """Dyadic ball/tent family: radii {2^m h} up to L/2, centers on a stride."""
+    """Ball/tent family: balls of the given radii (the standard family's are
+    {2^m h} up to L/2) centred at every cell of the grid."""
 
     spec: GridSpec
     radii: tuple[float, ...]
-    center_stride: int = 1
 
     def __post_init__(self) -> None:
-        stride = self.center_stride
-        if not isinstance(stride, numbers.Integral) or stride < 1:
-            raise ValueError(f"center_stride must be an integer >= 1, got {stride}")
         radii = tuple(float(r) for r in self.radii)
         # written so that a NaN radius fails too
         if not radii or not all(r > 0 for r in radii):
@@ -72,14 +68,13 @@ class TentFamily:
         object.__setattr__(self, "radii", radii)
 
     @staticmethod
-    def standard(spec: GridSpec, center_stride: int = 1) -> "TentFamily":
+    def standard(spec: GridSpec) -> "TentFamily":
         radii = []
         r = spec.h
         while r <= spec.L / 2 * (1 + 1e-12):
             radii.append(r)
             r *= 2
-        return TentFamily(spec=spec, radii=tuple(radii),
-                          center_stride=center_stride)
+        return TentFamily(spec=spec, radii=tuple(radii))
 
 
 def _tent_family(spec: GridSpec, tents: TentFamily | None) -> TentFamily:
@@ -161,9 +156,7 @@ def _ball_geometry(tents: TentFamily) -> _BallGeometry:
     place = (2 * spec.N) ** np.arange(spec.n - 1, -1, -1)
     balls = tuple((offsets[m.ravel() > 0] + spec.N // 2) @ place
                   for m in kernels)
-    centers = np.indices((len(range(0, spec.N, tents.center_stride)),)
-                         * spec.n).reshape(spec.n, -1).T
-    centers = (centers * tents.center_stride) @ place
+    centers = np.indices(spec.shape).reshape(spec.n, -1).T @ place
     for arr in (counts, spectrum, *balls, centers):
         arr.flags.writeable = False
     return _BallGeometry(counts=counts, spectrum=spectrum, offsets=balls,
@@ -370,9 +363,7 @@ def _bmo_candidates(spec: GridSpec, tents: TentFamily, v: np.ndarray,
     # the moments of f and of f / max|f| (which cannot overflow) in one apply
     sums = spectral_apply(spec, np.stack([v, (v / scale) ** 2])[:, None],
                           geo.spectrum)
-    centers_only = (slice(None),) * 2 + (slice(None, None, tents.center_stride),
-                                         ) * spec.n
-    mean, mean2 = sums[centers_only].reshape(2, len(cnt), -1) / cnt[:, None]
+    mean, mean2 = sums.reshape(2, len(cnt), -1) / cnt[:, None]
     var = mean2 - (mean / scale) ** 2
     bound = scale * np.sqrt(np.maximum(var, 0.0) + 1e-12).ravel()
     mean = mean.ravel()
@@ -556,8 +547,7 @@ def carleson_sup(F: ExtensionField, weight: float = 1.0,
             acc += w * t ** (1 + weight) * spectral_synthesis(spec, g2_hat,
                                                               ball)
     # a positive factor commutes with the max, and sqrt with max over radii
-    centers = (slice(None, None, tents.center_stride),) * spec.n
-    top = max(float(np.max(acc[centers]))
+    top = max(float(np.max(acc))
               * (spec.cell_volume / (cnt * spec.cell_volume))
               for acc, cnt in zip(accs, _closed_counts(tents)))
     return math.sqrt(max(top, 0.0))
@@ -565,10 +555,10 @@ def carleson_sup(F: ExtensionField, weight: float = 1.0,
 
 def tent_pairing_bound_check(Phi: ExtensionField, G: ExtensionField,
                              phi_selector: str = "dt",
-                             g_selector: str = "dt",
-                             tents: TentFamily | None = None) -> float:
+                             g_selector: str = "dt") -> float:
     """Ratio int int t^2 |Phi G| dy dt/t over the product
-    carleson_sup(Phi, w=1) * ||nontangential square of G (w=1)||_1.
+    carleson_sup(Phi, w=1) * ||nontangential square of G (w=1)||_1, the
+    Carleson sup taken over the standard tent family of the grid.
 
     Both fields enter through the stated selector.  Returns 0 when the
     pairing vanishes and inf when only the bound side vanishes.
@@ -582,7 +572,7 @@ def tent_pairing_bound_check(Phi: ExtensionField, G: ExtensionField,
     ) * Phi.spec.cell_volume)
     if lhs == 0.0:
         return 0.0
-    c = carleson_sup(Phi, weight=1.0, selector=phi_selector, tents=tents)
+    c = carleson_sup(Phi, weight=1.0, selector=phi_selector)
     a = lp_norm(square_function(G, "nontangential", weight=1.0,
                                 selector=g_selector), 1)
     denom = c * a

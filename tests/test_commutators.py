@@ -276,6 +276,11 @@ def test_hardy_duality_check_values():
     assert hardy_duality_check(phi, f, const) == 0.0
     with pytest.raises(ValueError):
         hardy_duality_check(phi, f, g, p=1.0)
+    # every parameter is the estimate's: the catalogue's evaluation of the
+    # same triple gives the same ratio, bit for bit
+    d = EstimateDescriptor("hardy-duality", {"s": 0.7, "p": 3.0, "q": 1.5})
+    lhs, rhs = CATALOG[d.id]["evaluate"](SPEC1, (phi, f, g), d.params, {})
+    assert hardy_duality_check(phi, f, g, s=0.7, p=3.0, q=1.5) == lhs / rhs
 
 
 def test_hardy_duality_zero_cut_is_relative():

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -82,6 +83,14 @@ def test_riesz_potential_rejects_nonzero_mean():
     assert mass == pytest.approx(np.mean(bump.values))
     assert abs(np.mean(f0.values)) <= 1e-15
     riesz_potential(f0, 0.5)  # projected input is accepted
+    # at L = 1e4 the compared L2 norm of the mean part is 100 |mean|: the
+    # message prints it, not the bare mean, beside the bound it exceeds
+    spec = GridSpec(n=1, N=64, L=1e4)
+    f = GridFunction(spec, np.sin(2 * np.pi * coords(spec)[0] / spec.L) + 5e-7)
+    with pytest.raises(ValueError, match="negligible mean") as info:
+        riesz_potential(f, 0.5)
+    value, bound = map(float, re.findall(r"= ([-+.\de]+)", str(info.value)))
+    assert value > bound
 
 
 def test_frac_laplacian_of_constant_is_zero():

@@ -43,7 +43,6 @@ def _bmo_direct(f, tents=None):
     v = f.values
     offsets, dist = norms._offsets(spec)
     axes = tuple(range(-spec.n, 0))
-    centers = (...,) + (slice(None, None, tents.center_stride),) * spec.n
     best = np.zeros(v.shape[: v.ndim - spec.n])
     for r in tents.radii:
         inside = dist <= r * (1 + 1e-12)
@@ -55,8 +54,8 @@ def _bmo_direct(f, tents=None):
             osc += np.abs(np.roll(v, shift=[-int(o) for o in off], axis=axes)
                           - mean)
         osc /= cnt
-        best = np.maximum(best, np.max(
-            osc[centers].reshape(best.shape + (-1,)), axis=-1))
+        best = np.maximum(best, np.max(osc.reshape(best.shape + (-1,)),
+                                       axis=-1))
     return best if v.ndim > spec.n else float(best)
 
 
@@ -325,7 +324,6 @@ def _noise(spec, seed):
 
 def _bmo_families(spec):
     return [TentFamily.standard(spec),
-            TentFamily.standard(spec, center_stride=2),
             TentFamily(spec, radii=(spec.h, 3 * spec.h, 0.21))]
 
 
@@ -419,8 +417,6 @@ def test_bmo_memo_keys_whole_stacks(monkeypatch):
     for g, tents in (
             (GridFunction(spec, rows[::-1]), None),
             (GridFunction(spec, nudged), None),
-            (GridFunction(spec, rows), TentFamily.standard(spec,
-                                                           center_stride=2)),
             (GridFunction(GridSpec(n=1, N=256, L=2.0), rows), None),
             (GridFunction(spec, rows.reshape(2, 4, spec.N)), None)):
         size = len(norms._BMO_MEMO)
@@ -447,19 +443,17 @@ def test_bmo_gathers_stay_under_the_cell_cap(monkeypatch):
         spec = GridSpec(n=n, N=N, L=1.0)
         f = GridFunction(spec, np.stack([_noise(spec, seed).values
                                          for seed in (4, 5, 6, 7, 8)]))
-        for tents in (TentFamily.standard(spec),
-                      TentFamily.standard(spec, center_stride=2)):
-            # earlier tests searched the same functions; a memo hit gathers
-            # nothing
-            norms._BMO_MEMO.clear()
-            gathered.clear()
-            assert bmo_seminorm(f, tents) == pytest.approx(
-                _bmo_direct(f, tents), rel=1e-13, abs=0.0)
-            assert max(cells for _, cells, _ in gathered) <= norms._GATHER_CELLS
-            # candidates are taken many to a gather, not one by one, and
-            # from several rows at once
-            assert max(centers for centers, _, _ in gathered) > 1
-            assert max(rows for _, _, rows in gathered) > 1
+        # earlier tests searched the same functions; a memo hit gathers
+        # nothing
+        norms._BMO_MEMO.clear()
+        gathered.clear()
+        assert bmo_seminorm(f) == pytest.approx(_bmo_direct(f), rel=1e-13,
+                                                abs=0.0)
+        assert max(cells for _, cells, _ in gathered) <= norms._GATHER_CELLS
+        # candidates are taken many to a gather, not one by one, and from
+        # several rows at once
+        assert max(centers for centers, _, _ in gathered) > 1
+        assert max(rows for _, _, rows in gathered) > 1
 
 
 def test_bmo_stack_search_holds_one_padded_row_at_2d_128():
@@ -507,7 +501,7 @@ def test_bmo_memo_hits_equal_the_search_and_misses_on_any_change(
     nudged[17] = np.nextafter(nudged[17], np.inf)
     rescaled = GridSpec(n=1, N=256, L=2.0)
     for g, tents in ((GridFunction(spec, nudged), None),
-                     (f, TentFamily.standard(spec, center_stride=2)),
+                     (f, TentFamily(spec, radii=(spec.h, 3 * spec.h, 0.21))),
                      (GridFunction(rescaled, f.values), None)):
         size = len(norms._BMO_MEMO)
         assert bmo_seminorm(g, tents) == norms._bmo_pruned(g, tents)
@@ -572,20 +566,15 @@ def test_tent_family_validation():
         TentFamily(spec, radii=(0.2, 0.1))
     with pytest.raises(ValueError, match="exceed"):
         TentFamily(spec, radii=(0.7,))
-    with pytest.raises(ValueError, match="stride"):
-        TentFamily(spec, radii=(0.1,), center_stride=0)
 
 
-def test_tent_family_rejects_nan_radius_and_fractional_stride():
-    # a NaN radius read as the whole-period ball, and a fractional stride
-    # failed later in bmo_seminorm with a TypeError
+def test_tent_family_rejects_nan_radius():
+    # a NaN radius read as the whole-period ball
     spec = GridSpec(n=1, N=64, L=1.0)
     with pytest.raises(ValueError, match="positive"):
         TentFamily(spec, radii=(spec.h, math.nan, 0.25))
     with pytest.raises(ValueError, match="positive"):
         TentFamily(spec, radii=(math.nan,))
-    with pytest.raises(ValueError, match="center_stride must be an integer"):
-        TentFamily(spec, radii=(0.1,), center_stride=1.5)
 
 
 def test_space_functional_validation():
@@ -892,9 +881,7 @@ def _carleson_per_pair(F, weight, selector, tents):
             acc += wlog[i] * t ** (1 + weight) * _open_ball_sum(
                 spec, g2[i], r - t)
         acc *= spec.cell_volume / measure
-        top = float(np.max(acc[(slice(None, None, tents.center_stride),)
-                               * spec.n]))
-        best = max(best, math.sqrt(max(top, 0.0)))
+        best = max(best, math.sqrt(max(float(np.max(acc)), 0.0)))
     return best
 
 
@@ -914,7 +901,7 @@ def test_carleson_sup_transforms_once_and_equals_per_pair_loop(n, N,
     ts = F.levels.ts
     dist = norms._offsets(spec)[1]
     for selector, tents in (("gradient", TentFamily.standard(spec)),
-                            ("dt", TentFamily.standard(spec, center_stride=2))):
+                            ("dt", TentFamily.standard(spec))):
         calls.clear()
         got = carleson_sup(F, 1.0, selector, tents)
         # one transform per level below the largest radius and none above:
@@ -935,7 +922,7 @@ def test_carleson_sup_builds_no_ball_geometry():
     # caller builds none of the BMO's ball spectra and gather offsets
     spec = GridSpec(n=2, N=32, L=1.0)
     F = extend_field(_bump(spec, radius=0.2), 0.5, make_tlevels(spec, M=16))
-    tents = TentFamily(spec, radii=(0.07, 0.15, 0.4), center_stride=3)
+    tents = TentFamily(spec, radii=(0.07, 0.15, 0.4))
     before = norms._ball_geometry.cache_info()
     got = carleson_sup(F, 1.0, "gradient", tents)
     assert norms._ball_geometry.cache_info() == before

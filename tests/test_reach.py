@@ -2,7 +2,9 @@
 
 Reads the sources with ast and runs nothing of them.  A name counts as
 referenced where it is loaded (a Name or an Attribute) or imported with
-``from ... import``; text in docstrings and comments does not count.
+``from ... import``; text in docstrings and comments does not count.  A
+setting (a parameter or dataclass field with a default) counts as used
+where a call of its name passes it.
 """
 
 import ast
@@ -74,6 +76,55 @@ def _public_methods(paths):
     return found
 
 
+def _settings(paths):
+    """(file, name, setting, position, field) of each parameter with a
+    default of a function or method, and of each dataclass field with a
+    default.  The position counts past self or cls; a keyword-only
+    parameter has none."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        classes = [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+        methods = {id(f) for c in classes for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                bound = id(node) in methods and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list)
+                args = (a.posonlyargs + a.args)[bound:]
+                first = len(args) - len(a.defaults)
+                found += [(path.name, node.name, p.arg, i, False)
+                          for i, p in enumerate(args) if i >= first]
+                found += [(path.name, node.name, p.arg, None, False)
+                          for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+        for cls in classes:
+            if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                fields = [f for f in cls.body if isinstance(f, ast.AnnAssign)]
+                found += [(path.name, cls.name, f.target.id, i, True)
+                          for i, f in enumerate(fields) if f.value is not None]
+    return found
+
+
+def _passed(paths):
+    """Per called name (a Name or an Attribute), what its calls pass: each
+    keyword, each argument position, and "*" where a call spreads *args or
+    **kwargs, which passes everything."""
+    passed: dict[str, set] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(
+                    node.func, (ast.Name, ast.Attribute)):
+                name = getattr(node.func, "id", None) or node.func.attr
+                got = passed.setdefault(name, set())
+                got.update(range(len(node.args)))
+                got.update(k.arg or "*" for k in node.keywords)
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    got.add("*")
+    return passed
+
+
 def _callers():
     """The names that src/ (but its re-exports), the acceptance tests and
     the perfbench scripts reference."""
@@ -108,6 +159,16 @@ def test_every_public_method_in_src_has_a_caller():
     callers = _callers()
     uncalled = [m for m in _public_methods(SRC) if m[2] not in callers]
     assert not uncalled, f"public methods without a caller: {uncalled}"
+
+
+def test_every_setting_has_a_caller():
+    passed = _passed(SRC + TESTS + PERFBENCH)
+    # the keywords of replace(...) set fields; its spread **kw names none
+    replaced = passed.get("replace", set())
+    unset = [s[:4] for s in _settings(SRC)
+             if not {"*", s[2], s[3]} & passed.get(s[1], set())
+             and not (s[4] and s[2] in replaced)]
+    assert not unset, f"settings that no call passes: {unset}"
 
 
 def test_no_public_name_is_a_module():
