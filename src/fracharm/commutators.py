@@ -33,7 +33,7 @@ from .multiplier_ops import (frac_laplacian, l2_norm, mean_projected,
                              riesz_potential, riesz_transform)
 from .norms import (_SLOBODECKIJ_MAX_N, LorentzExponents, bmo_seminorm,
                     lorentz_norm, lp_norm, slobodeckij_seminorm)
-from .singular_ops import QuadratureConfig, riesz_potential_quadrature
+from .singular_ops import riesz_potential_quadrature
 
 _INF = float("inf")
 
@@ -264,14 +264,12 @@ def _eval_fl_comm(spec, funcs, prm, meta):
 def _eval_chanillo(spec, funcs, prm, meta):
     phi, u = funcs
     s, p, q = prm["s"], prm["p"], prm["q"]
-    # The truncated whole-space kernel realizes the potential on data with
-    # nonzero mean, so the commutator stays dilation-covariant for localized
-    # inputs; the spectral route would need a mean projection whose constant
-    # does not scale with the family.
-    cfg = QuadratureConfig(treat_as_compact=True,
-                           singular_rule="analytic-cell-average")
-    c = (riesz_potential_quadrature(phi * u, s, cfg)
-         - phi * riesz_potential_quadrature(u, s, cfg))
+    # The compact model's truncated whole-space kernel realizes the potential
+    # on data with nonzero mean, so the commutator stays dilation-covariant
+    # for localized inputs; the spectral route would need a mean projection
+    # whose constant does not scale with the family.
+    c = (riesz_potential_quadrature(phi * u, s)
+         - phi * riesz_potential_quadrature(u, s))
     meta.setdefault("input_masses", []).extend(
         np.ravel(_integral(spec, u.values)).tolist())
     lhs = lp_norm(c, q)
@@ -596,9 +594,9 @@ def _dilated_about(t: TestFunctionDescriptor, lam: float,
 
 
 def _evaluate_family(d: EstimateDescriptor, family, spec: GridSpec,
-                     meta: dict, zero_rhs_tol: float):
+                     meta: dict):
     """(samples, zeros, lhs_scale): a sample is zero when its RHS is at most
-    zero_rhs_tol times the family's largest RHS; lhs_scale is the family's
+    _ZERO_RHS_TOL times the family's largest RHS; lhs_scale is the family's
     largest LHS.  A family whose every RHS is zero is an ArithmeticError.
     The family is evaluated once, stacked per argument position (sample i is
     row i); tests/test_commutators.py holds the per-sample loop as oracle."""
@@ -623,7 +621,7 @@ def _evaluate_family(d: EstimateDescriptor, family, spec: GridSpec,
             f"right-hand side on this grid")
     samples, zeros = [], []
     for i, (lhs, rhs) in enumerate(values):
-        if rhs <= zero_rhs_tol * rhs_scale:
+        if rhs <= _ZERO_RHS_TOL * rhs_scale:
             zeros.append({"index": i, "lhs": lhs, "rhs": rhs})
         else:
             samples.append({"index": i, "lhs": lhs, "rhs": rhs,
@@ -651,8 +649,7 @@ def verify_estimate(d: EstimateDescriptor, family, spec: GridSpec,
     meta: dict = {"grid": {"n": spec.n, "N": spec.N, "L": spec.L},
                   "slack": slack, "zero_rhs_tol": _ZERO_RHS_TOL,
                   "zero_lhs_tol": _ZERO_LHS_TOL}
-    samples, zeros, lhs_scale = _evaluate_family(d, family, spec, meta,
-                                                 _ZERO_RHS_TOL)
+    samples, zeros, lhs_scale = _evaluate_family(d, family, spec, meta)
     even = [s["ratio"] for s in samples if s["index"] % 2 == 0]
     odd = [s["ratio"] for s in samples if s["index"] % 2 == 1]
     fitted = max(even) if even else 0.0
@@ -667,8 +664,7 @@ def verify_estimate(d: EstimateDescriptor, family, spec: GridSpec,
         dil_family = [tuple(_dilated_about(t, lam, spec) for t in tup)
                       for tup in family]
         dmeta: dict = {}
-        dsamples, _, _ = _evaluate_family(d, dil_family, spec, dmeta,
-                                          _ZERO_RHS_TOL)
+        dsamples, _, _ = _evaluate_family(d, dil_family, spec, dmeta)
         dilation_ratios[lam] = max((s["ratio"] for s in dsamples), default=0.0)
         if max_ratio > 0:
             # stability of the constant estimate: relative drift of the

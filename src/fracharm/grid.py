@@ -31,7 +31,8 @@ class GridSpec:
     N : int
         Points per axis; power of two, >= 8.
     L : float
-        Period per axis, > 0, with L^2 and (N/(2L))^2 normal float64 numbers.
+        Period per axis, > 0, with n (pi N/L)^2 and n (2L)^2 below the
+        float64 maximum by a factor 2^20.
     """
 
     n: int
@@ -45,14 +46,18 @@ class GridSpec:
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
         if not (0 < self.L < np.inf):
             raise ValueError(f"period L must be positive and finite, got {self.L}")
-        # the symbols and norms square lengths and frequencies; past this
-        # range the squares overflow to inf or underflow to subnormals or 0
-        fin = np.finfo(float)
-        if not all(fin.tiny <= x * x <= fin.max
-                   for x in (self.L, self.N / (2 * self.L))):
+        # the symbols square the corner frequency |2 pi xi| (two derivative
+        # orders) and compose with it, and the samplers square displacements
+        # of up to 2L (dilated by 4); past this range a run's squares and
+        # products overflow.  The two bounds also keep the cell volume
+        # (L/N)^n and the squared lowest frequency L^-2 at least 2^20 times
+        # the smallest normal number (max * tiny = 4)
+        top = np.finfo(float).max / 2**20
+        k, d = np.pi * self.N / self.L, 2 * self.L
+        if not (self.n * k * k <= top and self.n * d * d <= top):
             raise ValueError(
-                f"period L = {self.L} is out of range: L^2 and the squared top "
-                f"frequency (N/(2L))^2 must be normal float64 numbers")
+                f"period L = {self.L} is out of range: n (pi N/L)^2 and "
+                f"n (2L)^2 must stay below the float64 maximum by a factor 2^20")
 
     @property
     def h(self) -> float:

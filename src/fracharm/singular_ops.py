@@ -15,7 +15,8 @@ survives) is added in closed form.  With treat_as_compact=False the kernel is
 summed over its periodic images, realizing the operator of the periodized
 function; discrepancies against the multiplier path then shrink with grid
 refinement.  In both cases the periodization residual of the compact model
-is reported (never silently added) through frac_laplacian_tail_bound.
+is reported (never silently added) through frac_laplacian_tail_bound.  Each
+quadrature has the one singular-cell treatment its integrand needs.
 """
 
 from __future__ import annotations
@@ -27,31 +28,13 @@ import numpy as np
 
 from .grid import GridFunction, GridSpec, spectral_apply, spectral_forward
 
-SINGULAR_RULES = ("exclude", "second-difference-regular", "analytic-cell-average")
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Quadrature options shared by the singular-integral oracles."""
+    """The kernel treatment of the singular-integral oracles: the compact
+    model (True) or the sum over periodic images (False)."""
 
     treat_as_compact: bool = True
-    singular_rule: str = "second-difference-regular"
-
-    def __post_init__(self) -> None:
-        if self.singular_rule not in SINGULAR_RULES:
-            raise ValueError(
-                f"singular rule must be one of {SINGULAR_RULES}, "
-                f"got {self.singular_rule!r}"
-            )
-
-
-def _applicable(cfg: QuadratureConfig, rules: tuple[str, ...]
-                ) -> QuadratureConfig:
-    """cfg, if its singular rule is one of the rules of the quadrature."""
-    if cfg.singular_rule not in rules:
-        raise ValueError(f"singular rule {cfg.singular_rule!r} does not apply "
-                         f"to this quadrature; use one of {rules}")
-    return cfg
 
 
 def frac_laplacian_constant(n: int, s: float) -> float:
@@ -204,14 +187,15 @@ def frac_laplacian_tail_bound(f: GridFunction, s: float) -> float:
 
 
 def frac_laplacian_quadrature(
-    f: GridFunction, s: float, cfg: QuadratureConfig | None = None
+    f: GridFunction, s: float, cfg: QuadratureConfig = QuadratureConfig()
 ) -> GridFunction:
     """Fractional Laplacian via the second-difference singular integral
-    -(1/2) C_{n,s} int (f(x+y) + f(x-y) - 2 f(x)) / |y|^{n+s} dy."""
+    -(1/2) C_{n,s} int (f(x+y) + f(x-y) - 2 f(x)) / |y|^{n+s} dy.  On the
+    singular cell the second difference is f''(x)|y|^2 to leading order: the
+    cell contributes the exact integral of the bounded |y|^{2-n-s} against
+    the nearest-neighbour second difference of f."""
     if not (0 < s < 2):
         raise ValueError(f"order s must lie in (0, 2), got {s}")
-    cfg = _applicable(cfg or QuadratureConfig(),
-                      ("exclude", "second-difference-regular"))
     spec = f.spec
     h, n = spec.h, spec.n
     C = frac_laplacian_constant(n, s)
@@ -236,16 +220,11 @@ def frac_laplacian_quadrature(
         R_eff = cnt * h / 2 if n == 1 else math.sqrt(cnt * h**2 / np.pi)
         result = result + C * v * _surface(n) * R_eff ** (-s) / s
 
-    if cfg.singular_rule == "second-difference-regular":
-        # Cell at y = 0: second difference ~ f''(x)|y|^2, giving a bounded
-        # integrand |y|^{2-n-s}; approximate f'' by the nearest-neighbor
-        # second difference per axis and integrate the kernel exactly.
-        cell = _singular_cell_kernel_integral(n, 2 - n - s, h)
-        second_diff = sum((np.roll(v, -1, axis=ax) + np.roll(v, 1, axis=ax)
-                           - 2 * v) / h**2 for ax in range(n))
-        # The angular average of y^T H y over |y| = r is (tr H) r^2 / n.
-        result += -0.5 * C * (second_diff / n) * cell
-    # "exclude": skip the singular cell entirely (nothing to add).
+    cell = _singular_cell_kernel_integral(n, 2 - n - s, h)
+    second_diff = sum((np.roll(v, -1, axis=ax) + np.roll(v, 1, axis=ax)
+                       - 2 * v) / h**2 for ax in range(n))
+    # The angular average of y^T H y over |y| = r is (tr H) r^2 / n.
+    result += -0.5 * C * (second_diff / n) * cell
     return GridFunction(spec, result)
 
 
@@ -267,7 +246,7 @@ def hilbert_pv_quadrature(f: GridFunction) -> GridFunction:
 
 
 def riesz_potential_quadrature(
-    f: GridFunction, s: float, cfg: QuadratureConfig | None = None
+    f: GridFunction, s: float, cfg: QuadratureConfig = QuadratureConfig()
 ) -> GridFunction:
     """Riesz potential via convolution with C_{n,s} |y|^{s-n}; the singular
     cell contributes f(x) times the exact cell integral of the kernel.
@@ -281,19 +260,15 @@ def riesz_potential_quadrature(
     spec = f.spec
     if not (0 < s < spec.n):
         raise ValueError(f"order s must lie in (0, n) = (0, {spec.n}), got {s}")
-    cfg = _applicable(
-        cfg or QuadratureConfig(singular_rule="analytic-cell-average"),
-        ("exclude", "analytic-cell-average"))
     n, h = spec.n, spec.h
     C = riesz_potential_constant(n, s)
     offsets, dist = _offsets(spec)
 
     # periodized, the k != 0 images still weight the origin offset; only the
-    # k = 0 singular term is left to the singular-cell rule
+    # k = 0 singular term is left to the cell average below
     weights, _ = _kernel_weights(spec, offsets, dist, s - n,
                                  cfg.treat_as_compact, 512 if n == 1 else 12)
 
     result = C * _circulant_apply(spec, f.values, weights) * spec.cell_volume
-    if cfg.singular_rule == "analytic-cell-average":
-        result += C * f.values * _singular_cell_kernel_integral(n, s - n, h)
+    result += C * f.values * _singular_cell_kernel_integral(n, s - n, h)
     return GridFunction(spec, result)

@@ -2,13 +2,14 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracharm import cli
+from fracharm import GridSpec, cli
 from fracharm.cli import ConfigError, main, parse_config
 from fracharm.commutators import CATALOG, _range_ends
 from grid_helpers import mention_sites
@@ -185,12 +186,11 @@ def test_non_positive_t_max_exits_two_with_one_line(tmp_path):
     ({"n": 1, "N": 64, "L": 4e-152},
      {"id": "hardy-duality", "params": {"s": 1}}),
     ({"n": 2, "N": 64, "L": 3e-153}, {"id": "leibniz-lorentz"})])
-def test_numerical_failure_at_an_extreme_period_exits_three(tmp_path, grid,
-                                                             estimate):
-    # admitted periods whose estimate cannot be evaluated: a sampled
-    # function, or a symbol, overflows to a non-finite value, which raises a
-    # ValueError inside the estimate.  A subprocess, so that a numpy warning
-    # would reach stderr too; such warnings may come before the error line.
+def test_overflowing_period_exits_two_with_one_line(tmp_path, grid,
+                                                    estimate):
+    # periods where a sampled function, or a symbol, overflowed to a
+    # non-finite value inside the estimate (exit 3) are refused before the
+    # run.  A subprocess, so that a numpy warning would reach stderr too.
     import os
     import subprocess
     import sys
@@ -202,10 +202,11 @@ def test_numerical_failure_at_an_extreme_period_exits_three(tmp_path, grid,
     out = subprocess.run(
         [sys.executable, "-m", "fracharm.cli", "run", path],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.returncode == 3
-    assert "Traceback" not in out.stderr
-    last = out.stderr.splitlines()[-1]
-    assert last.startswith(f"numerical error in estimate {estimate['id']}: ")
+    assert out.returncode == 2
+    assert out.stderr.startswith(
+        f"config error: grid: period L = {grid['L']} is out of range")
+    assert out.stderr.count("\n") == 1
+    assert not (tmp_path / "reports").exists()
 
 
 @pytest.mark.parametrize("error", [ArithmeticError, ValueError, MemoryError])
@@ -428,10 +429,18 @@ def test_config_shape_refusals_exit_two_with_one_line(tmp_path, capsys):
 
 
 def test_unrepresentable_period_exits_two(tmp_path, capsys):
-    # L^2 underflows, or L^2 overflows, past the normal float64 range
-    for L in (1e-200, 1e300):
-        path = _write_config(tmp_path / "cfg.json", grid={"n": 1, "N": 64,
-                                                          "L": L})
+    # L^2 underflows, or L^2 overflows, past the normal float64 range; and
+    # the periods where a squared frequency, a squared displacement or a
+    # product of gradients overflowed in the run: a warning and exit 0 in
+    # 1-D, exit 3 for 2-D jacobian-bmo (the other exit-3 periods are
+    # test_overflowing_period_exits_two_with_one_line's)
+    cases = [(1, L, eid, {}) for L in (1e-200, 1e300, 3e-153, 1.3e154)
+             for eid in ("crw-bmo", "leibniz-lorentz")]
+    cases += [(2, L, "jacobian-bmo", {}) for L in (3e-153, 2e-152, 1e-151)]
+    for n, L, eid, params in cases:
+        path = _write_config(tmp_path / "cfg.json",
+                             grid={"n": n, "N": 64, "L": L},
+                             estimates=[{"id": eid, "params": params}])
         assert main(["run", path, "--out", str(tmp_path / "reports")]) == 2
         _assert_one_config_error_line(capsys, "period L")
         assert not (tmp_path / "reports").exists()
@@ -463,6 +472,28 @@ def test_tiny_period_gives_the_unit_period_verdict(tmp_path, capsys):
             reports[1.0]["fitted_constant"], rel=1e-12)
 
 
+def _period_ends(n):
+    """The smallest and the largest period GridSpec admits at n, N=64, each
+    found by bisection between an admitted and a refused period."""
+    def admitted(L):
+        try:
+            GridSpec(n=n, N=64, L=L)
+        except ValueError:
+            return False
+        return True
+
+    ends = []
+    for outside in (1e-300, 1e300):
+        inside = 1.0
+        while True:
+            mid = math.sqrt(inside) * math.sqrt(outside)
+            if not min(inside, outside) < mid < max(inside, outside):
+                break
+            inside, outside = (mid, outside) if admitted(mid) else (inside, mid)
+        ends.append(inside)
+    return ends
+
+
 def test_huge_period_runs_like_the_unit_period(tmp_path):
     # the estimates are dilation-invariant and the norms scale-safe, so every
     # estimate the grid admits gives its L = 1 verdict at any period; the
@@ -475,7 +506,7 @@ def test_huge_period_runs_like_the_unit_period(tmp_path):
                      and eid != "jacobian-sobolev"]
         assert len(estimates) == 8
         runs = {}
-        for L in (1.0, 1e-100, 1e150):
+        for L in (1.0, 1e-100, 1e150, *_period_ends(n)):
             out = tmp_path / f"{n}d-L{L:g}"
             path = _write_config(tmp_path / "cfg.json",
                                  grid={"n": n, "N": 64, "L": L},

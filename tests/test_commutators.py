@@ -236,10 +236,10 @@ def test_stacked_2d_family_holds_ten_stacks_at_most():
     family = standard_family(d.arity, spec, seed=1000)
     stack = len(family) * spec.N**2 * 8  # one (20, 128, 128) float64 stack
     # a first run keeps the caches of a first call out of the count
-    _evaluate_family(d, family, spec, {}, 1e-11)
+    _evaluate_family(d, family, spec, {})
     tracemalloc.start()
     try:
-        _evaluate_family(d, family, spec, {}, 1e-11)
+        _evaluate_family(d, family, spec, {})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -252,7 +252,7 @@ def test_jacobian_bmo_synthesizes_each_gradient_once(monkeypatch):
     spec = GridSpec(n=2, N=32, L=1.0)
     d = EstimateDescriptor("jacobian-bmo")
     family = standard_family(d.arity, spec)
-    want = _evaluate_family(d, family, spec, {}, 1e-11)
+    want = _evaluate_family(d, family, spec, {})
     calls = []
     real = commutators.spectral_gradient
 
@@ -261,7 +261,7 @@ def test_jacobian_bmo_synthesizes_each_gradient_once(monkeypatch):
         return real(f)
 
     monkeypatch.setattr(commutators, "spectral_gradient", counting)
-    assert _evaluate_family(d, family, spec, {}, 1e-11) == want
+    assert _evaluate_family(d, family, spec, {}) == want
     assert calls == [(len(family), *spec.shape)] * 2
 
 
@@ -579,7 +579,7 @@ def test_dilation_remaps_centres_about_midpoint_and_the_rest_about_origin():
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def _evaluate_family_per_sample(d, family, spec, meta, zero_rhs_tol):
+def _evaluate_family_per_sample(d, family, spec, meta):
     # _evaluate_family one sample at a time, as it was before it evaluated
     # each family as one stack; the oracle of the stacked evaluation
     evaluate = CATALOG[d.id]["evaluate"]
@@ -602,7 +602,7 @@ def _evaluate_family_per_sample(d, family, spec, meta, zero_rhs_tol):
             f"right-hand side on this grid")
     samples, zeros = [], []
     for i, (lhs, rhs) in enumerate(values):
-        if rhs <= zero_rhs_tol * rhs_scale:
+        if rhs <= commutators._ZERO_RHS_TOL * rhs_scale:
             zeros.append({"index": i, "lhs": lhs, "rhs": rhs})
         else:
             samples.append({"index": i, "lhs": lhs, "rhs": rhs,
@@ -616,7 +616,7 @@ def _both_evaluations(d, family, spec):
     out = []
     for evaluate in (_evaluate_family, _evaluate_family_per_sample):
         meta: dict = {}
-        out.append((*evaluate(d, family, spec, meta, 1e-11), meta))
+        out.append((*evaluate(d, family, spec, meta), meta))
     return out
 
 
@@ -677,7 +677,7 @@ def test_stacked_family_failures_name_the_per_sample_cause(monkeypatch):
         messages = []
         for evaluate in (_evaluate_family, _evaluate_family_per_sample):
             with np.errstate(over="ignore"), pytest.raises(error) as info:
-                evaluate(d, fam, spec, {}, 1e-11)
+                evaluate(d, fam, spec, {})
             messages.append(str(info.value))
         assert words in messages[0]
         assert messages[0] == messages[1]
@@ -717,7 +717,7 @@ def test_family_makes_as_many_transforms_at_any_size(eid, monkeypatch):
         family = standard_family(d.arity, SPEC1, n_members=members)
         forward.clear()
         monkeypatch.setattr(np.fft, "rfftn", counting_rfftn)
-        _evaluate_family(d, family, SPEC1, {}, 1e-11)
+        _evaluate_family(d, family, SPEC1, {})
         monkeypatch.undo()
         counts.append(len(forward))
     assert counts[0] == counts[1] > 0

@@ -79,17 +79,48 @@ def test_quadrature_of_constant_is_zero_periodized():
     assert np.max(np.abs(out)) <= 1e-12
 
 
+def _potential_input(spec):
+    return mean_projected(make_function(TestFunctionDescriptor(
+        kind="random-bandlimited", seed=21, max_k=5), spec))[0]
+
+
+def _cell_term(quadrature, f, s):
+    """The singular-cell term of the quadrature: the exact integral of its
+    kernel over the origin cell (in 2-D the disc of equal area), times f for
+    the Riesz potential and times the nearest-neighbour second difference of
+    f for the fractional Laplacian."""
+    spec = f.spec
+    n, h, v = spec.n, spec.h, f.values
+    if quadrature is frac_laplacian_quadrature:
+        power = 2 - n - s
+        factor = -0.5 * frac_laplacian_constant(n, s) / n * sum(
+            (np.roll(v, -1, axis=ax) + np.roll(v, 1, axis=ax) - 2 * v) / h**2
+            for ax in range(n))
+    else:
+        power = s - n
+        factor = riesz_potential_constant(n, s) * v
+    r, surface = (h / 2, 2.0) if n == 1 else (h / math.sqrt(np.pi), 2 * np.pi)
+    return factor * surface * r ** (power + n) / (power + n)
+
+
 def test_singular_rule_improves_on_exclusion():
+    # each quadrature against the same quadrature with its singular cell
+    # left out, which is off its multiplier by 14% (the Laplacian) and by
+    # 41% and 24% (the Riesz potential on the input of
+    # test_potential_quadrature_matches_multiplier); the cell rule is more
+    # than ten times closer
     spec = GridSpec(n=1, N=256, L=1.0)
-    f = _gaussian(spec)
-    a = frac_laplacian(f, 1.5).values
-    scale = np.max(np.abs(a))
-    errs = {}
-    for rule in ("exclude", "second-difference-regular"):
-        cfg = QuadratureConfig(treat_as_compact=False, singular_rule=rule)
-        b = frac_laplacian_quadrature(f, 1.5, cfg).values
-        errs[rule] = np.max(np.abs(a - b)) / scale
-    assert errs["second-difference-regular"] < errs["exclude"]
+    mean_zero = _potential_input(spec)
+    cases = [(frac_laplacian, frac_laplacian_quadrature, _gaussian(spec), 1.5),
+             (riesz_potential, riesz_potential_quadrature, mean_zero, 0.3),
+             (riesz_potential, riesz_potential_quadrature, mean_zero, 0.5)]
+    for multiplier, quadrature, f, s in cases:
+        a = multiplier(f, s).values
+        b = quadrature(f, s, PERIODIZED).values
+        excluded = b - _cell_term(quadrature, f, s)
+        scale = np.max(np.abs(a))
+        err = np.max(np.abs(a - b)) / scale
+        assert 10 * err < np.max(np.abs(a - excluded)) / scale, (quadrature, s)
 
 
 def test_tail_bound_reported_not_added():
@@ -108,35 +139,10 @@ def test_tail_bound_reported_not_added():
 def test_quadrature_rejects_bad_parameters():
     spec = GridSpec(n=1, N=32, L=1.0)
     f = GridFunction(spec, np.zeros(32))
-    with pytest.raises(ValueError, match="singular rule"):
-        QuadratureConfig(singular_rule="bogus")
     with pytest.raises(ValueError):
         frac_laplacian_quadrature(f, 2.0)
     with pytest.raises(ValueError):
         riesz_potential_quadrature(f, 1.0)
-
-
-def test_quadratures_refuse_a_singular_rule_that_does_not_apply():
-    # a rule that does not apply is refused, not read as "exclude", which
-    # puts the periodized Riesz potential 41% off its multiplier at 1-D
-    # N=256, s = 0.3 (1.0% with the cell average)
-    spec = GridSpec(n=1, N=32, L=1.0)
-    f = GridFunction(spec, np.zeros(32))
-    cases = [(frac_laplacian_quadrature, "analytic-cell-average",
-              ("exclude", "second-difference-regular")),
-             (riesz_potential_quadrature, "second-difference-regular",
-              ("exclude", "analytic-cell-average"))]
-    for quadrature, rule, rules in cases:
-        for compact in (True, False):
-            cfg = QuadratureConfig(treat_as_compact=compact, singular_rule=rule)
-            with pytest.raises(ValueError) as err:
-                quadrature(f, 0.5, cfg)
-            assert str(err.value) == (f"singular rule {rule!r} does not apply "
-                                      f"to this quadrature; use one of {rules}")
-        for rule in rules:
-            quadrature(f, 0.5, QuadratureConfig(singular_rule=rule))
-    with pytest.raises(ValueError, match="does not apply"):
-        riesz_potential_quadrature(f, 0.5, PERIODIZED)
 
 
 def test_hilbert_quadrature_matches_multiplier():
@@ -174,12 +180,9 @@ def test_hilbert_quadrature_rejects_2d():
 @pytest.mark.parametrize("s", [0.3, 0.5])
 def test_potential_quadrature_matches_multiplier(s):
     spec = GridSpec(n=1, N=256, L=1.0)
-    f = mean_projected(make_function(TestFunctionDescriptor(
-        kind="random-bandlimited", seed=21, max_k=5), spec))[0]
+    f = _potential_input(spec)
     a = riesz_potential(f, s).values
-    cfg = QuadratureConfig(treat_as_compact=False,
-                           singular_rule="analytic-cell-average")
-    b = riesz_potential_quadrature(f, s, cfg).values
+    b = riesz_potential_quadrature(f, s, PERIODIZED).values
     assert np.max(np.abs(a - b)) <= 2e-2 * np.max(np.abs(a))
 
 
@@ -306,9 +309,8 @@ def test_quadratures_match_roll_loop(n, N, monkeypatch):
                 cases.append((frac_laplacian_quadrature, f, s,
                               QuadratureConfig(treat_as_compact=compact)))
                 if s < n:
-                    cases.append((riesz_potential_quadrature, f, s, QuadratureConfig(
-                        treat_as_compact=compact,
-                        singular_rule="analytic-cell-average")))
+                    cases.append((riesz_potential_quadrature, f, s,
+                                  QuadratureConfig(treat_as_compact=compact)))
         if n == 1:
             cases.append((hilbert_pv_quadrature, f))
     for quadrature, *args in cases:
@@ -349,18 +351,19 @@ def test_frac_laplacian_matches_longdouble_second_difference(n, N):
     # The periodized weights are not even in y, so this checks the folding of
     # the plus/minus pair into one kernel, not just the circulant apply.  The
     # float64 loop (the form the quadrature had before the FFT) is held to the
-    # same bound.
+    # same bound.  Both loops cover y != 0; the singular cell is added to each.
     spec = GridSpec(n=n, N=N, L=1.0)
     offsets, _ = _offsets(spec)
-    cfg = QuadratureConfig(treat_as_compact=False, singular_rule="exclude")
     for f in _oracle_inputs(spec):
         for s in (0.3, 0.7, 1.5):
             w = _periodized_weights(spec, offsets, -(n + s), images=16)
             scale = -0.5 * frac_laplacian_constant(n, s) * spec.cell_volume
+            cell = _cell_term(frac_laplacian_quadrature, f, s)
             exact = scale * _second_difference_loop(
-                spec, f.values.astype(np.longdouble), w.astype(np.longdouble))
-            loop = scale * _second_difference_loop(spec, f.values, w)
-            out = frac_laplacian_quadrature(f, s, cfg).values
+                spec, f.values.astype(np.longdouble),
+                w.astype(np.longdouble)) + cell
+            loop = scale * _second_difference_loop(spec, f.values, w) + cell
+            out = frac_laplacian_quadrature(f, s, PERIODIZED).values
             sup = np.max(np.abs(exact))
             assert np.max(np.abs(out - exact)) <= 1e-13 * sup
             assert np.max(np.abs(out - loop)) <= 1e-13 * sup
@@ -381,7 +384,7 @@ def test_quadratures_make_no_roll_loop(n, N, monkeypatch):
     for compact in (True, False):
         rolls.clear()
         riesz_potential_quadrature(f, 0.5, QuadratureConfig(
-            treat_as_compact=compact, singular_rule="analytic-cell-average"))
+            treat_as_compact=compact))
         assert len(rolls) == 0
         # only the singular-cell second difference rolls, once per direction
         rolls.clear()
