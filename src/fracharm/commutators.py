@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -548,26 +549,18 @@ def standard_family(arity: int, spec: GridSpec, n_members: int = 20,
             center = tuple(
                 L / 2 + 0.10 * L
                 * (2 * ((0.23 + 0.137 * i + 0.311 * k + 0.071 * ax) % 1.0) - 1)
-                for ax in range(spec.n)
-            )
+                for ax in range(spec.n))
             if i < 10:
-                tup.append(TestFunctionDescriptor(
-                    kind="smooth-bump", center=center,
-                    radius=(0.14 + 0.008 * i + 0.010 * k) * L,
-                    amplitude=1.0 + 0.2 * k, dilate=_FAMILY_DILATE,
-                ))
+                kw = {"kind": "smooth-bump", "center": center,
+                      "radius": (0.14 + 0.008 * i + 0.010 * k) * L}
             elif i < 15:
-                tup.append(TestFunctionDescriptor(
-                    kind="gaussian", center=center,
-                    width=(0.040 + 0.004 * (i - 10) + 0.003 * k) * L,
-                    amplitude=1.0 + 0.2 * k, dilate=_FAMILY_DILATE,
-                ))
+                kw = {"kind": "gaussian", "center": center,
+                      "width": (0.040 + 0.004 * (i - 10) + 0.003 * k) * L}
             else:
-                tup.append(TestFunctionDescriptor(
-                    kind="random-bandlimited",
-                    seed=seed + 37 * i + 11 * k, max_k=_FAMILY_MAX_K,
-                    amplitude=1.0 + 0.2 * k, dilate=_FAMILY_DILATE,
-                ))
+                kw = {"kind": "random-bandlimited", "max_k": _FAMILY_MAX_K,
+                      "seed": seed + 37 * i + 11 * k}
+            tup.append(TestFunctionDescriptor(
+                **kw, amplitude=1.0 + 0.2 * k, dilate=_FAMILY_DILATE))
         out.append(tuple(tup))
     return out
 
@@ -593,21 +586,45 @@ def _dilated_about(t: TestFunctionDescriptor, lam: float,
     return replace(t, **kw)
 
 
+# The store of family columns, the descriptors at one argument position, each
+# sampled once into a read-only stack and held least-recently-used in 8 MB.
+_COLUMN_BYTES = 2**23
+_COLUMNS: OrderedDict[tuple, GridFunction] = OrderedDict()
+
+
+def _column(spec: GridSpec, column: tuple) -> GridFunction:
+    """The read-only stack of column's test functions on spec, row i the
+    i-th's; a stack over the bound is returned and not held."""
+    key = (spec, column)
+    if key not in _COLUMNS:
+        values = np.empty((len(column),) + spec.shape)
+        # a stack within the bound makes room first, so what leaves is freed
+        while values.nbytes <= _COLUMN_BYTES < values.nbytes + sum(
+                f.values.nbytes for f in _COLUMNS.values()):
+            _COLUMNS.popitem(last=False)
+        for row, t in zip(values, column):
+            row[...] = make_function(t, spec).values
+        values.flags.writeable = False
+        if values.nbytes > _COLUMN_BYTES:
+            return GridFunction(spec, values)
+        _COLUMNS[key] = GridFunction(spec, values)
+    _COLUMNS.move_to_end(key)
+    return _COLUMNS[key]
+
+
 def _evaluate_family(d: EstimateDescriptor, family, spec: GridSpec,
                      meta: dict):
     """(samples, zeros, lhs_scale): a sample is zero when its RHS is at most
     _ZERO_RHS_TOL times the family's largest RHS; lhs_scale is the family's
     largest LHS.  A family whose every RHS is zero is an ArithmeticError.
-    The family is evaluated once, stacked per argument position (sample i is
-    row i); tests/test_commutators.py holds the per-sample loop as oracle."""
+    The family is evaluated once, on the store's stack of each argument
+    position (sample i is row i); the tests hold a per-sample oracle."""
     for tup in family:
         if len(tup) != d.arity:
             raise ValueError(
                 f"estimate {d.id} needs {d.arity} functions per sample, "
                 f"got {len(tup)}")
-    funcs = tuple(GridFunction(spec, np.stack([make_function(t, spec).values
-                                               for t in col]))
-                  for col in zip(*family))
+    funcs = tuple(_column(spec, col) for col in zip(*family))
     lhs, rhs = CATALOG[d.id]["evaluate"](spec, funcs, d.params, meta)
     values = list(zip(np.ravel(lhs).tolist(), np.ravel(rhs).tolist()))
     for i, (lhs, rhs) in enumerate(values):
@@ -663,8 +680,7 @@ def verify_estimate(d: EstimateDescriptor, family, spec: GridSpec,
     for lam in _DILATIONS:
         dil_family = [tuple(_dilated_about(t, lam, spec) for t in tup)
                       for tup in family]
-        dmeta: dict = {}
-        dsamples, _, _ = _evaluate_family(d, dil_family, spec, dmeta)
+        dsamples, _, _ = _evaluate_family(d, dil_family, spec, {})
         dilation_ratios[lam] = max((s["ratio"] for s in dsamples), default=0.0)
         if max_ratio > 0:
             # stability of the constant estimate: relative drift of the

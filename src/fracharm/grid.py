@@ -339,27 +339,11 @@ def _bandlimited_values(desc: TestFunctionDescriptor, spec: GridSpec,
     return desc.amplitude * values
 
 
-# Test functions of at most this many cells (32 KB: 1-D N <= 4096, 2-D
-# N <= 64) are cached, 256 of them, so the cache holds at most 8 MB; one
-# harness run samples 181 distinct functions.
-_CACHED_FUNCTION_CELLS = 2**12
-
-
 def make_function(desc: TestFunctionDescriptor, spec: GridSpec) -> GridFunction:
-    """Sample a test function, read-only and bit-identical for equal (desc,
-    spec); grids of at most _CACHED_FUNCTION_CELLS cells are cached."""
-    if spec.N**spec.n <= _CACHED_FUNCTION_CELLS:
-        return _cached_function(desc, spec)
-    return _sampled(desc, spec)
-
-
-def _sampled(desc: TestFunctionDescriptor, spec: GridSpec) -> GridFunction:
+    """Sample a test function; its values are read-only."""
     f = GridFunction(spec, _sample_values(desc, spec))
     f.values.flags.writeable = False
     return f
-
-
-_cached_function = functools.lru_cache(maxsize=256)(_sampled)
 
 
 # The fields each kind reads; center and kvec are vectors of n entries
@@ -382,6 +366,11 @@ def _sample_values(desc: TestFunctionDescriptor, spec: GridSpec) -> np.ndarray:
         v = tau if name == "translate" else getattr(desc, name)
         if len(v) != spec.n:
             raise ValueError(f"{name} must have n = {spec.n} entries, got {v}")
+    for name in [f for f in fields if f == "center"] + [
+            "translate", "dilate", "amplitude"]:
+        v = getattr(desc, name)
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite, got {v}")
     for name in set(fields) & {"width", "radius", "max_k"}:
         v = getattr(desc, name)
         if not (v >= 0 if name == "max_k" else v > 0):

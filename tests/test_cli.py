@@ -618,14 +618,23 @@ def test_run_rejects_grids_below_the_family_band(tmp_path, capsys):
             assert not (tmp_path / "reports").exists()
 
 
-def test_cold_and_warm_caches_write_identical_reports(tmp_path):
-    # crw-bmo and leibniz-bmo share their phi members; the second run takes
-    # every test function and every BMO seminorm from the caches
-    from fracharm import grid, norms
-    grid._cached_function.cache_clear()
+def test_cold_and_warm_caches_write_identical_reports(tmp_path,
+                                                      monkeypatch):
+    # crw-bmo and leibniz-bmo share their family; the second run takes
+    # every family column and every BMO seminorm from the stores
+    from fracharm import commutators, norms
+    commutators._COLUMNS.clear()
     norms._BMO_MEMO.clear()
+    sampled, sample = [], commutators.make_function
+
+    def counting(desc, spec):
+        sampled.append(desc)
+        return sample(desc, spec)
+
+    monkeypatch.setattr(commutators, "make_function", counting)
     trees, filled = [], []
     for name in ("cold", "warm"):
+        sampled.clear()
         path = _write_config(
             tmp_path / "cfg.json",
             estimates=[{"id": "crw-bmo"}, {"id": "leibniz-bmo"}],
@@ -633,12 +642,11 @@ def test_cold_and_warm_caches_write_identical_reports(tmp_path):
         assert main(["run", path]) == 0
         trees.append({p.name: p.read_bytes()
                       for p in sorted((tmp_path / name).iterdir())})
-        filled.append((grid._cached_function.cache_info().misses,
-                       len(norms._BMO_MEMO)))
-    # 20 samples of 2 slots at 3 dilation states, plus the profile gaussian;
-    # phi is shared, so 3 stacks of 20 rows, one per dilation state, serve
-    # the 2 * 3 BMO calls
-    assert filled == [(121, 3)] * 2
+        filled.append((len(commutators._COLUMNS), len(norms._BMO_MEMO),
+                       len(sampled)))
+    # 2 columns of 20 samples at 3 dilation states: 6 stacks, sampled once;
+    # the 3 phi stacks, one per dilation state, serve the 2 * 3 BMO calls
+    assert filled == [(6, 3, 120), (6, 3, 0)]
     assert len(trees[0]) == 5
     assert trees[0] == trees[1]
 

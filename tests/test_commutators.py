@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from fracharm import (CATALOG, EstimateDescriptor, GridFunction, GridSpec,
                       mean_projected, riesz_potential_commutator,
                       standard_family, verify_estimate)
 from fracharm import commutators
-from fracharm.commutators import _dilated_about, _evaluate_family
+from fracharm.commutators import _column, _dilated_about, _evaluate_family
 from fracharm.multiplier_ops import riesz_potential
 from grid_helpers import coords
 
@@ -721,3 +723,94 @@ def test_family_makes_as_many_transforms_at_any_size(eid, monkeypatch):
         monkeypatch.undo()
         counts.append(len(forward))
     assert counts[0] == counts[1] > 0
+
+
+def _constants(first, rows=20):
+    """A column of constant members with amplitudes first, first + 1, ..."""
+    return tuple(TestFunctionDescriptor(kind="constant", amplitude=first + i)
+                 for i in range(rows))
+
+
+def test_family_columns_are_stored_read_only_stacks():
+    commutators._COLUMNS.clear()
+    column = tuple(t for t, _ in standard_family(2, SPEC1))
+    f = _column(SPEC1, column)
+    assert np.array_equal(f.values, np.stack(
+        [make_function(t, SPEC1).values for t in column]))
+    # an equal column gives the same stack, also one written with lists
+    assert _column(SPEC1, tuple(replace(t) for t in column)) is f
+    listed = tuple(TestFunctionDescriptor(
+        kind=t.kind, center=list(t.center), radius=t.radius,
+        amplitude=t.amplitude, dilate=t.dilate) for t in column[:10])
+    assert _column(SPEC1, listed + column[10:]) is f
+    # the same column on another grid is another entry
+    other = GridSpec(n=1, N=128, L=2.0)
+    g = _column(other, column)
+    assert g is not f and g.spec == other
+    assert list(commutators._COLUMNS) == [(SPEC1, column), (other, column)]
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[0, 0] = 1.0
+
+
+def test_family_column_store_stays_within_its_bound():
+    commutators._COLUMNS.clear()
+    spec = GridSpec(n=2, N=64, L=1.0)
+    # 20 columns of 20 rows of 32 KB; the bound holds 12 of them
+    columns = [_constants(20 * j) for j in range(20)]
+    for column in columns:
+        _column(spec, column)
+        held = sum(f.values.nbytes for f in commutators._COLUMNS.values())
+        assert held <= commutators._COLUMN_BYTES
+    assert list(commutators._COLUMNS) == [(spec, c) for c in columns[-12:]]
+    # a hit makes a column the most recent, so the next miss evicts another
+    _column(spec, columns[-12])
+    _column(spec, _constants(-20))
+    assert (spec, columns[-12]) in commutators._COLUMNS
+    assert (spec, columns[-11]) not in commutators._COLUMNS
+    # 17 rows at 2-D N=256 (8.5 MB) are returned, not held, and evict none
+    kept = list(commutators._COLUMNS)
+    big, wide = _constants(0, rows=17), GridSpec(n=2, N=256, L=1.0)
+    f = _column(wide, big)
+    assert f.values.nbytes > commutators._COLUMN_BYTES
+    assert not f.values.flags.writeable and f.values[16, 0, 0] == 16.0
+    assert list(commutators._COLUMNS) == kept
+    assert _column(wide, big) is not f
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded from its path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_1d_config_samples_each_family_column_once(monkeypatch):
+    # the benchmark's run-1d estimates share one family: 9 distinct columns
+    # (3 argument positions at 3 dilation states) of 20 members each; one
+    # stack per estimate and dilation state made 1020 samples of them
+    cfg = _workloads().CLI_CONFIGS["run-1d"]
+    spec = GridSpec(**cfg["grid"])
+    commutators._COLUMNS.clear()
+    sampled, stacks, sample = [], [], commutators.make_function
+
+    def counting(desc, spec):
+        sampled.append(desc)
+        return sample(desc, spec)
+
+    def keeping(evaluate):
+        # the stacks are kept, so no two of them share an id
+        def kept(spec, funcs, *rest):
+            stacks.extend(funcs)
+            return evaluate(spec, funcs, *rest)
+        return kept
+
+    monkeypatch.setattr(commutators, "make_function", counting)
+    for eid in cfg["estimates"]:
+        d = EstimateDescriptor(eid)
+        monkeypatch.setitem(CATALOG[eid], "evaluate",
+                            keeping(CATALOG[eid]["evaluate"]))
+        verify_estimate(d, standard_family(d.arity, spec), spec)
+    assert len(sampled) == 180
+    assert len({id(f.values) for f in stacks}) == 9

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracharm
-from fracharm import grid
+from fracharm import commutators, grid
 from fracharm import (EstimateDescriptor, GridFunction, GridSpec,
                       TestFunctionDescriptor, fft_forward, hermitian_asymmetry,
                       make_function, spectral_apply, spectral_gradient,
@@ -424,7 +424,7 @@ def test_bandlimited_members_equal_the_per_mode_loop(n, N):
                                         max_k=0))
     assert len(descs) == 48
     for desc in descs:
-        got = grid._sampled(desc, spec).values
+        got = make_function(desc, spec).values
         assert np.array_equal(got, _bandlimited_per_mode(desc, spec)), desc
     # max_k = 0 has no modes: the zero function
     assert not np.any(got)
@@ -441,8 +441,16 @@ def test_reports_move_by_rounding_from_full_lattice_members(eid, n, N,
     d = EstimateDescriptor(eid)
     family = standard_family(d.arity, spec)
 
+    sampled = []
+
+    def full_lattice(desc, spec, tau):
+        sampled.append(desc)
+        return _bandlimited_full_lattice(desc, spec)
+
     def report():
-        grid._cached_function.cache_clear()
+        # the store holds the columns of the last report: without the clear
+        # the oracle report would read them and never call the sampler
+        commutators._COLUMNS.clear()
         r = verify_estimate(d, family, spec)
         rows = [(s["lhs"], s["rhs"], s["ratio"]) for s in r.samples]
         return r.passed, np.array([r.fitted_constant, r.validation_max_ratio,
@@ -450,39 +458,36 @@ def test_reports_move_by_rounding_from_full_lattice_members(eid, n, N,
 
     passed, got = report()
     # the oracle reads the translation from the descriptor itself
-    monkeypatch.setattr(grid, "_bandlimited_values",
-                        lambda desc, spec, tau:
-                        _bandlimited_full_lattice(desc, spec))
+    monkeypatch.setattr(grid, "_bandlimited_values", full_lattice)
     passed0, want = report()
     monkeypatch.undo()
-    grid._cached_function.cache_clear()
+    commutators._COLUMNS.clear()
+    # 5 band-limited members per argument position, at 3 dilation states
+    assert len(sampled) == 5 * d.arity * 3
     assert passed == passed0
     assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) <= 1e-13
 
 
-def test_make_function_caches_read_only_functions():
-    spec = GridSpec(n=1, N=128, L=1.0)
+def test_make_function_returns_read_only_functions():
+    # every grid size takes the one sampling path: read-only values, and
+    # bit-identical values for equal descriptors
     desc = TestFunctionDescriptor(kind="gaussian", center=(0.5,), width=0.05)
-    f = make_function(desc, spec)
-    assert not f.values.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        f.values[0] = 1.0
-    equal = TestFunctionDescriptor(kind="gaussian", center=(0.5,), width=0.05)
-    assert make_function(equal, spec) is f
-    assert np.array_equal(grid._sampled(desc, spec).values, f.values)
-    other = GridSpec(n=1, N=128, L=2.0)
-    assert make_function(desc, other) is not f
-    # a list-valued field is stored as a tuple: the same cache entry
-    listed = TestFunctionDescriptor(kind="gaussian", center=[0.5], width=0.05)
-    assert listed == desc and hash(listed) == hash(desc)
-    assert make_function(listed, spec) is f
-    # grids of more than 2^12 cells bypass the cache
-    big = GridSpec(n=2, N=128, L=1.0)
     centred = TestFunctionDescriptor(kind="gaussian", center=(0.5, 0.5),
                                      width=0.05)
-    g = make_function(centred, big)
-    assert not g.values.flags.writeable
-    assert make_function(centred, big) is not g
+    for d, spec in ((desc, GridSpec(n=1, N=128, L=1.0)),
+                    (centred, GridSpec(n=2, N=128, L=1.0))):
+        f = make_function(d, spec)
+        assert not f.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[(0,) * spec.n] = 1.0
+        again = make_function(replace(d), spec)
+        assert again is not f and np.array_equal(again.values, f.values)
+    # a list-valued field is stored as a tuple, so the descriptors are equal
+    listed = TestFunctionDescriptor(kind="gaussian", center=[0.5], width=0.05)
+    assert listed == desc and hash(listed) == hash(desc)
+    spec = GridSpec(n=1, N=128, L=1.0)
+    assert np.array_equal(make_function(listed, spec).values,
+                          make_function(desc, spec).values)
 
 
 def test_bump_support_and_positivity():
@@ -610,6 +615,26 @@ def test_sampler_refusals_name_their_fault():
                f"radius must be positive, got {r}") for r in (-0.2, 0.0)]
     cases.append(({"kind": "random-bandlimited", "seed": 1, "max_k": -1},
                   "max_k must be non-negative, got -1"))
+    # a bump with a non-finite centre, translation or dilation sampled the
+    # zero function, and the other cases failed only with the generic
+    # "GridFunction values must all be finite"; each field is refused by name
+    nan, inf = float("nan"), float("inf")
+    bump = {"kind": "smooth-bump", "center": (0.5,), "radius": 0.2}
+    gauss = {"kind": "gaussian", "center": (0.5,), "width": 0.05}
+    cases += [({**bump, "center": (nan,)}, "center must be finite, got (nan,)"),
+              ({**bump, "center": (inf,)}, "center must be finite, got (inf,)"),
+              ({**bump, "translate": (inf,)},
+               "translate must be finite, got (inf,)"),
+              ({**bump, "dilate": inf}, "dilate must be finite, got inf"),
+              ({**gauss, "center": (-inf,)},
+               "center must be finite, got (-inf,)"),
+              ({**gauss, "amplitude": nan}, "amplitude must be finite, got nan"),
+              ({**gauss, "amplitude": -inf},
+               "amplitude must be finite, got -inf"),
+              ({"kind": "constant", "amplitude": inf},
+               "amplitude must be finite, got inf"),
+              ({"kind": "sine", "kvec": (1,), "translate": (nan,)},
+               "translate must be finite, got (nan,)")]
     for kw, message in cases:
         with pytest.raises(ValueError) as err:
             make_function(TestFunctionDescriptor(**kw), spec)

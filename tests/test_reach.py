@@ -48,17 +48,23 @@ def _references(paths, strings=False):
 
 
 def _private_definitions(paths, top_level_only=False):
-    """(file, name) of each function, method or class whose name has one
-    leading underscore."""
+    """(file, name) of each function, method or class, and of each name a
+    module-level assignment binds, whose name has one leading underscore,
+    so that a cut cache cannot leave its constant behind."""
     found = []
     for path in paths:
         tree = ast.parse(path.read_text())
-        for node in tree.body if top_level_only else ast.walk(tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and node.name.startswith("_")
-                    and not node.name.startswith("__")):
-                found.append((path.name, node.name))
+        names = [node.name
+                 for node in (tree.body if top_level_only else ast.walk(tree))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))]
+        names += [target.id for node in tree.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  for target in ast.walk(node)
+                  if isinstance(target, ast.Name)
+                  and isinstance(target.ctx, ast.Store)]
+        found += [(path.name, name) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
     return found
 
 
